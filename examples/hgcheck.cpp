@@ -15,9 +15,8 @@
 //     2  bad usage
 //
 //   --report writes the halfgnn-check-v1 JSON report ('-' = stdout).
-//   --lint runs the metadata linter (dispatch chains, kernel metadata,
-//   conflict policies, doc-grammar drift against README.md/DESIGN.md under
-//   --docs-dir, default '.').
+//   --lint runs the metadata linter (dtype traits, doc-grammar drift
+//   against README.md/DESIGN.md under --docs-dir, default '.').
 //   --fig1c prints the statically re-derived Fig. 1c verdict table for the
 //   chosen model/dataset (one row per system x dtype cell).
 //   --grid sweeps model x every dtype on the chosen dataset (the CI

@@ -8,9 +8,9 @@
 #include <utility>
 
 #include "amp/amp.hpp"
-#include "check/kernel_meta.hpp"
 #include "kernels/api.hpp"
-#include "nn/dispatch_registry.hpp"
+#include "kernels/spmm_halfgnn.hpp"
+#include "nn/kernel_table.hpp"
 #include "nn/param.hpp"
 #include "util/rng.hpp"
 
@@ -213,14 +213,7 @@ class Analyzer {
   // Effective magnitude bound: min(worst-case, epoch-0 envelope x declared
   // drift slack), times the loss-scale range the tensor carries. The 1.05
   // cushion absorbs storage rounding (f16 rounds at 2^-11 relative).
-  double eff(const TV& t) const {
-    const double slack = t.grad ? cfg_.grad_slack : cfg_.act_slack;
-    double b = t.a.hi;
-    if (cfg_.use_envelope) {
-      b = std::min(b, std::max(t.c.maxabs(), 1e-30) * slack);
-    }
-    return b * 1.05 * scale_factor(t);
-  }
+  double eff(const TV& t) const { return eff_unscaled(t) * scale_factor(t); }
   double eff_unscaled(const TV& t) const {
     const double slack = t.grad ? cfg_.grad_slack : cfg_.act_slack;
     double b = t.a.hi;
@@ -275,38 +268,38 @@ class Analyzer {
   // Judges one reduction against one kernel's machinery. M/M1 are the
   // per-term input bounds with/without the loss-scale range; d is the
   // worst-case fan-in; convex marks row-stochastic edge weights.
-  Judge judge_reduction(const KernelMeta& m, kernels::Reduce reduce,
+  Judge judge_reduction(const nn::KernelRow& m, kernels::Reduce reduce,
                         double M, double M1, long long d, int feat,
                         bool convex, bool gradpath) const {
     Judge j;
-    if (!m.launches) {
+    if (!m.launches()) {
       j.protection = "reference";
       j.running = M;
       j.reason = "host fp64 reference, outside the simulated range";
       return j;
     }
-    if (m.accum == Accum::kInt32) {
-      if (m.label == "spmm_int8") {
-        j.protection = "int32";
-        j.running = static_cast<double>(d) * 127.0 * 127.0;
-        if (d > int8_dot_headroom()) {
-          j.v = Verdict::kUnsafe;
-          j.reason = "int32 accumulator wraps past " +
-                     std::to_string(int8_dot_headroom()) + " int8 products";
-        } else {
-          j.reason = "int8 dot fits the int32 accumulator (fan-in " +
-                     std::to_string(d) + " <= " +
-                     std::to_string(int8_dot_headroom()) + ")";
-        }
-      } else {  // spmm_binary
-        j.protection = "popcount";
-        j.running = static_cast<double>(d);
-        j.reason = "sign-domain popcount counts are bounded by the degree";
+    if (m.accum == nn::Accum::kInt32) {
+      j.protection = "int32";
+      j.running = static_cast<double>(d) * 127.0 * 127.0;
+      if (d > int8_dot_headroom()) {
+        j.v = Verdict::kUnsafe;
+        j.reason = "int32 accumulator wraps past " +
+                   std::to_string(int8_dot_headroom()) + " int8 products";
+      } else {
+        j.reason = "int8 dot fits the int32 accumulator (fan-in " +
+                   std::to_string(d) + " <= " +
+                   std::to_string(int8_dot_headroom()) + ")";
       }
       return j;
     }
+    if (m.accum == nn::Accum::kPopcount) {
+      j.protection = "popcount";
+      j.running = static_cast<double>(d);
+      j.reason = "sign-domain popcount counts are bounded by the degree";
+      return j;
+    }
 
-    const double cap = m.accum == Accum::kF16
+    const double cap = m.accum == nn::Accum::kF16
                            ? dtype_range(Dtype::kF16).max_finite
                            : dtype_range(Dtype::kF32).max_finite;
     const double fan = convex ? 1.0 : static_cast<double>(d);
@@ -315,8 +308,9 @@ class Analyzer {
     if (m.reducing && reduce != kernels::Reduce::kMax) {
       unprot = fan * M;
       if (reduce == kernels::Reduce::kMean &&
-          m.mean_scale == MeanScale::kDiscretized) {
-        const double seg = static_cast<double>(halfgnn_batch_cap(feat));
+          m.mean_scale == nn::MeanScale::kDiscretized) {
+        const double seg =
+            static_cast<double>(kernels::halfgnn_segment_edges(feat));
         prot = std::min(fan, seg) * M;
         j.protection = convex ? "convex" : "discretized";
       } else {
@@ -374,6 +368,17 @@ class Analyzer {
   }
 
   void add_row(SiteVerdict v) { out_.verdicts.push_back(std::move(v)); }
+  // Records `v` with the judge's verdict and factors; `safe_reason`
+  // explains a verdict the judge gave no reason for.
+  void add_row(SiteVerdict v, const Judge& j, std::string safe_reason) {
+    v.verdict = j.v;
+    v.running_hi = j.running;
+    v.protection = j.protection;
+    v.needed_factor = j.needed;
+    v.applied_factor = j.applied;
+    v.reason = j.reason.empty() ? std::move(safe_reason) : j.reason;
+    add_row(std::move(v));
+  }
 
   // Elementwise store site (edge ops, dense stores): UNSAFE only if the
   // stored value itself leaves the format.
@@ -443,15 +448,9 @@ class Analyzer {
     const double store_hi = K * M + bhi;
     const double store_hi1 = K * M1 + bhi;
     Judge j = judge_store(store_hi, store_hi1, cur_dt_, x.grad, "f32accum");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "float accumulate; store fits " +
-                                      std::string(dtype_name(cur_dt_))
-                                : j.reason;
-    add_row(v);
+    add_row(std::move(v), j,
+            "float accumulate; store fits " +
+                std::string(dtype_name(cur_dt_)));
     if (j.v != Verdict::kSafe) {
       out.a.may_overflow = true;
       out.a.may_nan = true;
@@ -488,13 +487,7 @@ class Analyzer {
     v.fan_in = static_cast<long long>(K);
     Judge j = judge_store(K * eff(dy) * whi, K * eff_unscaled(dy) * whi,
                           cur_dt_, true, "f32accum");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "float accumulate backward GEMM" : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "float accumulate backward GEMM");
     if (j.v != Verdict::kSafe) {
       out.a.may_overflow = true;
       out.a.may_nan = true;
@@ -598,45 +591,31 @@ class Analyzer {
         eff_unscaled(x) *
         (ew != nullptr ? std::min(eff_unscaled(*ew), convex ? 1.05 : eff_unscaled(*ew)) : 1.0);
 
-    const nn::DispatchChain& chain =
-        nn::dispatch_chain("spmm", cfg_.mode, cur_dt_);
-    for (int L = 0; L < chain.len(); ++L) {
-      const std::string& label = chain.kernels[static_cast<std::size_t>(L)];
-      const KernelMeta* meta = kernel_meta(label);
+    const nn::Chain& chain =
+        nn::dispatch_chain(nn::Op::kSpmm, cfg_.mode, cur_dt_);
+    for (int L = 0; L < chain.len; ++L) {
+      const nn::KernelRow& row = nn::kernel_row(chain.at(L).kernel);
       SiteVerdict v;
       v.layer = layer;
       v.op = transposed ? "spmm_transposed" : "spmm";
       v.site = site;
-      v.kernel = label;
+      v.kernel = row.label;
       v.chain_level = L;
       v.active = L == 0;
       v.input_hi = Mterm;
       v.fan_in = dmax;
-      if (meta == nullptr) {
-        v.verdict = Verdict::kUnsafe;
-        v.reason = "no kernel metadata for dispatch-chain entry";
-        add_row(v);
-        continue;
-      }
-      v.storage = meta->storage;
-      Judge j = judge_reduction(*meta, reduce, Mterm, Mterm1, dmax, feat,
+      v.storage = row.storage;
+      Judge j = judge_reduction(row, reduce, Mterm, Mterm1, dmax, feat,
                                 convex, x.grad);
-      v.verdict = j.v;
-      v.running_hi = j.running;
-      v.protection = j.protection;
-      v.needed_factor = j.needed;
-      v.applied_factor = j.applied;
-      v.reason = j.reason.empty()
-                     ? "every running value fits " +
-                           std::string(dtype_name(meta->storage))
-                     : j.reason;
-      add_row(v);
+      add_row(std::move(v), j,
+              "every running value fits " +
+                  std::string(dtype_name(row.storage)));
 
-      if (L == 0 && meta->launches) {
+      if (L == 0 && row.launches()) {
         // Predicted store interval for every kernel this dispatch launches:
         // running partials AND final stores, joined.
         AbsVal stores = effval(x, std::max(j.running, final_bound(out, reduce, Mterm)));
-        if (label == "spmm_binary") {
+        if (row.accum == nn::Accum::kPopcount) {
           // The XNOR epilogue stores alpha_scale * (2c - deg) with
           // |2c - deg| <= deg, IGNORING any edge weights the float path
           // would apply — so the convex (row-stochastic) bound does not
@@ -648,14 +627,14 @@ class Analyzer {
           stores.hi = std::max(stores.hi, xnor);
         }
         stores.may_overflow = stores.may_overflow || j.running >
-            dtype_range(meta->storage).max_finite;
+            dtype_range(row.storage).max_finite;
         stores.may_nan = stores.may_nan || stores.may_overflow;
         if (j.v != Verdict::kSafe && j.protection != "discretized") {
           stores.may_overflow = true;
           stores.may_nan = true;
         }
-        for (const std::string_view name : meta->launched) {
-          predict_kernel(name, stores, meta->storage);
+        for (const std::string_view name : row.launched()) {
+          predict_kernel(name, stores, row.storage);
         }
         if (j.v == Verdict::kUnsafe ||
             (j.v == Verdict::kNeedsScaling && j.protection == "gradscaler")) {
@@ -700,45 +679,31 @@ class Analyzer {
 
     const double M = eff(a_rows) * eff(b_cols);
     const double M1 = eff_unscaled(a_rows) * eff_unscaled(b_cols);
-    const nn::DispatchChain& chain =
-        nn::dispatch_chain("sddmm", cfg_.mode, cur_dt_);
-    for (int L = 0; L < chain.len(); ++L) {
-      const std::string& label = chain.kernels[static_cast<std::size_t>(L)];
-      const KernelMeta* meta = kernel_meta(label);
+    const nn::Chain& chain =
+        nn::dispatch_chain(nn::Op::kSddmm, cfg_.mode, cur_dt_);
+    for (int L = 0; L < chain.len; ++L) {
+      const nn::KernelRow& row = nn::kernel_row(chain.at(L).kernel);
       SiteVerdict v;
       v.layer = layer;
       v.op = "sddmm";
       v.site = site;
-      v.kernel = label;
+      v.kernel = row.label;
       v.chain_level = L;
       v.active = L == 0;
       v.input_hi = M;
       v.fan_in = feat;
-      if (meta == nullptr) {
-        v.verdict = Verdict::kUnsafe;
-        v.reason = "no kernel metadata for dispatch-chain entry";
-        add_row(v);
-        continue;
-      }
-      v.storage = meta->storage;
-      Judge j = judge_reduction(*meta, kernels::Reduce::kSum, M, M1,
+      v.storage = row.storage;
+      Judge j = judge_reduction(row, kernels::Reduce::kSum, M, M1,
                                 feat, feat, false, out.grad);
-      v.verdict = j.v;
-      v.running_hi = j.running;
-      v.protection = j.protection;
-      v.needed_factor = j.needed;
-      v.applied_factor = j.applied;
-      v.reason = j.reason.empty() ? "per-edge dot fits the accumulator"
-                                  : j.reason;
-      add_row(v);
-      if (L == 0 && meta->launches) {
+      add_row(std::move(v), j, "per-edge dot fits the accumulator");
+      if (L == 0 && row.launches()) {
         AbsVal stores = effval(out, std::max(j.running, eff(out)));
         if (j.v != Verdict::kSafe) {
           stores.may_overflow = true;
           stores.may_nan = true;
         }
-        for (const std::string_view name : meta->launched) {
-          predict_kernel(name, stores, meta->storage);
+        for (const std::string_view name : row.launched()) {
+          predict_kernel(name, stores, row.storage);
         }
         if (j.v != Verdict::kSafe) {
           out.a.may_overflow = true;
@@ -774,10 +739,10 @@ class Analyzer {
     out.grad = ev.grad;
     out.scale_deg = ev.scale_deg;
 
-    const Dtype dt = seg_reduce_dtype(is_sum);
-    const std::string label =
-        std::string("edge_segreduce_") + std::string(dtype_name(dt));
-    const KernelMeta* meta = kernel_meta(label);
+    const nn::KernelRow& row =
+        active_row(is_sum ? nn::Op::kSegSum : nn::Op::kSegMax);
+    const Dtype dt = row.storage;
+    const std::string_view label = row.launched().front();
     const double M = eff(ev);
     const double M1 = eff_unscaled(ev);
     SiteVerdict v;
@@ -789,25 +754,13 @@ class Analyzer {
     v.storage = dt;
     v.input_hi = M;
     v.fan_in = dmax;
-    Judge j;
-    if (meta != nullptr) {
-      j = judge_reduction(*meta, is_sum ? kernels::Reduce::kSum
-                                        : kernels::Reduce::kMax,
-                          M, M1, dmax, 1, false, ev.grad);
-    } else {
-      j.v = Verdict::kUnsafe;
-      j.reason = "no kernel metadata for seg_reduce kernel";
-    }
+    Judge j = judge_reduction(
+        row, is_sum ? kernels::Reduce::kSum : kernels::Reduce::kMax, M, M1,
+        dmax, 1, false, ev.grad);
     if (!protection.empty() && j.v == Verdict::kSafe) {
       j.protection = std::move(protection);
     }
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "segment reduction in range" : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "segment reduction in range");
     AbsVal stores = effval(out, std::max(j.running, eff(out)));
     if (j.v != Verdict::kSafe) {
       stores.may_overflow = true;
@@ -819,23 +772,21 @@ class Analyzer {
     return out;
   }
 
-  Dtype seg_reduce_dtype(bool is_sum) const {
-    const Dtype dt = edge_dt();
-    if (dt == Dtype::kF32 || dt == Dtype::kBf16) return dt;
-    if (cfg_.mode == nn::SystemMode::kDglHalf && is_sum) {
-      return Dtype::kF32;  // AMP promotes 'sum'
-    }
-    return Dtype::kF16;
-  }
-  Dtype edge_dt() const {
-    return dtype_trainable(cur_dt_) ? cur_dt_ : Dtype::kF32;
+  // The table row the runtime runs for `op` at this walk's mode and dtype
+  // (level 0: the kernel that actually runs).
+  const nn::KernelRow& active_row(nn::Op op) const {
+    return nn::kernel_row(
+        nn::dispatch_chain(op, cfg_.mode, cur_dt_).at(0).kernel);
   }
 
-  // Elementwise edge op: one launched kernel, store-range verdict.
-  TV edge_elementwise(int layer, const std::string& op,
-                      const std::string& site, TV out, Dtype dt,
+  // Elementwise edge op: one launched kernel, store-range verdict. Edge
+  // sites are named by the kernel they launch.
+  TV edge_elementwise(int layer, nn::Op kop, const std::string& op,
+                      const std::string& site, TV out,
                       std::string protection) {
-    const std::string label = op + "_" + std::string(dtype_name(dt));
+    const nn::KernelRow& row = active_row(kop);
+    const Dtype dt = row.storage;
+    const std::string_view label = row.launched().front();
     SiteVerdict v;
     v.layer = layer;
     v.op = op;
@@ -847,13 +798,7 @@ class Analyzer {
     v.fan_in = 1;
     Judge j = judge_store(eff(out), eff_unscaled(out), dt, out.grad,
                           std::move(protection));
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "elementwise store in range" : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "elementwise store in range");
     AbsVal stores = effval(out, eff(out));
     if (j.v != Verdict::kSafe) {
       stores.may_overflow = true;
@@ -1109,14 +1054,7 @@ class Analyzer {
     v.fan_in = 2;
     Judge j = judge_store(eff(out), eff_unscaled(out), cur_dt_, out.grad,
                           "none");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "two-term elementwise combine in range"
-                                : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "two-term elementwise combine in range");
   }
 
   void walk_gin(bool bwd) {
@@ -1140,7 +1078,6 @@ class Analyzer {
 
   TV gat_conv_fwd(int layer, const TV& x, int base, GatState& st) {
     const std::string l = "L" + std::to_string(layer);
-    const Dtype edt = edge_dt();
     TV z = linear_fwd(layer, l + ".fwd.gemm", x, base, -1);
     st.z = z;
     // el = z a_l, er = z a_r: K = out-width dots (float accumulate).
@@ -1158,8 +1095,8 @@ class Analyzer {
     s.a = AbsVal::bounded(el.a.hi + er.a.hi);
     s.a.may_overflow = el.a.may_overflow || er.a.may_overflow;
     s.a.may_nan = s.a.may_overflow || el.a.may_nan || er.a.may_nan;
-    s = edge_elementwise(layer, "edge_addscalar", l + ".fwd.scores",
-                         std::move(s), edt, "none");
+    s = edge_elementwise(layer, nn::Op::kEdgeAddScalars, "edge_addscalar",
+                         l + ".fwd.scores", std::move(s), "none");
     st.s = s;
     // Row max (shadow half under HalfGNN: max never amplifies).
     TV mx = seg_reduce_site(layer, l + ".fwd.segmax", s,
@@ -1173,8 +1110,8 @@ class Analyzer {
     p.a = AbsVal::nonneg(0.0, 1.0);
     p.a.may_zero = true;
     p.a.may_nan = s.a.may_nan;
-    p = edge_elementwise(layer, "edge_expsub", l + ".fwd.exp", std::move(p),
-                         exp_dtype(), "shadow");
+    p = edge_elementwise(layer, nn::Op::kEdgeExp, "edge_expsub",
+                         l + ".fwd.exp", std::move(p), "shadow");
     TV dsum = seg_reduce_site(layer, l + ".fwd.segsum", p,
                               kernels::SegReduce::kSum, "shadow");
     // alpha = p / dsum[row]: convex row weights.
@@ -1187,31 +1124,24 @@ class Analyzer {
     alpha.a = AbsVal::nonneg(0.0, 1.0);
     alpha.a.row_stochastic = true;
     alpha.a.may_nan = p.a.may_nan;
-    alpha = edge_elementwise(layer, "edge_divrow", l + ".fwd.softmax",
-                             std::move(alpha), edt, "convex");
+    alpha = edge_elementwise(layer, nn::Op::kEdgeDivRow, "edge_divrow",
+                             l + ".fwd.softmax", std::move(alpha), "convex");
     alpha.a.row_stochastic = true;  // division preserves the structure
     st.alpha = alpha;
     return spmm_site(layer, l + ".fwd.spmm", z, &alpha, false,
                      kernels::Reduce::kSum, false);
   }
 
-  Dtype exp_dtype() const {
-    const Dtype dt = edge_dt();
-    if (dt == Dtype::kF32 || dt == Dtype::kBf16) return dt;
-    return cfg_.mode == nn::SystemMode::kDglHalf ? Dtype::kF32 : Dtype::kF16;
-  }
-
   TV gat_conv_bwd(int layer, const TV& x_in, const TV& dy, int base,
                   const GatState& st) {
     const std::string l = "L" + std::to_string(layer);
-    const Dtype edt = edge_dt();
     TV dalpha = sddmm_site(layer, l + ".bwd.sddmm", dy, st.z);
     // dz aggregation term: alpha rides through edge_permute (loses the
     // row-stochastic structure: column sums of alpha are NOT <= 1).
     TV alpha_p = st.alpha;
     alpha_p.a.row_stochastic = false;
-    alpha_p = edge_elementwise(layer, "edge_permute", l + ".bwd.permA",
-                               std::move(alpha_p), edt, "none");
+    alpha_p = edge_elementwise(layer, nn::Op::kEdgePermute, "edge_permute",
+                               l + ".bwd.permA", std::move(alpha_p), "none");
     TV dz = spmm_site(layer, l + ".bwd.spmmT", dy, &alpha_p, true,
                       kernels::Reduce::kSum, true);
     // Softmax backward chain.
@@ -1225,8 +1155,8 @@ class Analyzer {
     t.a.may_overflow = dalpha.a.may_overflow;
     t.grad = true;
     t.scale_deg = dalpha.scale_deg;
-    t = edge_elementwise(layer, "edge_mul", l + ".bwd.mul", std::move(t), edt,
-                         "convex");
+    t = edge_elementwise(layer, nn::Op::kEdgeMul, "edge_mul", l + ".bwd.mul",
+                         std::move(t), "convex");
     TV csum = seg_reduce_site(layer, l + ".bwd.segsum.c", t,
                               kernels::SegReduce::kSum, "");
     // ds = alpha * (dalpha - csum[row]); |ds| <= |dalpha| + |csum|.
@@ -1242,14 +1172,16 @@ class Analyzer {
     ds.a.may_overflow = dalpha.a.may_overflow || csum.a.may_overflow;
     ds.grad = true;
     ds.scale_deg = dalpha.scale_deg;
-    ds = edge_elementwise(layer, "edge_softmax_bwd", l + ".bwd.softmax",
-                          std::move(ds), edt, "convex");
+    ds = edge_elementwise(layer, nn::Op::kEdgeSoftmaxBackward,
+                          "edge_softmax_bwd", l + ".bwd.softmax",
+                          std::move(ds), "convex");
     // LeakyReLU backward: multiply by 1 or slope.
     for (std::size_t e = 0; e < ds.c.v.size(); ++e) {
       if (st.s.c.v[e] < 0.0) ds.c.v[e] *= 0.2;
     }
-    ds = edge_elementwise(layer, "edge_leaky_bwd", l + ".bwd.leaky",
-                          std::move(ds), edt, "none");
+    ds = edge_elementwise(layer, nn::Op::kEdgeLeakyBackward,
+                          "edge_leaky_bwd", l + ".bwd.leaky", std::move(ds),
+                          "none");
     TV del = seg_reduce_site(layer, l + ".bwd.segsum.del", ds,
                              kernels::SegReduce::kSum, "");
     TV ds_rev = ds;
@@ -1262,8 +1194,8 @@ class Analyzer {
       perm.a = ds.a;
       perm.grad = ds.grad;
       perm.scale_deg = ds.scale_deg;
-      ds_rev = edge_elementwise(layer, "edge_permute", l + ".bwd.permDs",
-                                std::move(perm), edt, "none");
+      ds_rev = edge_elementwise(layer, nn::Op::kEdgePermute, "edge_permute",
+                                l + ".bwd.permDs", std::move(perm), "none");
     }
     TV der = seg_reduce_site(layer, l + ".bwd.segsum.der", ds_rev,
                              kernels::SegReduce::kSum, "");

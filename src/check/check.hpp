@@ -16,7 +16,8 @@
 // pointwise min of the two tracks, times scaler_max for tensors that carry
 // the f16 loss scale. Verdicts per (layer, op, dtype, dispatch-chain
 // entry) come from the same bounds measured against the storage range and
-// the kernel's declared mean-scaling machinery (kernel_meta.hpp):
+// the kernel's mean-scaling machinery, both read from the row the runtime
+// dispatches (nn/kernel_table.hpp):
 //
 //   SAFE           every running value and store fits the format
 //   NEEDS-SCALING  the unprotected reduction would overflow but the
@@ -131,7 +132,7 @@ struct CheckResult {
   std::vector<SiteVerdict> verdicts;
   // Trainer-sampled tensor names ("act.logits", "grad.param0", ...).
   std::map<std::string, PredInterval> tensors;
-  // Launched kernel names ("spmm_halfgnn", "edge_segreduce_f16", ...).
+  // Launched kernel names (LaunchDesc::name, e.g. spmm_halfgnn).
   std::map<std::string, PredInterval> kernels;
   Verdict overall = Verdict::kSafe;  // worst verdict over *active* rows
 

@@ -1,25 +1,13 @@
-// hgcheck metadata linter: structural invariants of the kernel/dispatch
-// registry and drift checks between the machine grammar tables and the
-// prose docs (README.md / DESIGN.md). Pure host checks, zero launches.
+// hgcheck metadata linter: dtype-trait consistency and drift checks
+// between the machine grammar tables and the prose docs (README.md /
+// DESIGN.md). Pure host checks, zero launches. The kernel table's own
+// invariants (chains end at the reference, rows name their launches) are
+// static_asserts in nn/kernel_table.cpp.
 //
 // Rules (each produces LintIssue rows; an empty vector = clean):
 //
-//   chain-terminates     every (op x mode x dtype) dispatch chain is
-//                        non-empty and ends in a `*_reference` host kernel
-//   chain-has-meta       every chain label has a KernelMeta row, so the
-//                        checker can model it and the bridge can map its
-//                        launches
 //   dtype-traits         dtype trait rows are consistent: unique non-empty
-//                        names, loss-scaling implies trainable, trainable
-//                        dtypes get a native (non-reference) level-0 kernel
-//   policy-consistent    declared ConflictPolicy rows make sense against
-//                        the declared reduction semantics: a staged policy
-//                        requires a reducing device kernel, kStagedMax
-//                        requires max-reduce support, elementwise kernels
-//                        declare kNone. (Whether the *code* matches the
-//                        declaration is the sanitizer's dynamic job — race
-//                        mode flags any store outside a declared policy
-//                        window; lint keeps the static table honest.)
+//                        names, loss scaling implies trainable
 //   doc-grammar          every grammar token of HALFGNN_PROF /
 //                        HALFGNN_SANITIZE / HALFGNN_FAULTS appears in both
 //                        README.md and DESIGN.md, and the env var names
@@ -35,8 +23,8 @@
 namespace hg::check {
 
 struct LintIssue {
-  std::string rule;     // "chain-terminates" | "chain-has-meta" | ...
-  std::string subject;  // what failed, e.g. "spmm/HalfGNN/f16"
+  std::string rule;     // "dtype-traits" | "doc-grammar"
+  std::string subject;  // what failed, e.g. "HALFGNN_FAULTS:stuck"
   std::string detail;
 };
 
@@ -52,8 +40,7 @@ struct GrammarTable {
 
 std::span<const GrammarTable> grammar_tables();
 
-// Registry rules (chain-terminates, chain-has-meta, dtype-traits,
-// policy-consistent).
+// dtype-traits over the dtype trait table.
 std::vector<LintIssue> lint_registry();
 
 // doc-grammar over already-loaded doc text.

@@ -145,14 +145,14 @@ class Reader {
   }
   std::vector<float> floats() {
     const std::uint64_t n = u64();
-    need(n * 4);
+    need(n, 4);
     std::vector<float> v(static_cast<std::size_t>(n));
     for (auto& x : v) x = f32();
     return v;
   }
   std::vector<double> doubles() {
     const std::uint64_t n = u64();
-    need(n * 8);
+    need(n, 8);
     std::vector<double> v(static_cast<std::size_t>(n));
     for (auto& x : v) x = f64();
     return v;
@@ -162,11 +162,15 @@ class Reader {
   bool done() const noexcept { return off_ == n_; }
 
  private:
-  void need(std::uint64_t n) const {
-    if (n > n_ - off_) {
-      throw std::runtime_error("ckpt: truncated stream (need " +
-                               std::to_string(n) + " bytes, have " +
-                               std::to_string(n_ - off_) + ")");
+  // Throws unless `n` items of `width` bytes remain. Dividing the remaining
+  // bytes (instead of multiplying n) keeps a corrupt huge length from
+  // wrapping around into a small one.
+  void need(std::uint64_t n, std::uint64_t width = 1) const {
+    if (n > (n_ - off_) / width) {
+      throw std::runtime_error(
+          "ckpt: truncated stream (need " + std::to_string(n) +
+          (width == 1 ? "" : " x " + std::to_string(width)) + " bytes, have " +
+          std::to_string(n_ - off_) + ")");
     }
   }
   const char* p_;

@@ -56,6 +56,44 @@ void read_string(std::istream& is, std::string& s) {
   if (!is) throw std::runtime_error("hgds: truncated string");
 }
 
+// Everything the kernels' indexing trusts: a corrupted cache fails here
+// instead of turning into an out-of-bounds read later.
+void validate(const Dataset& d) {
+  const Csr& g = d.csr;
+  if (g.num_vertices < 0 ||
+      g.offsets.size() != static_cast<std::size_t>(g.num_vertices) + 1 ||
+      g.offsets.front() != 0 ||
+      g.offsets.back() != static_cast<eid_t>(g.cols.size())) {
+    throw std::runtime_error("hgds: inconsistent CSR");
+  }
+  for (std::size_t v = 1; v < g.offsets.size(); ++v) {
+    if (g.offsets[v] < g.offsets[v - 1]) {
+      throw std::runtime_error("hgds: CSR offsets decrease");
+    }
+  }
+  for (const vid_t c : g.cols) {
+    if (c < 0 || c >= g.num_vertices) {
+      throw std::runtime_error("hgds: column id out of range");
+    }
+  }
+  if (!d.labeled) return;
+  if (d.feat_dim <= 0 || d.num_classes <= 0) {
+    throw std::runtime_error("hgds: labeled dataset without features or "
+                             "classes");
+  }
+  const auto n = static_cast<std::size_t>(g.num_vertices);
+  if (d.features.size() != n * static_cast<std::size_t>(d.feat_dim) ||
+      d.labels.size() != n || d.train_mask.size() != n) {
+    throw std::runtime_error("hgds: array sizes do not match the vertex "
+                             "count");
+  }
+  for (const int label : d.labels) {
+    if (label < 0 || label >= d.num_classes) {
+      throw std::runtime_error("hgds: label out of range");
+    }
+  }
+}
+
 }  // namespace
 
 void save_dataset(const Dataset& d, const std::string& path) {
@@ -114,18 +152,7 @@ Dataset load_dataset(const std::string& path) {
   read_vec(is, d.labels);
   read_vec(is, d.train_mask);
 
-  // Structural sanity.
-  if (d.csr.num_vertices < 0 ||
-      d.csr.offsets.size() !=
-          static_cast<std::size_t>(d.csr.num_vertices) + 1 ||
-      d.csr.offsets.back() != static_cast<eid_t>(d.csr.cols.size())) {
-    throw std::runtime_error("hgds: inconsistent CSR");
-  }
-  for (vid_t c : d.csr.cols) {
-    if (c < 0 || c >= d.csr.num_vertices) {
-      throw std::runtime_error("hgds: column id out of range");
-    }
-  }
+  validate(d);
 
   // Rebuild derived views.
   d.csr_t = d.csr;  // datasets are symmetric by construction

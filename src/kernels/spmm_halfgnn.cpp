@@ -695,4 +695,8 @@ KernelStats spmm_halfgnn(simt::Stream& stream, bool profiled,
                   : spmm_impl<false>(stream, g, edge_w, x, y, feat, opts);
 }
 
+int halfgnn_segment_edges(int feat, int edges_per_warp) {
+  return make_geometry(feat, edges_per_warp).seg;
+}
+
 }  // namespace hg::kernels

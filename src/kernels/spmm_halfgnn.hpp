@@ -42,4 +42,10 @@ simt::KernelStats spmm_halfgnn(simt::Stream& stream, bool profiled,
                                std::span<half_t> y, int feat,
                                const HalfgnnSpmmOpts& opts = {});
 
+// Edges one (sub-)warp reduces before it flushes a partial, for an even
+// feature width: under ScaleMode::kDiscretized no running value ever holds
+// more than this many unnormalized terms (Sec. 5.2.2). hgcheck bounds the
+// discretized mean with it.
+int halfgnn_segment_edges(int feat, int edges_per_warp = kEdgesPerWarp);
+
 }  // namespace hg::kernels

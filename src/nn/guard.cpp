@@ -65,11 +65,6 @@ int TrainGuard::level(const std::string& site) const {
 }
 
 void TrainGuard::observe_output(const std::string& site, bool nonfinite,
-                                int chain_len) {
-  observe_output(site, nonfinite, chain_len, std::string());
-}
-
-void TrainGuard::observe_output(const std::string& site, bool nonfinite,
                                 int chain_len,
                                 const std::string& next_kernel) {
   Site& s = sites_[site];

@@ -83,11 +83,10 @@ class TrainGuard {
   // non-finite outputs the site escalates one level (capped at
   // chain_len - 1) and the streak restarts. `next_kernel` names the kernel
   // the site's dispatch chain resolves to after escalation (from the
-  // dtype-keyed dispatch registry) so the hgprof audit record names the
+  // kernel table, nn/kernel_table.hpp) so the hgprof audit record names the
   // kernel actually dispatched, not a hardcoded chain description.
   void observe_output(const std::string& site, bool nonfinite, int chain_len,
-                      const std::string& next_kernel);
-  void observe_output(const std::string& site, bool nonfinite, int chain_len);
+                      const std::string& next_kernel = {});
 
   // --- checkpoint ring / rollback -------------------------------------------
   // Snapshots when `epoch` is a checkpoint epoch and the previous loss was

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "kernels/bf16_ops.hpp"
 #include "kernels/int8_ops.hpp"
@@ -11,8 +12,8 @@
 #include "kernels/spmm_binary.hpp"
 #include "kernels/spmm_cusparse_like.hpp"
 #include "kernels/spmm_halfgnn.hpp"
-#include "nn/dispatch_registry.hpp"
 #include "nn/guard.hpp"
+#include "nn/kernel_table.hpp"
 #include "obs/trace.hpp"
 #include "simt/fault.hpp"
 #include "tensor/dense_ops.hpp"
@@ -25,12 +26,15 @@ void charge(const SparseCtx& ctx, const simt::KernelStats& ks) {
   if (ctx.ledger != nullptr) ctx.ledger->add_sparse(ks);
 }
 
-// Record which kernel variant a mode-dispatched op resolved to and why —
-// an instant trace event plus a dispatch.<op>.<kernel> counter. Only pays
-// when the tracer or registry is enabled.
-void decided(const char* op, const char* kernel, const char* why) {
+// Records the chain entry an op runs and why: an instant trace event plus
+// a dispatch.<op>.<label> counter. Only pays when the tracer or registry is
+// enabled; entries without a reason announce nothing.
+void announce(Op op, const ChainEntry& e) {
+  if (e.why.empty()) return;
   if (obs::tracer().enabled() || obs::registry().enabled()) {
-    obs::dispatch_decision(op, kernel, why);
+    obs::dispatch_decision(std::string(op_name(op)),
+                           std::string(kernel_row(e.kernel).label),
+                           std::string(e.why));
   }
 }
 
@@ -43,79 +47,111 @@ MTensor promoted(const SparseCtx& ctx, const MTensor& in, F32Op&& op) {
   return to_dtype(out_f, Dtype::kF16, ctx.ledger);
 }
 
-// Retries the op body on injected simt::LaunchFault, up to the guard's
+// Runs the body of `op`'s chain entry `e`, announcing the entry at every
+// attempt, and retries on injected simt::LaunchFault up to the guard's
 // budget of attempts per call (the injector's launch ordinal advances on
 // every attempt, so a transient failure clears on retry). Bodies allocate
 // their outputs inside the lambda, so a fault that interrupts a multi-launch
 // op leaves no partial state behind for the retry. Without a guard the
 // fault propagates to the caller untouched.
 template <class F>
-MTensor guarded(const SparseCtx& ctx, const char* op, F&& body) {
+MTensor guarded(const SparseCtx& ctx, Op op, const ChainEntry& e, F&& body) {
   const int budget =
       ctx.guard != nullptr ? std::max(1, ctx.guard->retry_budget()) : 1;
   for (int attempt = 1;; ++attempt) {
     try {
+      announce(op, e);
       return body();
     } catch (const simt::LaunchFault&) {
       if (attempt >= budget) throw;
-      ctx.guard->count_retry(op);
+      ctx.guard->count_retry(std::string(op_name(op)));
     }
   }
 }
 
-// Edge-level ops run in the nearest *trainable* dtype: the PTQ dtypes
-// (i8/b1) quantize only the SpMM operands, so their edge work stays f32.
-Dtype edge_dtype(const SparseCtx& ctx) {
-  const Dtype dt = ctx.dtype();
-  return dtype_trainable(dt) ? dt : Dtype::kF32;
-}
-
-std::vector<float> to_f32_copy(const MTensor& t) {
-  std::vector<float> out(t.numel());
-  switch (t.dtype()) {
-    case Dtype::kF32: {
-      const auto s = t.f();
-      std::copy(s.begin(), s.end(), out.begin());
-      break;
-    }
-    case Dtype::kBf16: {
-      const auto s = t.b();
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = s[i].to_float();
-      break;
-    }
-    default: {
-      const auto s = t.h();
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = s[i].to_float();
-      break;
-    }
+// Runs body(entry) for the chain entry at the guard's level of an
+// escalating op (spmm, sddmm), then feeds the output's health back to the
+// guard; its audit record names the kernel one level further down.
+template <class Body>
+MTensor escalating(const SparseCtx& ctx, Op op, Body&& body) {
+  const Chain& chain = dispatch_chain(op, ctx.mode, ctx.dtype());
+  const std::string site(op_name(op));
+  const int level = ctx.guard != nullptr
+                        ? std::min(ctx.guard->level(site), chain.len - 1)
+                        : 0;
+  const ChainEntry& e = chain.at(level);
+  MTensor out = guarded(ctx, op, e, [&] { return body(e); });
+  if (ctx.guard != nullptr) {
+    ctx.guard->observe_output(
+        site, out.has_nonfinite(), chain.len,
+        std::string(kernel_row(chain.at(level + 1).kernel).label));
   }
   return out;
 }
 
-void write_back(MTensor& y, const std::vector<double>& ref) {
-  switch (y.dtype()) {
-    case Dtype::kF32: {
-      auto o = y.f();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = static_cast<float>(ref[i]);
-      }
-      break;
-    }
-    case Dtype::kBf16: {
-      auto o = y.b();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = bf16_t(static_cast<float>(ref[i]));
-      }
-      break;
-    }
-    default: {
-      auto o = y.h();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = half_t(static_cast<float>(ref[i]));
-      }
-      break;
-    }
+// The element type a Dtype stores, as a tag: one generic body runs the
+// f32, bf16 or f16 flavour of a kernel family.
+template <class Fn>
+decltype(auto) with_element(Dtype dt, Fn&& fn) {
+  switch (dt) {
+    case Dtype::kF32: return fn(std::type_identity<float>{});
+    case Dtype::kBf16: return fn(std::type_identity<bf16_t>{});
+    default: return fn(std::type_identity<half_t>{});
   }
+}
+
+// MTensor's storage as a span of T.
+template <class T, class M>
+auto elems(M& t) {
+  if constexpr (std::is_same_v<T, float>) {
+    return t.f();
+  } else if constexpr (std::is_same_v<T, bf16_t>) {
+    return t.b();
+  } else {
+    return t.h();
+  }
+}
+
+// The T flavour of a per-dtype kernel family.
+template <class T, class F32, class Bf16, class F16>
+auto flavour(F32 f32, Bf16 bf16, F16 f16) {
+  if constexpr (std::is_same_v<T, float>) {
+    return f32;
+  } else if constexpr (std::is_same_v<T, bf16_t>) {
+    return bf16;
+  } else {
+    return f16;
+  }
+}
+
+// Runs the one entry of an edge op at `dt`: allocates a rows x cols output
+// in the row's storage and charges launch(element tag, out).
+template <class Launch>
+MTensor run_edge(const SparseCtx& ctx, Op op, Dtype dt, std::int64_t rows,
+                 std::int64_t cols, Launch&& launch) {
+  const ChainEntry& e = dispatch_chain(op, ctx.mode, dt).at(0);
+  const Dtype storage = kernel_row(e.kernel).storage;
+  return guarded(ctx, op, e, [&]() -> MTensor {
+    MTensor out = MTensor::zeros(storage, rows, cols);
+    charge(ctx, with_element(storage, [&](auto tag) {
+             return launch(tag, out);
+           }));
+    return out;
+  });
+}
+
+std::vector<float> to_f32_copy(const MTensor& t) {
+  const MTensor f = to_dtype(t, Dtype::kF32, nullptr);
+  return {f.f().begin(), f.f().end()};
+}
+
+// A host f64 result stored as `dt`, rounded through float.
+MTensor from_f64(const std::vector<double>& ref, Dtype dt, std::int64_t rows,
+                 std::int64_t cols) {
+  MTensor f = MTensor::f32(rows, cols);
+  std::transform(ref.begin(), ref.end(), f.f().begin(),
+                 [](double v) { return static_cast<float>(v); });
+  return to_dtype(f, dt, nullptr);
 }
 
 // Last link of every TrainGuard fallback chain: the serial host reference
@@ -125,164 +161,100 @@ void write_back(MTensor& y, const std::vector<double>& ref) {
 MTensor spmm_reference(const GraphCtx& g, const MTensor* edge_w,
                        const MTensor& x, kernels::Reduce reduce) {
   const int feat = static_cast<int>(x.cols());
-  const std::vector<float> xf = to_f32_copy(x);
   std::vector<float> wf;
   if (edge_w != nullptr) wf = to_f32_copy(*edge_w);
-  const auto ref = kernels::reference_spmm(g.csr(), wf, xf, feat, reduce);
-  MTensor y = MTensor::zeros(x.dtype(), g.n(), feat);
-  write_back(y, ref);
-  return y;
+  return from_f64(
+      kernels::reference_spmm(g.csr(), wf, to_f32_copy(x), feat, reduce),
+      x.dtype(), g.n(), feat);
 }
 
 MTensor sddmm_reference(const GraphCtx& g, const MTensor& a,
                         const MTensor& b) {
-  const int feat = static_cast<int>(a.cols());
-  const std::vector<float> af = to_f32_copy(a);
-  const std::vector<float> bf = to_f32_copy(b);
-  const auto ref = kernels::reference_sddmm(*g.view().coo, af, bf, feat);
-  MTensor out = MTensor::zeros(a.dtype(), g.m(), 1);
-  write_back(out, ref);
-  return out;
+  return from_f64(kernels::reference_sddmm(*g.view().coo, to_f32_copy(a),
+                                           to_f32_copy(b),
+                                           static_cast<int>(a.cols())),
+                  a.dtype(), g.m(), 1);
 }
 
 }  // namespace
 
 MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
              const MTensor& x, kernels::Reduce reduce) {
-  const std::int64_t feat = x.cols();
-  const Dtype dt = ctx.dtype();
-  const DispatchChain& chain = dispatch_chain("spmm", ctx.mode, dt);
-  const int chain_len = chain.len();
-  const int level =
-      ctx.guard != nullptr
-          ? std::min(ctx.guard->level("spmm"), chain_len - 1)
-          : 0;
-  const std::string& kern = chain.at(level);
-
-  MTensor y = guarded(ctx, "spmm", [&]() -> MTensor {
-    if (kern == "spmm_reference") {
-      decided("spmm", "spmm_reference",
-              "guard fallback: host fp64 reference (outside the fault "
-              "domain)");
-      return spmm_reference(g, edge_w, x, reduce);
-    }
-    if (kern == "spmm_cusparse_f32" && dt == Dtype::kF16) {
-      // DGL-half escalation: the half kernel keeps overflowing, so pay the
-      // full AMP promotion — f32 inputs, f32 kernel, demote the result.
-      decided("spmm", "spmm_cusparse_f32",
-              "guard fallback: f32 promotion of the overflowing half SpMM");
-      MTensor w_f;
-      if (edge_w != nullptr) w_f = to_dtype(*edge_w, Dtype::kF32, ctx.ledger);
-      return promoted(ctx, x, [&](const MTensor& x_f) {
-        MTensor y_f = MTensor::f32(g.n(), feat);
-        charge(ctx, kernels::spmm_cusparse_f32(
+  const int feat = static_cast<int>(x.cols());
+  return escalating(ctx, Op::kSpmm, [&](const ChainEntry& e) -> MTensor {
+    const Dtype dt = kernel_row(e.kernel).storage;
+    // The row-parallel f32/f16 cuSPARSE-like kernels and bf16's share one
+    // signature.
+    const auto row_parallel = [&](const MTensor* w, const MTensor& xs) {
+      MTensor out = MTensor::zeros(dt, g.n(), feat);
+      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
+               return flavour<T>(kernels::spmm_cusparse_f32, kernels::spmm_bf16,
+                                 kernels::spmm_cusparse_f16)(
+                   *ctx.stream, ctx.profiled, g.view(),
+                   w != nullptr ? elems<T>(*w) : std::span<const T>{},
+                   elems<T>(xs), elems<T>(out), feat, reduce);
+             }));
+      return out;
+    };
+    switch (e.kernel) {
+      case Kernel::kSpmmHalfgnn: {
+        kernels::HalfgnnSpmmOpts opts;
+        opts.reduce = reduce;
+        opts.scale = kernels::ScaleMode::kDiscretized;
+        MTensor out = MTensor::f16(g.n(), feat);
+        charge(ctx, kernels::spmm_halfgnn(
                         *ctx.stream, ctx.profiled, g.view(),
-                        edge_w != nullptr ? w_f.f()
-                                          : std::span<const float>{},
-                        x_f.f(), y_f.f(), static_cast<int>(feat), reduce));
-        return y_f;
-      });
-    }
-    if (kern == "spmm_int8") {
-      // PTQ path: operands arrive f32 (the model trained in f32); quantize
-      // on the way in, accumulate int32, dequantize in the kernel epilogue.
-      decided("spmm", "spmm_int8",
-              "dtype=i8: symmetric per-tensor PTQ (ExpHist-calibrated "
-              "scale), int32 accumulation");
-      const kernels::QuantParams xq = kernels::calibrate_int8(x.f());
-      AlignedVec<std::int8_t> xqbuf(x.numel());
-      charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, x.f(),
-                                         std::span<std::int8_t>(xqbuf), xq));
-      kernels::QuantParams wq;
-      AlignedVec<std::int8_t> wqbuf;
-      if (edge_w != nullptr && reduce != kernels::Reduce::kMax) {
-        wq = kernels::calibrate_int8(edge_w->f());
-        wqbuf.resize(edge_w->numel());
-        charge(ctx,
-               kernels::quantize_int8(*ctx.stream, ctx.profiled, edge_w->f(),
-                                      std::span<std::int8_t>(wqbuf), wq));
+                        edge_w != nullptr ? edge_w->h()
+                                          : std::span<const half_t>{},
+                        x.h(), out.h(), feat, opts));
+        return out;
       }
-      MTensor out = MTensor::f32(g.n(), feat);
-      charge(ctx, kernels::spmm_int8(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      std::span<const std::int8_t>(wqbuf), wq,
-                      std::span<const std::int8_t>(xqbuf), xq, out.f(),
-                      static_cast<int>(feat), reduce));
-      return out;
+      case Kernel::kSpmmInt8: {
+        // PTQ path: operands arrive f32 (the model trained in f32); quantize
+        // on the way in, accumulate int32, dequantize in the kernel epilogue.
+        const kernels::QuantParams xq = kernels::calibrate_int8(x.f());
+        AlignedVec<std::int8_t> xqbuf(x.numel());
+        charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, x.f(),
+                                           std::span<std::int8_t>(xqbuf), xq));
+        kernels::QuantParams wq;
+        AlignedVec<std::int8_t> wqbuf;
+        if (edge_w != nullptr && reduce != kernels::Reduce::kMax) {
+          wq = kernels::calibrate_int8(edge_w->f());
+          wqbuf.resize(edge_w->numel());
+          charge(ctx,
+                 kernels::quantize_int8(*ctx.stream, ctx.profiled, edge_w->f(),
+                                        std::span<std::int8_t>(wqbuf), wq));
+        }
+        MTensor out = MTensor::f32(g.n(), feat);
+        charge(ctx, kernels::spmm_int8(
+                        *ctx.stream, ctx.profiled, g.view(),
+                        std::span<const std::int8_t>(wqbuf), wq,
+                        std::span<const std::int8_t>(xqbuf), xq, out.f(), feat,
+                        reduce));
+        return out;
+      }
+      case Kernel::kSpmmBinary: {
+        kernels::BinarizedFeatures xb;
+        charge(ctx, kernels::binarize_pack(*ctx.stream, ctx.profiled, x.f(),
+                                           static_cast<vid_t>(x.rows()), feat,
+                                           xb));
+        MTensor out = MTensor::f32(g.n(), feat);
+        charge(ctx, kernels::spmm_binary(*ctx.stream, ctx.profiled, g.view(),
+                                         xb, out.f(), feat, reduce));
+        return out;
+      }
+      case Kernel::kSpmmReference:
+        return spmm_reference(g, edge_w, x, reduce);
+      default: {
+        if (!e.promoted) return row_parallel(edge_w, x);
+        MTensor w_f;
+        if (edge_w != nullptr) w_f = to_dtype(*edge_w, Dtype::kF32, ctx.ledger);
+        return promoted(ctx, x, [&](const MTensor& x_f) {
+          return row_parallel(edge_w != nullptr ? &w_f : nullptr, x_f);
+        });
+      }
     }
-    if (kern == "spmm_binary") {
-      decided("spmm", "spmm_binary",
-              "dtype=b1: sign-binarized features, 32x32 bit-transpose + "
-              "popcount aggregation (XNOR-Net scale)");
-      kernels::BinarizedFeatures xb;
-      charge(ctx, kernels::binarize_pack(*ctx.stream, ctx.profiled, x.f(),
-                                         static_cast<vid_t>(x.rows()),
-                                         static_cast<int>(feat), xb));
-      MTensor out = MTensor::f32(g.n(), feat);
-      charge(ctx, kernels::spmm_binary(*ctx.stream, ctx.profiled, g.view(),
-                                       xb, out.f(), static_cast<int>(feat),
-                                       reduce));
-      return out;
-    }
-    MTensor out = MTensor::zeros(x.dtype(), g.n(), feat);
-    if (kern == "spmm_cusparse_f16") {
-      decided("spmm", "spmm_cusparse_f16",
-              level > 0
-                  ? "guard fallback: row-parallel half path replacing the "
-                    "faulted halfgnn kernel"
-                  : "mode=DGL-half: scalar-load half path with atomic-half "
-                    "accumulation (Fig. 3a arithmetic)");
-      charge(ctx, kernels::spmm_cusparse_f16(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->h()
-                                        : std::span<const half_t>{},
-                      x.h(), out.h(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    if (kern == "spmm_cusparse_f32") {
-      decided("spmm", "spmm_cusparse_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float: row-parallel f32 cuSPARSE-like path"
-                  : "dtype=f32: lattice override runs the float path");
-      charge(ctx, kernels::spmm_cusparse_f32(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->f()
-                                        : std::span<const float>{},
-                      x.f(), out.f(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    if (kern == "spmm_halfgnn") {
-      kernels::HalfgnnSpmmOpts opts;
-      opts.reduce = reduce;
-      opts.scale = kernels::ScaleMode::kDiscretized;
-      decided("spmm", "spmm_halfgnn",
-              "mode=HalfGNN: edge-parallel half2 with discretized scaling "
-              "(overflow-protected reduction)");
-      charge(ctx, kernels::spmm_halfgnn(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->h()
-                                        : std::span<const half_t>{},
-                      x.h(), out.h(), static_cast<int>(feat), opts));
-      return out;
-    }
-    if (kern == "spmm_bf16") {
-      decided("spmm", "spmm_bf16",
-              "dtype=bf16: warp-per-row register accumulation (f32-range "
-              "exponent, no overflow protection needed)");
-      charge(ctx, kernels::spmm_bf16(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->b()
-                                        : std::span<const bf16_t>{},
-                      x.b(), out.b(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    throw std::logic_error("spmm: unregistered kernel label " + kern);
   });
-  if (ctx.guard != nullptr) {
-    ctx.guard->observe_output("spmm", y.has_nonfinite(), chain_len,
-                              chain.at(std::min(level + 1, chain_len - 1)));
-  }
-  return y;
 }
 
 MTensor spmm_transposed(const SparseCtx& ctx, const GraphCtx& g,
@@ -301,307 +273,159 @@ MTensor sddmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor& a,
     throw std::invalid_argument("sddmm: feature width mismatch");
   }
   const int feat = static_cast<int>(a.cols());
-  const Dtype dt = ctx.dtype();
-  const DispatchChain& chain = dispatch_chain("sddmm", ctx.mode, dt);
-  const int chain_len = chain.len();
-  const int level =
-      ctx.guard != nullptr
-          ? std::min(ctx.guard->level("sddmm"), chain_len - 1)
-          : 0;
-  const std::string& kern = chain.at(level);
-  MTensor out = guarded(ctx, "sddmm", [&]() -> MTensor {
-    if (kern == "sddmm_reference") {
-      decided("sddmm", "sddmm_reference",
-              "guard fallback: host fp64 reference (outside the fault "
-              "domain)");
-      return sddmm_reference(g, a, b);
-    }
+  return escalating(ctx, Op::kSddmm, [&](const ChainEntry& e) -> MTensor {
+    if (e.kernel == Kernel::kSddmmReference) return sddmm_reference(g, a, b);
     MTensor o = MTensor::zeros(a.dtype(), g.m(), 1);
-    if (kern == "sddmm_dgl_f32") {
-      decided("sddmm", "sddmm_dgl_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float: scalar f32 dot per edge"
-                  : "dtype=f32/PTQ: attention scores stay float");
-      charge(ctx, kernels::sddmm_dgl_f32(*ctx.stream, ctx.profiled, g.view(),
-                                         a.f(), b.f(), o.f(), feat));
-      return o;
-    }
-    if (kern == "sddmm_dgl_f16") {
-      decided("sddmm", "sddmm_dgl_f16",
-              "mode=DGL-half: scalar half loads (no vectorization)");
-      charge(ctx, kernels::sddmm_dgl_f16(*ctx.stream, ctx.profiled, g.view(),
-                                         a.h(), b.h(), o.h(), feat));
-      return o;
-    }
-    if (kern == "sddmm_halfgnn") {
-      decided("sddmm", "sddmm_halfgnn",
-              "mode=HalfGNN: half8 vectorized loads (4x fewer sectors)");
+    if (e.kernel == Kernel::kSddmmHalfgnn) {
       charge(ctx, kernels::sddmm_halfgnn(*ctx.stream, ctx.profiled, g.view(),
                                          a.h(), b.h(), o.h(), feat,
                                          kernels::SddmmVec::kHalf8));
       return o;
     }
-    if (kern == "sddmm_bf16") {
-      decided("sddmm", "sddmm_bf16",
-              "dtype=bf16: scalar loads, per-op bf16 rounding at intrinsic "
-              "cost");
-      charge(ctx, kernels::sddmm_bf16(*ctx.stream, ctx.profiled, g.view(),
-                                      a.b(), b.b(), o.b(), feat));
-      return o;
-    }
-    throw std::logic_error("sddmm: unregistered kernel label " + kern);
+    // The scalar-load DGL-style kernels (f32, f16) and bf16's.
+    charge(ctx, with_element(kernel_row(e.kernel).storage,
+                             [&]<class T>(std::type_identity<T>) {
+                               return flavour<T>(kernels::sddmm_dgl_f32,
+                                                 kernels::sddmm_bf16,
+                                                 kernels::sddmm_dgl_f16)(
+                                   *ctx.stream, ctx.profiled, g.view(),
+                                   elems<T>(a), elems<T>(b), elems<T>(o),
+                                   feat);
+                             }));
+    return o;
   });
-  if (ctx.guard != nullptr) {
-    ctx.guard->observe_output("sddmm", out.has_nonfinite(), chain_len,
-                              chain.at(std::min(level + 1, chain_len - 1)));
-  }
-  return out;
 }
 
 MTensor seg_reduce(const SparseCtx& ctx, const GraphCtx& g,
                    const MTensor& edge_vals, kernels::SegReduce reduce) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "seg_reduce", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.n(), 1);
-      decided("seg_reduce", "edge_segment_reduce_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float"
-                  : "dtype=f32: lattice override reduces in float");
-      charge(ctx, kernels::edge_segment_reduce_f32(*ctx.stream, ctx.profiled,
-                                                   g.view(), edge_vals.f(),
-                                                   out.f(), reduce));
+  const Op op =
+      reduce == kernels::SegReduce::kSum ? Op::kSegSum : Op::kSegMax;
+  const ChainEntry& e = dispatch_chain(op, ctx.mode, ctx.dtype()).at(0);
+  const Dtype dt = kernel_row(e.kernel).storage;
+  return guarded(ctx, op, e, [&]() -> MTensor {
+    const auto run = [&](const MTensor& vals) {
+      MTensor out = MTensor::zeros(dt, g.n(), 1);
+      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
+               return flavour<T>(kernels::edge_segment_reduce_f32,
+                                 kernels::edge_segment_reduce_bf16,
+                                 kernels::edge_segment_reduce_f16)(
+                   *ctx.stream, ctx.profiled, g.view(), elems<T>(vals),
+                   elems<T>(out), reduce);
+             }));
       return out;
-    }
-    if (dt == Dtype::kBf16) {
-      MTensor out = MTensor::bf16(g.n(), 1);
-      decided("seg_reduce", "edge_segment_reduce_bf16",
-              "dtype=bf16: f32-range exponent, the reduction needs no "
-              "promotion");
-      charge(ctx, kernels::edge_segment_reduce_bf16(
-                      *ctx.stream, ctx.profiled, g.view(), edge_vals.b(),
-                      out.b(), reduce));
-      return out;
-    }
-    if (ctx.mode == SystemMode::kDglHalf &&
-        reduce == kernels::SegReduce::kSum) {
-      // AMP: 'sum' is float-promoted.
-      decided("seg_reduce", "edge_segment_reduce_f32",
-              "mode=DGL-half: AMP promotes 'sum' to float "
-              "(half->f32->half round trip)");
-      return promoted(ctx, edge_vals, [&](const MTensor& in_f) {
-        MTensor out = MTensor::f32(g.n(), 1);
-        charge(ctx, kernels::edge_segment_reduce_f32(
-                        *ctx.stream, ctx.profiled, g.view(), in_f.f(),
-                        out.f(), reduce));
-        return out;
-      });
-    }
-    MTensor out = MTensor::f16(g.n(), 1);
-    decided("seg_reduce", "edge_segment_reduce_f16",
-            ctx.mode == SystemMode::kHalfGnn
-                ? "mode=HalfGNN: shadow half reduction (range-safe)"
-                : "mode=DGL-half: max/min stay half under AMP");
-    charge(ctx, kernels::edge_segment_reduce_f16(*ctx.stream, ctx.profiled,
-                                                 g.view(), edge_vals.h(),
-                                                 out.h(), reduce));
-    return out;
+    };
+    return e.promoted ? promoted(ctx, edge_vals, run) : run(edge_vals);
   });
 }
 
 MTensor edge_add_scalars(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& el, const MTensor& er, float slope) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_add_scalars", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      charge(ctx, kernels::edge_add_scalars_f32(*ctx.stream, ctx.profiled,
-                                                g.view(), el.f(), er.f(),
-                                                out.f(), slope));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_add_scalars_bf16(*ctx.stream, ctx.profiled,
-                                                 g.view(), el.b(), er.b(),
-                                                 out.b(), slope));
-      return out;
-    }
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx,
-           kernels::edge_add_scalars_f16(*ctx.stream, ctx.profiled, g.view(),
-                                         el.h(), er.h(), out.h(), slope));
-    return out;
-  });
+  return run_edge(
+      ctx, Op::kEdgeAddScalars, ctx.dtype(), g.m(), 1,
+      [&]<class T>(std::type_identity<T>, MTensor& out) {
+        return flavour<T>(kernels::edge_add_scalars_f32,
+                          kernels::edge_add_scalars_bf16,
+                          kernels::edge_add_scalars_f16)(
+            *ctx.stream, ctx.profiled, g.view(), elems<T>(el), elems<T>(er),
+            elems<T>(out), slope);
+      });
 }
 
 MTensor edge_exp_sub_row(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& vals, const MTensor& rowv) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_exp", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      decided("edge_exp", "edge_exp_sub_row_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float"
-                  : "dtype=f32: lattice override");
-      charge(ctx, kernels::edge_exp_sub_row_f32(*ctx.stream, ctx.profiled,
-                                                g.view(), vals.f(),
-                                                rowv.f(), out.f()));
+  const ChainEntry& e =
+      dispatch_chain(Op::kEdgeExp, ctx.mode, ctx.dtype()).at(0);
+  const Dtype dt = kernel_row(e.kernel).storage;
+  return guarded(ctx, Op::kEdgeExp, e, [&]() -> MTensor {
+    const auto run = [&](const MTensor& v, const MTensor& r) {
+      MTensor out = MTensor::zeros(dt, g.m(), 1);
+      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
+               return flavour<T>(kernels::edge_exp_sub_row_f32,
+                                 kernels::edge_exp_sub_row_bf16,
+                                 kernels::edge_exp_sub_row_f16)(
+                   *ctx.stream, ctx.profiled, g.view(), elems<T>(v),
+                   elems<T>(r), elems<T>(out));
+             }));
       return out;
-    }
-    if (dt == Dtype::kBf16) {
-      // bf16 exp needs no shadow argument: the f32-range exponent makes
-      // exp(e - max) with e - max <= 0 trivially safe.
-      decided("edge_exp", "edge_exp_sub_row_bf16",
-              "dtype=bf16: exp in range by construction (e - max <= 0)");
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_exp_sub_row_bf16(*ctx.stream, ctx.profiled,
-                                                 g.view(), vals.b(),
-                                                 rowv.b(), out.b()));
-      return out;
-    }
-    if (ctx.mode == SystemMode::kDglHalf) {
-      // AMP promotes exp: both operands ride to float, the result rides
-      // back (the exact churn Sec. 3.1.2 dissects).
-      decided("edge_exp", "edge_exp_sub_row_f32",
-              "mode=DGL-half: autocast promotes exp to f32 "
-              "(conversion churn both ways)");
-      MTensor rowv_f = to_dtype(rowv, Dtype::kF32, ctx.ledger);
-      return promoted(ctx, vals, [&](const MTensor& vals_f) {
-        MTensor out = MTensor::f32(g.m(), 1);
-        charge(ctx, kernels::edge_exp_sub_row_f32(
-                        *ctx.stream, ctx.profiled, g.view(), vals_f.f(),
-                        rowv_f.f(), out.f()));
-        return out;
-      });
-    }
-    // Shadow exp (Sec. 5.3): vals - rowmax <= 0, so half is safe.
-    decided("edge_exp", "edge_exp_sub_row_f16",
-            "mode=HalfGNN: shadow half exp (e - max <= 0, in range)");
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx, kernels::edge_exp_sub_row_f16(*ctx.stream, ctx.profiled,
-                                              g.view(), vals.h(),
-                                              rowv.h(), out.h()));
-    return out;
+    };
+    if (!e.promoted) return run(vals, rowv);
+    // AMP promotes exp: both operands ride to float, the result rides back
+    // (the exact churn Sec. 3.1.2 dissects).
+    const MTensor rowv_f = to_dtype(rowv, Dtype::kF32, ctx.ledger);
+    return promoted(ctx, vals,
+                    [&](const MTensor& vals_f) { return run(vals_f, rowv_f); });
   });
 }
 
 MTensor edge_div_row(const SparseCtx& ctx, const GraphCtx& g,
                      const MTensor& vals, const MTensor& rowv) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_div_row", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      charge(ctx, kernels::edge_div_row_f32(*ctx.stream, ctx.profiled,
-                                            g.view(), vals.f(), rowv.f(),
-                                            out.f()));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      const MTensor vh = vals.dtype() == Dtype::kBf16
-                             ? to_dtype(vals, Dtype::kBf16, nullptr)
-                             : to_dtype(vals, Dtype::kBf16, ctx.ledger);
-      const MTensor rh = rowv.dtype() == Dtype::kBf16
-                             ? to_dtype(rowv, Dtype::kBf16, nullptr)
-                             : to_dtype(rowv, Dtype::kBf16, ctx.ledger);
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_div_row_bf16(*ctx.stream, ctx.profiled,
-                                             g.view(), vh.b(), rh.b(),
-                                             out.b()));
-      return out;
-    }
-    // Inputs may arrive in float (post-promotion); bring them home to half
-    // first — DGL does exactly this to invoke its half kernels (Sec. 3.1.2).
-    const MTensor vh = vals.dtype() == Dtype::kF16
-                           ? to_dtype(vals, Dtype::kF16, nullptr)
-                           : to_dtype(vals, Dtype::kF16, ctx.ledger);
-    const MTensor rh = rowv.dtype() == Dtype::kF16
-                           ? to_dtype(rowv, Dtype::kF16, nullptr)
-                           : to_dtype(rowv, Dtype::kF16, ctx.ledger);
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx, kernels::edge_div_row_f16(*ctx.stream, ctx.profiled, g.view(),
-                                          vh.h(), rh.h(), out.h()));
-    return out;
-  });
+  return run_edge(
+      ctx, Op::kEdgeDivRow, ctx.dtype(), g.m(), 1,
+      [&]<class T>(std::type_identity<T>, MTensor& out) {
+        const auto kernel =
+            flavour<T>(kernels::edge_div_row_f32, kernels::edge_div_row_bf16,
+                       kernels::edge_div_row_f16);
+        if constexpr (std::is_same_v<T, float>) {
+          return kernel(*ctx.stream, ctx.profiled, g.view(), vals.f(),
+                        rowv.f(), out.f());
+        } else {
+          // Inputs may arrive in float (post-promotion); bring them home to
+          // the half format first — DGL does exactly this to invoke its
+          // half kernels (Sec. 3.1.2). A same-dtype copy is not charged.
+          const MTensor vh = to_dtype(vals, out.dtype(), ctx.ledger);
+          const MTensor rh = to_dtype(rowv, out.dtype(), ctx.ledger);
+          return kernel(*ctx.stream, ctx.profiled, g.view(), elems<T>(vh),
+                        elems<T>(rh), elems<T>(out));
+        }
+      });
 }
 
 MTensor edge_mul(const SparseCtx& ctx, const MTensor& a, const MTensor& b) {
-  return guarded(ctx, "edge_mul", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(a.dtype(), a.rows(), a.cols());
-    if (a.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_mul_f32(*ctx.stream, ctx.profiled, a.f(),
-                                        b.f(), out.f()));
-    } else if (a.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_mul_bf16(*ctx.stream, ctx.profiled, a.b(),
-                                         b.b(), out.b()));
-    } else {
-      charge(ctx, kernels::edge_mul_f16(*ctx.stream, ctx.profiled, a.h(),
-                                        b.h(), out.h()));
-    }
-    return out;
-  });
+  return run_edge(ctx, Op::kEdgeMul, a.dtype(), a.rows(), a.cols(),
+                  [&]<class T>(std::type_identity<T>, MTensor& out) {
+                    return flavour<T>(kernels::edge_mul_f32,
+                                      kernels::edge_mul_bf16,
+                                      kernels::edge_mul_f16)(
+                        *ctx.stream, ctx.profiled, elems<T>(a), elems<T>(b),
+                        elems<T>(out));
+                  });
 }
 
 MTensor edge_softmax_backward(const SparseCtx& ctx, const GraphCtx& g,
                               const MTensor& alpha, const MTensor& dalpha,
                               const MTensor& c) {
-  return guarded(ctx, "edge_softmax_backward", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(alpha.dtype(), alpha.rows(), 1);
-    if (alpha.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_softmax_backward_f32(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.f(),
-                      dalpha.f(), c.f(), out.f()));
-    } else if (alpha.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_softmax_backward_bf16(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.b(),
-                      dalpha.b(), c.b(), out.b()));
-    } else {
-      charge(ctx, kernels::edge_softmax_backward_f16(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.h(),
-                      dalpha.h(), c.h(), out.h()));
-    }
-    return out;
-  });
+  return run_edge(ctx, Op::kEdgeSoftmaxBackward, alpha.dtype(), alpha.rows(),
+                  1, [&]<class T>(std::type_identity<T>, MTensor& out) {
+                    return flavour<T>(kernels::edge_softmax_backward_f32,
+                                      kernels::edge_softmax_backward_bf16,
+                                      kernels::edge_softmax_backward_f16)(
+                        *ctx.stream, ctx.profiled, g.view(), elems<T>(alpha),
+                        elems<T>(dalpha), elems<T>(c), elems<T>(out));
+                  });
 }
 
 MTensor edge_leaky_backward(const SparseCtx& ctx, const MTensor& pre,
                             const MTensor& grad, float slope) {
-  return guarded(ctx, "edge_leaky_backward", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(grad.dtype(), grad.rows(), 1);
-    if (grad.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_leaky_backward_f32(*ctx.stream, ctx.profiled,
-                                                   pre.f(), grad.f(),
-                                                   out.f(), slope));
-    } else if (grad.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_leaky_backward_bf16(*ctx.stream, ctx.profiled,
-                                                    pre.b(), grad.b(),
-                                                    out.b(), slope));
-    } else {
-      charge(ctx, kernels::edge_leaky_backward_f16(*ctx.stream, ctx.profiled,
-                                                   pre.h(), grad.h(),
-                                                   out.h(), slope));
-    }
-    return out;
-  });
+  return run_edge(ctx, Op::kEdgeLeakyBackward, grad.dtype(), grad.rows(), 1,
+                  [&]<class T>(std::type_identity<T>, MTensor& out) {
+                    return flavour<T>(kernels::edge_leaky_backward_f32,
+                                      kernels::edge_leaky_backward_bf16,
+                                      kernels::edge_leaky_backward_f16)(
+                        *ctx.stream, ctx.profiled, elems<T>(pre),
+                        elems<T>(grad), elems<T>(out), slope);
+                  });
 }
 
 MTensor edge_permute(const SparseCtx& ctx, const MTensor& in,
                      std::span<const eid_t> perm) {
-  return guarded(ctx, "edge_permute", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(in.dtype(), in.rows(), in.cols());
-    if (in.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_permute_f32(*ctx.stream, ctx.profiled, in.f(),
-                                            perm, out.f()));
-    } else if (in.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_permute_bf16(*ctx.stream, ctx.profiled,
-                                             in.b(), perm, out.b()));
-    } else {
-      charge(ctx, kernels::edge_permute_f16(*ctx.stream, ctx.profiled, in.h(),
-                                            perm, out.h()));
-    }
-    return out;
-  });
+  return run_edge(ctx, Op::kEdgePermute, in.dtype(), in.rows(), in.cols(),
+                  [&]<class T>(std::type_identity<T>, MTensor& out) {
+                    return flavour<T>(kernels::edge_permute_f32,
+                                      kernels::edge_permute_bf16,
+                                      kernels::edge_permute_f16)(
+                        *ctx.stream, ctx.profiled, elems<T>(in), perm,
+                        elems<T>(out));
+                  });
 }
 
 }  // namespace hg::nn

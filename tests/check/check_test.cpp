@@ -9,13 +9,14 @@
 
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "check/kernel_meta.hpp"
 #include "check/lint.hpp"
 #include "graph/generators.hpp"
-#include "nn/dispatch_registry.hpp"
+#include "kernels/spmm_halfgnn.hpp"
+#include "nn/kernel_table.hpp"
 #include "obs/prof/prof.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
@@ -107,20 +108,34 @@ TEST(CheckExhaustive, EveryDtypeHasTraitRowAndRange) {
 }
 
 TEST(CheckExhaustive, EveryDtypeHasDispatchChainsWithMetadata) {
+  // hgcheck models every site from the row the runtime dispatches: each
+  // (op, mode, dtype) must resolve to rows that say what they store and,
+  // for device kernels, what they launch.
   const nn::SystemMode modes[] = {nn::SystemMode::kDglFloat,
                                   nn::SystemMode::kDglHalf,
                                   nn::SystemMode::kHalfGnn};
-  for (const std::string_view op : nn::dispatch_ops()) {
+  for (int o = 0; o < nn::kNumOps; ++o) {
+    const auto op = static_cast<nn::Op>(o);
     for (const nn::SystemMode mode : modes) {
       for (const Dtype dt : all_dtypes()) {
-        const nn::DispatchChain& chain = nn::dispatch_chain(op, mode, dt);
-        ASSERT_GE(chain.len(), 1) << op << "/" << nn::mode_name(mode) << "/"
-                                  << dtype_name(dt);
-        EXPECT_TRUE(nn::is_reference_kernel(
-            chain.kernels[static_cast<std::size_t>(chain.len() - 1)]));
-        for (const std::string& label : chain.kernels) {
-          EXPECT_NE(kernel_meta(label), nullptr)
-              << "chain entry without kernel metadata: " << label;
+        const nn::Chain& chain = nn::dispatch_chain(op, mode, dt);
+        ASSERT_GE(chain.len, 1) << nn::op_name(op) << "/"
+                                << nn::mode_name(mode) << "/"
+                                << dtype_name(dt);
+        for (int L = 0; L < chain.len; ++L) {
+          const nn::KernelRow& row = nn::kernel_row(chain.at(L).kernel);
+          EXPECT_FALSE(row.label.empty());
+          // Stored values land in an MTensor: f32, f16 or bf16.
+          EXPECT_TRUE(dtype_trainable(row.storage)) << row.label;
+        }
+        // The guard's last resort for an escalating op is the host
+        // reference; an edge op's site is named by its one launch.
+        const nn::KernelRow& last =
+            nn::kernel_row(chain.at(chain.len - 1).kernel);
+        if (nn::escalates(op)) {
+          EXPECT_FALSE(last.launches()) << last.label;
+        } else {
+          EXPECT_EQ(last.launched().size(), 1u) << last.label;
         }
       }
     }
@@ -149,22 +164,30 @@ TEST(CheckExhaustive, EveryDtypeHasATransferFunctionEntry) {
 }
 
 TEST(CheckExhaustive, MetaTableLaunchNamesNonEmptyForDeviceKernels) {
-  for (const KernelMeta& m : all_kernel_meta()) {
-    if (m.launches) {
-      EXPECT_FALSE(m.launched.empty()) << m.label;
-    } else {
-      EXPECT_TRUE(m.launched.empty()) << m.label;
+  // The soundness bridge maps each observed LaunchDesc name back to one
+  // row's prediction, so no launch name may belong to two rows.
+  std::map<std::string_view, std::string_view> owner;
+  for (int k = 0; k < nn::kNumKernels; ++k) {
+    const nn::KernelRow& row = nn::kernel_row(static_cast<nn::Kernel>(k));
+    EXPECT_EQ(row.launches(), row.accum != nn::Accum::kF64Host) << row.label;
+    for (const std::string_view name : row.launched()) {
+      EXPECT_FALSE(name.empty()) << row.label;
+      const auto [it, fresh] = owner.emplace(name, row.label);
+      EXPECT_TRUE(fresh) << name << " launched by " << it->second << " and "
+                         << row.label;
     }
   }
 }
 
 TEST(CheckExhaustive, HalfgnnBatchCapMatchesKernelGeometry) {
+  // hgcheck bounds the discretized mean with the kernel's own segment.
   // feat >= 64: one sub-warp covers the row, 128-edge batches.
-  EXPECT_EQ(halfgnn_batch_cap(64), 128);
-  EXPECT_EQ(halfgnn_batch_cap(256), 128);
+  EXPECT_EQ(kernels::halfgnn_segment_edges(64), 128);
+  EXPECT_EQ(kernels::halfgnn_segment_edges(256), 128);
   // feat 8 -> half_f 4 -> 8 sub-warps sharing 128 edges.
-  EXPECT_EQ(halfgnn_batch_cap(8), 16);
-  EXPECT_GE(halfgnn_batch_cap(1), 1);
+  EXPECT_EQ(kernels::halfgnn_segment_edges(8), 16);
+  // feat 2 -> one lane per edge, 32 sub-warps of 4 edges.
+  EXPECT_EQ(kernels::halfgnn_segment_edges(2), 4);
 }
 
 // ---------------------------------------------------------------------------

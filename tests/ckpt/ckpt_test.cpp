@@ -66,6 +66,32 @@ TEST(CkptSerial, TruncatedStreamThrows) {
   EXPECT_THROW(r.u64(), std::runtime_error);
 }
 
+// A corrupt length whose byte count wraps 2^64 must still read as a
+// truncated stream, not reach the vector allocation.
+TEST(CkptSerial, HugeArrayLengthIsATruncatedStream) {
+  const auto expect_truncated = [](std::uint64_t n, bool as_doubles) {
+    ckpt::Writer w;
+    w.u64(n);
+    for (int i = 0; i < 4; ++i) w.f32(1.0f);  // 16 payload bytes
+    ckpt::Reader r(w.data());
+    try {
+      if (as_doubles) {
+        (void)r.doubles();
+      } else {
+        (void)r.floats();
+      }
+      ADD_FAILURE() << "length " << n << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("ckpt: truncated stream", 0), 0u)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "length " << n << " threw " << e.what();
+    }
+  };
+  expect_truncated((std::uint64_t{1} << 62) + 1, /*as_doubles=*/false);
+  expect_truncated((std::uint64_t{1} << 61) + 1, /*as_doubles=*/true);
+}
+
 TEST(CkptSerial, Crc32MatchesTheIeeeCheckValue) {
   const std::string check = "123456789";
   EXPECT_EQ(ckpt::crc32(check), 0xCBF43926u);

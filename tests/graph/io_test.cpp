@@ -55,6 +55,44 @@ TEST(GraphIo, RejectsGarbageAndTruncation) {
   std::remove(path.c_str());
 }
 
+// Saves a corrupted Cora (save_dataset writes whatever it is given) and
+// expects load_dataset to reject it.
+template <class Corrupt>
+void expect_rejected(const char* name, Corrupt corrupt) {
+  Dataset d = make_dataset(DatasetId::kCora);
+  corrupt(d);
+  const std::string path = tmp_path(name);
+  save_dataset(d, path);
+  EXPECT_THROW(load_dataset(path), std::runtime_error) << name;
+  std::remove(path.c_str());
+}
+
+TEST(GraphIo, RejectsDecreasingOffsets) {
+  // Vertex 1 gets a negative degree; the totals still add up.
+  expect_rejected("hgds_offsets.hgds",
+                  [](Dataset& d) { d.csr.offsets[1] = d.csr.offsets[3]; });
+}
+
+TEST(GraphIo, RejectsShortFeatures) {
+  expect_rejected("hgds_features.hgds", [](Dataset& d) {
+    d.features.resize(d.features.size() / 2);
+  });
+}
+
+TEST(GraphIo, RejectsOutOfRangeLabel) {
+  expect_rejected("hgds_label.hgds", [](Dataset& d) { d.labels[5] = 1000; });
+}
+
+TEST(GraphIo, RejectsShortTrainMask) {
+  expect_rejected("hgds_mask.hgds",
+                  [](Dataset& d) { d.train_mask.resize(10); });
+}
+
+TEST(GraphIo, RejectsLabeledDatasetWithoutClasses) {
+  expect_rejected("hgds_classes.hgds",
+                  [](Dataset& d) { d.num_classes = 0; });
+}
+
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW(load_dataset(tmp_path("hgds_does_not_exist.hgds")),
                std::runtime_error);

@@ -7,8 +7,8 @@
 
 #include "graph/generators.hpp"
 #include "kernels/reference.hpp"
-#include "nn/dispatch_registry.hpp"
 #include "nn/guard.hpp"
+#include "nn/kernel_table.hpp"
 #include "nn/sparse_dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/dense_ops.hpp"
@@ -137,61 +137,87 @@ TEST(SparseDispatch, SddmmDispatchesPerMode) {
   }
 }
 
-// The dtype-keyed registry is the single source of truth for what runs at
-// each guard escalation level. Pin the full (op, dtype) table: native
-// kernel first, reference last, with the f16 chain still keyed on mode
-// (HalfGNN's shadow kernel vs DGL-half's f32 promotion detour).
+// Labels of `op`'s chain at (mode, dtype), level 0 first.
+std::vector<std::string> chain_labels(Op op, SystemMode m, Dtype dt) {
+  const Chain& c = dispatch_chain(op, m, dt);
+  std::vector<std::string> out;
+  for (int i = 0; i < c.len; ++i) {
+    out.emplace_back(kernel_row(c.at(i).kernel).label);
+  }
+  return out;
+}
+
+// The kernel table is the single source of truth for what runs at each
+// guard escalation level. Pin the full (op, dtype) table: native kernel
+// first, reference last, with the f16 chain still keyed on mode (HalfGNN's
+// shadow kernel vs DGL-half's f32 promotion detour).
 TEST(DispatchRegistry, FullOpDtypeTable) {
   using K = std::vector<std::string>;
-  const auto chain = [](const char* op, SystemMode m, Dtype dt) {
-    return dispatch_chain(op, m, dt).kernels;
-  };
+  const auto chain = chain_labels;
   const SystemMode hg = SystemMode::kHalfGnn;
-  EXPECT_EQ(chain("spmm", hg, Dtype::kF32),
+  EXPECT_EQ(chain(Op::kSpmm, hg, Dtype::kF32),
             (K{"spmm_cusparse_f32", "spmm_reference"}));
-  EXPECT_EQ(chain("spmm", hg, Dtype::kF16),
+  EXPECT_EQ(chain(Op::kSpmm, hg, Dtype::kF16),
             (K{"spmm_halfgnn", "spmm_cusparse_f16", "spmm_reference"}));
-  EXPECT_EQ(chain("spmm", SystemMode::kDglHalf, Dtype::kF16),
+  EXPECT_EQ(chain(Op::kSpmm, SystemMode::kDglHalf, Dtype::kF16),
             (K{"spmm_cusparse_f16", "spmm_cusparse_f32", "spmm_reference"}));
-  EXPECT_EQ(chain("spmm", hg, Dtype::kBf16),
+  EXPECT_EQ(chain(Op::kSpmm, hg, Dtype::kBf16),
             (K{"spmm_bf16", "spmm_reference"}));
-  EXPECT_EQ(chain("spmm", hg, Dtype::kI8),
+  EXPECT_EQ(chain(Op::kSpmm, hg, Dtype::kI8),
             (K{"spmm_int8", "spmm_reference"}));
-  EXPECT_EQ(chain("spmm", hg, Dtype::kB1),
+  EXPECT_EQ(chain(Op::kSpmm, hg, Dtype::kB1),
             (K{"spmm_binary", "spmm_reference"}));
 
-  EXPECT_EQ(chain("sddmm", hg, Dtype::kF32),
+  EXPECT_EQ(chain(Op::kSddmm, hg, Dtype::kF32),
             (K{"sddmm_dgl_f32", "sddmm_reference"}));
   // sddmm ladders are two deep (native -> reference), matching the
   // pre-lattice escalation behavior bit for bit.
-  EXPECT_EQ(chain("sddmm", hg, Dtype::kF16),
+  EXPECT_EQ(chain(Op::kSddmm, hg, Dtype::kF16),
             (K{"sddmm_halfgnn", "sddmm_reference"}));
-  EXPECT_EQ(chain("sddmm", SystemMode::kDglHalf, Dtype::kF16),
+  EXPECT_EQ(chain(Op::kSddmm, SystemMode::kDglHalf, Dtype::kF16),
             (K{"sddmm_dgl_f16", "sddmm_reference"}));
-  EXPECT_EQ(chain("sddmm", hg, Dtype::kBf16),
+  EXPECT_EQ(chain(Op::kSddmm, hg, Dtype::kBf16),
             (K{"sddmm_bf16", "sddmm_reference"}));
-  // PTQ dtypes keep attention scores in float: the sddmm chain is the f32
-  // one, not a quantized variant.
-  EXPECT_EQ(chain("sddmm", hg, Dtype::kI8), chain("sddmm", hg, Dtype::kF32));
-  EXPECT_EQ(chain("sddmm", hg, Dtype::kB1), chain("sddmm", hg, Dtype::kF32));
+  // PTQ dtypes keep attention scores and the edge softmax in float: their
+  // chains are the f32 ones, not quantized variants.
+  for (const Op op : {Op::kSddmm, Op::kSegSum, Op::kEdgeExp, Op::kEdgeMul}) {
+    EXPECT_EQ(chain(op, hg, Dtype::kI8), chain(op, hg, Dtype::kF32));
+    EXPECT_EQ(chain(op, hg, Dtype::kB1), chain(op, hg, Dtype::kF32));
+  }
+
+  // DGL-half's AMP promotes `sum` and `exp` to an f32 row; `max` and
+  // HalfGNN's shadow ops stay half.
+  const SystemMode dgl = SystemMode::kDglHalf;
+  EXPECT_EQ(chain(Op::kSegSum, dgl, Dtype::kF16),
+            (K{"edge_segment_reduce_f32"}));
+  EXPECT_TRUE(dispatch_chain(Op::kSegSum, dgl, Dtype::kF16).at(0).promoted);
+  EXPECT_EQ(chain(Op::kSegMax, dgl, Dtype::kF16),
+            (K{"edge_segment_reduce_f16"}));
+  EXPECT_EQ(chain(Op::kEdgeExp, dgl, Dtype::kF16),
+            (K{"edge_exp_sub_row_f32"}));
+  EXPECT_TRUE(dispatch_chain(Op::kEdgeExp, dgl, Dtype::kF16).at(0).promoted);
+  EXPECT_EQ(chain(Op::kSegSum, hg, Dtype::kF16),
+            (K{"edge_segment_reduce_f16"}));
+  EXPECT_EQ(chain(Op::kEdgeExp, hg, Dtype::kF16),
+            (K{"edge_exp_sub_row_f16"}));
 }
 
 TEST(DispatchRegistry, UnknownDtypeFallsBackToF32Reference) {
   const auto bogus = static_cast<Dtype>(99);
-  for (const char* op : {"spmm", "sddmm"}) {
-    const DispatchChain& c =
-        dispatch_chain(op, SystemMode::kHalfGnn, bogus);
-    ASSERT_EQ(c.len(), 1) << op;
-    EXPECT_EQ(c.kernels.front(),
-              std::string(op) + "_reference") << op;
+  for (const Op op : {Op::kSpmm, Op::kSddmm}) {
+    const Chain& c = dispatch_chain(op, SystemMode::kHalfGnn, bogus);
+    ASSERT_EQ(c.len, 1) << op_name(op);
+    EXPECT_EQ(kernel_row(c.at(0).kernel).label,
+              std::string(op_name(op)) + "_reference");
     // at() clamps past-the-end levels to the last (reference) entry.
-    EXPECT_EQ(c.at(0), c.at(7)) << op;
+    EXPECT_EQ(&c.at(0), &c.at(7)) << op_name(op);
   }
 }
 
-// Each dtype's guard ladder follows its registry chain: after an overflow
+// Each guard ladder follows its kernel-table chain: after an overflow
 // escalation the dispatcher must launch the chain's next kernel, and the
-// dispatch.<op>.<kernel> counter names the kernel actually run.
+// dispatch.<op>.<kernel> counter names the kernel actually run. DGL-half's
+// level-1 SpMM is the AMP f32 promotion, which charges both conversions.
 TEST(SparseDispatch, GuardLaddersFollowThePerDtypeChains) {
   Fixture fx(21);
   Rng rng(22);
@@ -200,50 +226,70 @@ TEST(SparseDispatch, GuardLaddersFollowThePerDtypeChains) {
   MTensor xf = MTensor::f32(static_cast<std::int64_t>(n), feat);
   for (auto& v : xf.f()) v = rng.next_float() * 2 - 1;
 
+  const SystemMode hg = SystemMode::kHalfGnn;
+  const SystemMode dgl = SystemMode::kDglHalf;
   struct Case {
+    const char* op;  // "spmm" | "sddmm"
+    SystemMode mode;
     Dtype dt;
-    const char* level0;
-    const char* level1;
+    std::vector<std::string> ladder;  // kernel per guard level
+    std::vector<std::uint64_t> conversions;  // ledger charges per level
   };
   const std::vector<Case> cases{
-      {Dtype::kF16, "spmm_halfgnn", "spmm_cusparse_f16"},
-      {Dtype::kBf16, "spmm_bf16", "spmm_reference"},
-      {Dtype::kI8, "spmm_int8", "spmm_reference"},
-      {Dtype::kB1, "spmm_binary", "spmm_reference"},
+      {"spmm", hg, Dtype::kF16,
+       {"spmm_halfgnn", "spmm_cusparse_f16", "spmm_reference"}, {0, 0, 0}},
+      {"spmm", hg, Dtype::kBf16, {"spmm_bf16", "spmm_reference"}, {0, 0}},
+      {"spmm", hg, Dtype::kI8, {"spmm_int8", "spmm_reference"}, {0, 0}},
+      {"spmm", hg, Dtype::kB1, {"spmm_binary", "spmm_reference"}, {0, 0}},
+      {"spmm", dgl, Dtype::kF16,
+       {"spmm_cusparse_f16", "spmm_cusparse_f32", "spmm_reference"},
+       {0, 2, 0}},
+      {"sddmm", hg, Dtype::kF16, {"sddmm_halfgnn", "sddmm_reference"}, {0, 0}},
+      {"sddmm", dgl, Dtype::kF16, {"sddmm_dgl_f16", "sddmm_reference"}, {0, 0}},
+      {"sddmm", hg, Dtype::kBf16, {"sddmm_bf16", "sddmm_reference"}, {0, 0}},
+      {"sddmm", hg, Dtype::kF32, {"sddmm_dgl_f32", "sddmm_reference"}, {0, 0}},
   };
   for (const Case& c : cases) {
-    const MTensor x = dtype_trainable(c.dt) && c.dt != Dtype::kF32
-                          ? to_dtype(xf, c.dt, nullptr)
-                          : to_dtype(xf, Dtype::kF32, nullptr);
+    const std::string what = std::string(c.op) + "/" + mode_name(c.mode) +
+                             "/" + std::string(dtype_name(c.dt));
+    const MTensor x = dtype_trainable(c.dt) ? to_dtype(xf, c.dt, nullptr)
+                                            : to_dtype(xf, Dtype::kF32, nullptr);
     GuardConfig gcfg;
     gcfg.enabled = true;
     gcfg.overflow_streak = 1;  // one bad output escalates immediately
     TrainGuard guard(gcfg);
     SparseCtx ctx;
-    ctx.mode = SystemMode::kHalfGnn;
+    ctx.mode = c.mode;
     ctx.guard = &guard;
     ctx.dtype_override = c.dt;
 
     obs::registry().reset();
     obs::registry().set_enabled(true);
-    (void)spmm(ctx, *fx.g, nullptr, x, kernels::Reduce::kMean);
-    EXPECT_EQ(obs::registry().counter_value(std::string("dispatch.spmm.") +
-                                            c.level0),
-              1.0)
-        << dtype_name(c.dt);
-
-    // Simulate the overflow streak the dispatcher would observe, then
-    // confirm the next call runs the chain's level-1 kernel.
-    const DispatchChain& chain =
-        dispatch_chain("spmm", SystemMode::kHalfGnn, c.dt);
-    guard.observe_output("spmm", /*nonfinite=*/true, chain.len(),
-                         chain.at(1));
-    ASSERT_EQ(guard.level("spmm"), 1) << dtype_name(c.dt);
-    (void)spmm(ctx, *fx.g, nullptr, x, kernels::Reduce::kMean);
-    EXPECT_EQ(obs::registry().counter_value(std::string("dispatch.spmm.") +
-                                            c.level1),
-              1.0)
-        << dtype_name(c.dt);
+    const int len = static_cast<int>(c.ladder.size());
+    for (int level = 0; level < len; ++level) {
+      CostLedger ledger;
+      ctx.ledger = &ledger;
+      if (std::string(c.op) == "spmm") {
+        (void)spmm(ctx, *fx.g, nullptr, x, kernels::Reduce::kMean);
+      } else {
+        (void)sddmm(ctx, *fx.g, x, x);
+      }
+      const std::string& kernel = c.ladder[static_cast<std::size_t>(level)];
+      EXPECT_EQ(obs::registry().counter_value(std::string("dispatch.") +
+                                              c.op + "." + kernel),
+                1.0)
+          << what << " level " << level;
+      EXPECT_EQ(ledger.conversions,
+                c.conversions[static_cast<std::size_t>(level)])
+          << what << " level " << level;
+      // Simulate the overflow streak the dispatcher would observe; the next
+      // call must run the ladder's next kernel.
+      if (level + 1 < len) {
+        guard.observe_output(c.op, /*nonfinite=*/true, len,
+                             c.ladder[static_cast<std::size_t>(level + 1)]);
+        ASSERT_EQ(guard.level(c.op), level + 1) << what;
+      }
+    }
     obs::registry().set_enabled(false);
     obs::registry().reset();
   }
