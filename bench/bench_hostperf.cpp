@@ -12,6 +12,12 @@
 // Modeled numbers (time_ms etc.) are *not* the subject here — they must be
 // bit-identical no matter how fast the host is; host_ms is the metric.
 //
+// The dense host path gets rows too: hg::gemm at three training shapes
+// (X*W of a reddit-sim layer, the k = 19717 weight gradient X^T*dY of a
+// pubmed-sim layer, GAT's n = 1 attention GEMV), whose modeled_ms is the
+// cost ledger's GEMM charge, plus a forced-scalar X*W row and the same-run
+// gemm_simd_ratio summary.
+//
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
 #include <chrono>
 #include <cmath>
@@ -33,6 +39,7 @@
 #include "obs/report.hpp"
 #include "simt/simd.hpp"
 #include "simt/simt.hpp"
+#include "tensor/dense_ops.hpp"
 
 namespace hg::bench {
 namespace {
@@ -203,6 +210,50 @@ int run(const std::string& path) {
                        scalar_ms > 0 ? spmm_train_ms / scalar_ms : kNaN);
   }
   t.report().summary("spmm_halfgnn_profiled_host_ms", spmm_profiled_ms);
+
+  // Dense GEMM rows. edges/s and lane-ops/s do not apply; modeled_ms is
+  // the ledger's charge for one call (the dense cost model, gated like the
+  // kernel rows).
+  {
+    auto f16 = [](std::int64_t r, std::int64_t c, std::uint64_t seed) {
+      MTensor x = MTensor::f16(r, c);
+      const auto v = random_h16(x.numel(), seed);
+      std::copy(v.begin(), v.end(), x.h().begin());
+      return x;
+    };
+    const MTensor x = f16(6000, 128, 11), w = f16(128, 64, 12);
+    const MTensor xt = f16(19717, 128, 13), dy = f16(19717, 64, 14);
+    const MTensor z = f16(6000, 64, 15), al = f16(64, 1, 16);
+    MTensor xw = MTensor::f16(6000, 64), dw = MTensor::f32(128, 64);
+    MTensor el = MTensor::f16(6000, 1);
+    auto gemm_case = [](std::string name, const MTensor& a, bool ta,
+                        const MTensor& b, MTensor& c) {
+      return Case{std::move(name), [&a, ta, &b, &c](bool) {
+                    CostLedger ledger;
+                    gemm(a, ta, b, false, c, &ledger);
+                    simt::KernelStats ks;
+                    ks.time_ms = ledger.dense_ms;
+                    return ks;
+                  }};
+    };
+    const std::vector<Case> gemms{
+        gemm_case("gemm_xw_f16", x, false, w, xw),
+        gemm_case("gemm_xtdy_f16", xt, true, dy, dw),
+        gemm_case("gemm_gemv_f16", z, false, al, el)};
+    double xw_ms = kNaN;
+    for (const auto& g : gemms) {
+      const Measured r = measure(g, false, reps);
+      if (g.name == "gemm_xw_f16") xw_ms = r.host_ms;
+      t.row(g.name, {r.host_ms, kNaN, kNaN, r.modeled_ms});
+    }
+    const simt::simd::Path active = simt::simd::active_path();
+    simt::simd::set_path(simt::simd::Path::kScalar);
+    const double scalar_ms = measure(gemms[0], false, reps).host_ms;
+    simt::simd::set_path(active);
+    t.row("gemm_xw_f16_scalar", {scalar_ms, kNaN, kNaN, kNaN});
+    t.report().summary("gemm_simd_ratio",
+                       scalar_ms > 0 ? xw_ms / scalar_ms : kNaN);
+  }
   t.finish(
       "=== Host perf: wall ms simulating each kernel family (profiled vs "
       "training mode), Fig. 9 geometry ===");

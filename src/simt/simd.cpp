@@ -36,6 +36,13 @@ constexpr SimdOps kScalarOps = {
     &scalar::shfl_xor_h,
     &scalar::shfl_xor_f,
     &accounting::access_counts,
+    &scalar::gemm_panel,
+    &scalar::h_add_bias_rows,
+    &scalar::h_scale_rows,
+    &scalar::h_colsum,
+    &scalar::h_axpby,
+    &scalar::h_relu_forward,
+    &scalar::h_relu_backward,
 };
 
 }  // namespace

@@ -5,7 +5,8 @@
 // by a broadcast edge weight, 32 float axpys into a feature accumulator,
 // 16-wide butterfly combines. This header defines a small set of *lane
 // primitives* covering exactly those loops, with two interchangeable
-// implementations:
+// implementations. The same table also carries the dense host path: the
+// GEMM micro-kernel and the f16 storage loops of tensor/dense_ops.cpp.
 //
 //   scalar  — the executable reference spec. Each primitive is the verbatim
 //             per-lane loop the kernels used to inline, built on the same
@@ -30,9 +31,11 @@
 // (config-time only — never while a launch is in flight).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "half/half.hpp"
@@ -50,6 +53,12 @@ using Lanes = std::array<T, kLanes>;
 inline constexpr unsigned kHasW = 1u;    // multiply by the broadcast weight
 inline constexpr unsigned kHasPre = 2u;  // multiply by the broadcast prescale
 inline constexpr unsigned kIsMax = 4u;   // max-select instead of add
+
+// GEMM micro-kernel geometry and flag bits (gemm_panel).
+inline constexpr std::size_t kGemmRows = 4;  // rows of C per call
+inline constexpr int kGemmCols = 16;         // column tile; n is a multiple
+inline constexpr unsigned kGemmFirst = 1u;     // start each sum at +0.0f
+inline constexpr unsigned kGemmSkipZero = 2u;  // skip terms with a == +-0
 
 enum class Path { kScalar = 0, kAvx2 = 1 };
 
@@ -227,6 +236,94 @@ inline void shfl_xor_f(Lanes<float>& vals, int offset, LaneMask active,
   }
 }
 
+// --- Dense host path (tensor/dense_ops.cpp) --------------------------------
+// The operand order of each float op is pinned to what the historical
+// get/set loops compiled to, which is not uniformly "left operand wins":
+// gemm adds product + accumulator, the bias add is bias + x and the row
+// scale is s * x (DESIGN.md Sec. 13 lists them).
+
+// GEMM micro-kernel over packed f32 panels: for r < kGemmRows and j < n,
+//   c[r*ldc + j] = sum over kk < kc, ascending, of a[r*lda+kk] * b[kk*ldb+j]
+// as separate mul and add (product first). The sum starts from +0.0f with
+// kGemmFirst and from c otherwise (the exact f32 partial of the previous
+// k-block). kGemmSkipZero skips terms whose a is +-0: the historical
+// zero-skip, which only differs from plain summation when b holds an Inf or
+// NaN. n is a multiple of kGemmCols.
+inline void gemm_panel(float* c, std::size_t ldc, const float* a,
+                       std::size_t lda, const float* b, std::size_t ldb,
+                       int kc, int n, unsigned flags) {
+  for (std::size_t r = 0; r < kGemmRows; ++r) {
+    float* crow = c + r * ldc;
+    if (flags & kGemmFirst) std::fill(crow, crow + n, 0.0f);
+    for (int kk = 0; kk < kc; ++kk) {
+      const float av = a[r * lda + static_cast<std::size_t>(kk)];
+      if ((flags & kGemmSkipZero) && av == 0.0f) continue;
+      const float* brow = b + static_cast<std::size_t>(kk) * ldb;
+      for (int j = 0; j < n; ++j) {
+        crow[j] = ordered_fadd(ordered_fmul(av, brow[j]), crow[j]);
+      }
+    }
+  }
+}
+
+// x[r][j] = half(bias[j] + x[r][j]) over a row-major rows x cols block.
+inline void h_add_bias_rows(half_t* x, const float* bias, std::size_t rows,
+                            std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    half_t* xr = x + r * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      xr[j] = half_t(ordered_fadd(bias[j], xr[j].to_float()));
+    }
+  }
+}
+
+// x[r][j] = half(s[r] * x[r][j]).
+inline void h_scale_rows(half_t* x, const float* s, std::size_t rows,
+                         std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    half_t* xr = x + r * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      xr[j] = half_t(ordered_fmul(s[r], xr[j].to_float()));
+    }
+  }
+}
+
+// out[j] = out[j] + x[r][j] in f32, rows in increasing order.
+inline void h_colsum(const half_t* x, float* out, std::size_t rows,
+                     std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const half_t* xr = x + r * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      out[j] = ordered_fadd(out[j], xr[j].to_float());
+    }
+  }
+}
+
+// y = a * x + b * y with device rounding: the b * y product rounds to half,
+// then one fma rounds once.
+inline void h_axpby(const half_t* x, half_t a, half_t* y, half_t b,
+                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = hfma(a, x[i], b * y[i]);
+}
+
+// In-place ReLU: mask[i] = x[i] > 0; other values become +0, except NaN,
+// which passes through with mask 0.
+inline void h_relu_forward(half_t* x, std::uint8_t* mask, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool pos = x[i] > half_t(0.0f);
+    mask[i] = pos ? 1 : 0;
+    if (!pos && !x[i].is_nan()) x[i] = half_t(0.0f);
+  }
+}
+
+// grad[i] = +0 where mask[i] == 0.
+inline void h_relu_backward(half_t* grad, const std::uint8_t* mask,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!mask[i]) grad[i] = half_t(0.0f);
+  }
+}
+
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -260,6 +357,15 @@ struct SimdOps {
   void (*shfl_xor_f)(Lanes<float>&, int, LaneMask, bool);
   accounting::AccessCounts (*access_counts)(const accounting::LaneIdx&,
                                             std::uint32_t, std::size_t, int);
+  // Dense host path.
+  void (*gemm_panel)(float*, std::size_t, const float*, std::size_t,
+                     const float*, std::size_t, int, int, unsigned);
+  void (*h_add_bias_rows)(half_t*, const float*, std::size_t, std::size_t);
+  void (*h_scale_rows)(half_t*, const float*, std::size_t, std::size_t);
+  void (*h_colsum)(const half_t*, float*, std::size_t, std::size_t);
+  void (*h_axpby)(const half_t*, half_t, half_t*, half_t, std::size_t);
+  void (*h_relu_forward)(half_t*, std::uint8_t*, std::size_t);
+  void (*h_relu_backward)(half_t*, const std::uint8_t*, std::size_t);
 };
 
 namespace detail {

@@ -12,7 +12,9 @@
 //    signaling NaNs, so the in-register round-trip matches the scalar
 //    table lookup bit-for-bit. Only the public cvt_h2f batch can see sNaN
 //    *inputs*, where vcvtph2ps quiets; that one entry point patches float
-//    bit 22 back to reproduce the table.
+//    bit 22 back to reproduce the table. (The dense entries also read raw
+//    f16 storage, but only into arithmetic, where a quieted and an unquieted
+//    sNaN operand give the same result, or into integer compares.)
 //  * No FMA contraction anywhere: explicit _mm256_mul_ps then
 //    _mm256_add_ps, same as the scalar float expressions (the build never
 //    enables -mfma). Where the scalar op IS a fused hfma, mul+add is still
@@ -649,6 +651,211 @@ accounting::AccessCounts access_counts_avx2(const accounting::LaneIdx& idx,
   return accounting::access_counts(idx, active, elem_size, sector_bytes);
 }
 
+// ---------------------------------------------------------------------------
+// Dense host path
+// ---------------------------------------------------------------------------
+
+// One kGemmRows x kGemmCols tile of C held in eight registers across the
+// whole k-block. Per term: product = a * b (a as src1), sum = product + acc
+// (product as src1), the scalar reference's pinned order. The zero-skip
+// variant keeps the old accumulator wherever a == +-0 (ordered compare, so
+// a NaN a is never skipped), which is the scalar `continue` lane by lane.
+template <bool kSkipZero>
+void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, int kc, bool first) {
+  static_assert(kGemmRows == 4 && kGemmCols == 16);
+  __m256 acc[4][2];
+  for (std::size_t r = 0; r < 4; ++r) {
+    acc[r][0] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(c + r * ldc);
+    acc[r][1] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(c + r * ldc + 8);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  for (int kk = 0; kk < kc; ++kk) {
+    const auto ku = static_cast<std::size_t>(kk);
+    const __m256 b0 = _mm256_loadu_ps(b + ku * ldb);
+    const __m256 b1 = _mm256_loadu_ps(b + ku * ldb + 8);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < 4; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * lda + ku);
+      __m256 s0 = ordered_add(ordered_mul(av, b0), acc[r][0]);
+      __m256 s1 = ordered_add(ordered_mul(av, b1), acc[r][1]);
+      if constexpr (kSkipZero) {
+        const __m256 z = _mm256_cmp_ps(av, zero, _CMP_EQ_OQ);
+        s0 = _mm256_blendv_ps(s0, acc[r][0], z);
+        s1 = _mm256_blendv_ps(s1, acc[r][1], z);
+      }
+      acc[r][0] = s0;
+      acc[r][1] = s1;
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    _mm256_storeu_ps(c + r * ldc, acc[r][0]);
+    _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
+  }
+}
+
+void gemm_panel_avx2(float* c, std::size_t ldc, const float* a,
+                     std::size_t lda, const float* b, std::size_t ldb, int kc,
+                     int n, unsigned flags) {
+  const bool first = (flags & kGemmFirst) != 0;
+  for (int j0 = 0; j0 < n; j0 += kGemmCols) {
+    const auto ju = static_cast<std::size_t>(j0);
+    if (flags & kGemmSkipZero) {
+      gemm_tile<true>(c + ju, ldc, a, lda, b + ju, ldb, kc, first);
+    } else {
+      gemm_tile<false>(c + ju, ldc, a, lda, b + ju, ldb, kc, first);
+    }
+  }
+}
+
+// Row-wise f16 ops: 8 halves per step through vcvtph2ps / vcvtps2ph, one
+// rounding per scalar half_t construction. Remainders run the same step on
+// zero-padded copies.
+template <class Step>
+void h_rows8(half_t* x, std::size_t cols, Step&& step) {
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) step(x + j, j);
+  if (j < cols) {
+    const std::size_t r = cols - j;
+    alignas(16) half_t xa[8] = {};
+    std::memcpy(xa, x + j, r * sizeof(half_t));
+    step(xa, j);
+    std::memcpy(x + j, xa, r * sizeof(half_t));
+  }
+}
+
+void h_add_bias_rows_avx2(half_t* x, const float* bias, std::size_t rows,
+                          std::size_t cols) {
+  // The bias row, zero-padded to whole vectors once per call.
+  alignas(32) float tail[8] = {};
+  const std::size_t full = cols / 8 * 8;
+  if (full < cols) {
+    std::memcpy(tail, bias + full, (cols - full) * sizeof(float));
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    h_rows8(x + r * cols, cols, [&](half_t* p, std::size_t j) {
+      const __m256 bv = _mm256_loadu_ps(j < full ? bias + j : tail);
+      store8h(p, cvt8b(ordered_add(bv, cvt8(load8h(p)))));
+    });
+  }
+}
+
+void h_scale_rows_avx2(half_t* x, const float* s, std::size_t rows,
+                       std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m256 sv = _mm256_set1_ps(s[r]);
+    h_rows8(x + r * cols, cols, [&](half_t* p, std::size_t) {
+      store8h(p, cvt8b(ordered_mul(sv, cvt8(load8h(p)))));
+    });
+  }
+}
+
+void h_colsum_avx2(const half_t* x, float* out, std::size_t rows,
+                   std::size_t cols) {
+  const std::size_t full = cols / 8 * 8;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const half_t* xr = x + r * cols;
+    for (std::size_t j = 0; j < full; j += 8) {
+      _mm256_storeu_ps(out + j, ordered_add(_mm256_loadu_ps(out + j),
+                                            cvt8(load8h(xr + j))));
+    }
+  }
+  if (full < cols) {  // the remainder columns, column by column down x
+    const std::size_t rem = cols - full;
+    alignas(32) float oa[8] = {};
+    std::memcpy(oa, out + full, rem * sizeof(float));
+    __m256 acc = _mm256_loadu_ps(oa);
+    for (std::size_t r = 0; r < rows; ++r) {
+      alignas(16) half_t xa[8] = {};
+      std::memcpy(xa, x + r * cols + full, rem * sizeof(half_t));
+      acc = ordered_add(acc, cvt8(load8h(xa)));
+    }
+    _mm256_storeu_ps(oa, acc);
+    std::memcpy(out + full, oa, rem * sizeof(float));
+  }
+}
+
+inline void h_axpby_step(const half_t* x, __m256 av, half_t* y,
+                         __m256 bv) noexcept {
+  // t = half(b * y); y = half(a * x + t): hfma's exact product, one rounding.
+  const __m256 t = cvt8(cvt8b(ordered_mul(bv, cvt8(load8h(y)))));
+  store8h(y, cvt8b(ordered_add(ordered_mul(av, cvt8(load8h(x))), t)));
+}
+
+void h_axpby_avx2(const half_t* x, half_t a, half_t* y, half_t b,
+                  std::size_t n) {
+  const __m256 av = bcast_h(a);
+  const __m256 bv = bcast_h(b);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) h_axpby_step(x + i, av, y + i, bv);
+  if (i < n) {
+    const std::size_t r = n - i;
+    alignas(16) half_t xa[8] = {};
+    alignas(16) half_t ya[8] = {};
+    std::memcpy(xa, x + i, r * sizeof(half_t));
+    std::memcpy(ya, y + i, r * sizeof(half_t));
+    h_axpby_step(xa, av, ya, bv);
+    std::memcpy(y + i, ya, r * sizeof(half_t));
+  }
+}
+
+// ReLU on 16 half bit patterns at a time, in the integer domain: as signed
+// 16-bit values the halves > 0 are exactly 1..0x7C00 (+Inf included), and
+// NaNs of either sign have magnitude bits above 0x7C00.
+inline void h_relu_step(half_t* x, std::uint8_t* mask) noexcept {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x));
+  const __m256i pos =
+      _mm256_and_si256(_mm256_cmpgt_epi16(v, _mm256_setzero_si256()),
+                       _mm256_cmpgt_epi16(_mm256_set1_epi16(0x7C01), v));
+  const __m256i nan =
+      _mm256_cmpgt_epi16(_mm256_and_si256(v, _mm256_set1_epi16(0x7FFF)),
+                         _mm256_set1_epi16(0x7C00));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(x),
+                      _mm256_and_si256(v, _mm256_or_si256(pos, nan)));
+  const __m128i bytes = _mm_packs_epi16(_mm256_castsi256_si128(pos),
+                                        _mm256_extracti128_si256(pos, 1));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(mask),
+                   _mm_and_si128(bytes, _mm_set1_epi8(1)));
+}
+
+void h_relu_forward_avx2(half_t* x, std::uint8_t* mask, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) h_relu_step(x + i, mask + i);
+  if (i < n) {
+    const std::size_t r = n - i;
+    alignas(32) half_t xa[16] = {};
+    alignas(16) std::uint8_t ma[16] = {};
+    std::memcpy(xa, x + i, r * sizeof(half_t));
+    h_relu_step(xa, ma);
+    std::memcpy(x + i, xa, r * sizeof(half_t));
+    std::memcpy(mask + i, ma, r);
+  }
+}
+
+inline void h_relu_backward_step(half_t* g, const std::uint8_t* mask) noexcept {
+  const __m256i m = _mm256_cvtepu8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask)));
+  const __m256i off = _mm256_cmpeq_epi16(m, _mm256_setzero_si256());
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(g),
+                      _mm256_andnot_si256(off, v));
+}
+
+void h_relu_backward_avx2(half_t* grad, const std::uint8_t* mask,
+                          std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) h_relu_backward_step(grad + i, mask + i);
+  if (i < n) {
+    const std::size_t r = n - i;
+    alignas(32) half_t ga[16] = {};
+    alignas(16) std::uint8_t ma[16] = {};
+    std::memcpy(ga, grad + i, r * sizeof(half_t));
+    std::memcpy(ma, mask + i, r);
+    h_relu_backward_step(ga, ma);
+    std::memcpy(grad + i, ga, r * sizeof(half_t));
+  }
+}
+
 constexpr SimdOps kAvx2Ops = {
     "avx2",
     true,
@@ -671,6 +878,13 @@ constexpr SimdOps kAvx2Ops = {
     &shfl_xor_h_avx2,
     &shfl_xor_f_avx2,
     &access_counts_avx2,
+    &gemm_panel_avx2,
+    &h_add_bias_rows_avx2,
+    &h_scale_rows_avx2,
+    &h_colsum_avx2,
+    &h_axpby_avx2,
+    &h_relu_forward_avx2,
+    &h_relu_backward_avx2,
 };
 
 }  // namespace
