@@ -7,12 +7,13 @@
 //                  [--docs-dir <path>] [--fig1c] [--allowlist <path>]
 //                  [--grid]
 //
-//   Zero kernel launches: the verifier walks the model's forward+backward
-//   dispatch graph symbolically and prints one verdict row per (site x
+//   Zero kernel launches: the verifier runs the trainer's own layer code
+//   under an abstract backend and prints one verdict row per (site x
 //   dispatch-chain entry). Exit status:
 //     0  every active site SAFE or NEEDS-SCALING (or UNSAFE but allowlisted)
 //     1  an active UNSAFE site not covered by the allowlist, or lint issues
-//     2  bad usage
+//     2  bad usage: unknown flag, or a value outside what train_cli accepts
+//        (dataset 1..16 and labeled, hidden >= 8, epochs >= 1, lr > 0)
 //
 //   --report writes the halfgnn-check-v1 JSON report ('-' = stdout).
 //   --lint runs the metadata linter (dtype traits, doc-grammar drift
@@ -22,11 +23,17 @@
 //   --grid sweeps model x every dtype on the chosen dataset (the CI
 //   check-gate entry point); --allowlist names a JSON file with an array
 //   of "model/mode/dtype/site" strings allowed to stay UNSAFE.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +56,13 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// A numeric flag whose value does not parse: argv[i - 1] is the flag.
+int not_a_number(char** argv, int i) {
+  std::fprintf(stderr, "hgcheck: %s needs a number, got '%s'\n", argv[i - 1],
+               argv[i]);
+  return usage(argv[0]);
+}
+
 struct Args {
   hg::nn::ModelKind model = hg::nn::ModelKind::kGcn;
   int dataset = 1;
@@ -66,6 +80,45 @@ struct Args {
   std::string allowlist;
   bool grid = false;
 };
+
+// Whole-string base-10 int; false on junk, trailing text or overflow.
+bool parse_int(const char* s, int& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < INT_MIN || v > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_lr(const char* s, float& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0') return false;
+  out = static_cast<float>(v);
+  return true;
+}
+
+// The ranges train_cli accepts; "" when `a` is runnable.
+std::string invalid_args(const Args& a) {
+  if (a.dataset < 1 || a.dataset > hg::kNumDatasets) {
+    return "--dataset must be in 1.." + std::to_string(hg::kNumDatasets);
+  }
+  const std::vector<hg::DatasetId> labeled = hg::labeled_dataset_ids();
+  if (std::find(labeled.begin(), labeled.end(),
+                static_cast<hg::DatasetId>(a.dataset)) == labeled.end()) {
+    return "dataset " + std::to_string(a.dataset) +
+           " has no labels/features to analyze";
+  }
+  if (a.hidden < 8) return "--hidden must be >= 8";
+  if (a.epochs < 1) return "--epochs must be >= 1";
+  if (!std::isfinite(a.lr) || a.lr <= 0.0f) {
+    return "--lr must be finite and > 0";
+  }
+  return "";
+}
 
 bool parse_dtype(const std::string& s, std::optional<hg::Dtype>& out) {
   for (const hg::Dtype dt : hg::all_dtypes()) {
@@ -142,62 +195,8 @@ int run_one(const hg::Dataset& data, const Args& a,
   return bad;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "hgcheck: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--model") {
-      const std::string m = next("--model");
-      if (m == "gcn") a.model = hg::nn::ModelKind::kGcn;
-      else if (m == "gat") a.model = hg::nn::ModelKind::kGat;
-      else if (m == "gin") a.model = hg::nn::ModelKind::kGin;
-      else return usage(argv[0]);
-    } else if (arg == "--dataset") {
-      a.dataset = std::atoi(next("--dataset"));
-    } else if (arg == "--mode") {
-      const std::string m = next("--mode");
-      if (m == "float") a.mode = hg::nn::SystemMode::kDglFloat;
-      else if (m == "half") a.mode = hg::nn::SystemMode::kDglHalf;
-      else if (m == "halfgnn") a.mode = hg::nn::SystemMode::kHalfGnn;
-      else return usage(argv[0]);
-    } else if (arg == "--dtype") {
-      if (!parse_dtype(next("--dtype"), a.dtype)) return usage(argv[0]);
-    } else if (arg == "--epochs") {
-      a.epochs = std::atoi(next("--epochs"));
-    } else if (arg == "--hidden") {
-      a.hidden = std::atoi(next("--hidden"));
-    } else if (arg == "--lr") {
-      a.lr = static_cast<float>(std::atof(next("--lr")));
-    } else if (arg == "--seed") {
-      a.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    } else if (arg == "--no-envelope") {
-      a.envelope = false;
-    } else if (arg.rfind("--report=", 0) == 0) {
-      a.report = arg.substr(9);
-    } else if (arg == "--lint") {
-      a.lint = true;
-    } else if (arg == "--docs-dir") {
-      a.docs_dir = next("--docs-dir");
-    } else if (arg == "--fig1c") {
-      a.fig1c = true;
-    } else if (arg == "--allowlist") {
-      a.allowlist = next("--allowlist");
-    } else if (arg == "--grid") {
-      a.grid = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
+// Runs the checks `a` asks for; returns the exit status.
+int run(const Args& a) {
   int failures = 0;
 
   if (a.lint) {
@@ -244,4 +243,72 @@ int main(int argc, char** argv) {
     }
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args a;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto next = [&](const char* what) -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "hgcheck: %s needs a value\n", what);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (arg == "--model") {
+      const std::string m = next("--model");
+      if (m == "gcn") a.model = hg::nn::ModelKind::kGcn;
+      else if (m == "gat") a.model = hg::nn::ModelKind::kGat;
+      else if (m == "gin") a.model = hg::nn::ModelKind::kGin;
+      else return usage(argv[0]);
+    } else if (arg == "--dataset") {
+      if (!parse_int(next("--dataset"), a.dataset)) return not_a_number(argv, i);
+    } else if (arg == "--mode") {
+      const std::string m = next("--mode");
+      if (m == "float") a.mode = hg::nn::SystemMode::kDglFloat;
+      else if (m == "half") a.mode = hg::nn::SystemMode::kDglHalf;
+      else if (m == "halfgnn") a.mode = hg::nn::SystemMode::kHalfGnn;
+      else return usage(argv[0]);
+    } else if (arg == "--dtype") {
+      if (!parse_dtype(next("--dtype"), a.dtype)) return usage(argv[0]);
+    } else if (arg == "--epochs") {
+      if (!parse_int(next("--epochs"), a.epochs)) return not_a_number(argv, i);
+    } else if (arg == "--hidden") {
+      if (!parse_int(next("--hidden"), a.hidden)) return not_a_number(argv, i);
+    } else if (arg == "--lr") {
+      if (!parse_lr(next("--lr"), a.lr)) return not_a_number(argv, i);
+    } else if (arg == "--seed") {
+      a.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+    } else if (arg == "--no-envelope") {
+      a.envelope = false;
+    } else if (arg.rfind("--report=", 0) == 0) {
+      a.report = arg.substr(9);
+    } else if (arg == "--lint") {
+      a.lint = true;
+    } else if (arg == "--docs-dir") {
+      a.docs_dir = next("--docs-dir");
+    } else if (arg == "--fig1c") {
+      a.fig1c = true;
+    } else if (arg == "--allowlist") {
+      a.allowlist = next("--allowlist");
+    } else if (arg == "--grid") {
+      a.grid = true;
+    } else {
+      return usage(argv[0]);
+    }
+  }
+  if (const std::string bad = invalid_args(a); !bad.empty()) {
+    std::fprintf(stderr, "hgcheck: %s\n", bad.c_str());
+    return usage(argv[0]);
+  }
+
+  try {
+    return run(a);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "hgcheck: %s\n", e.what());
+    return 2;
+  }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -143,14 +142,15 @@ struct TV {
 };
 
 // ---------------------------------------------------------------------------
-// The analyzer
+// The analyzer: the abstract backend of nn/models.hpp's layer code
 // ---------------------------------------------------------------------------
 
 class Analyzer {
  public:
   Analyzer(const Dataset& d, const CheckConfig& cfg) : d_(d), cfg_(cfg) {
     if (!d.labeled) {
-      throw std::invalid_argument("hgcheck: dataset has no labels/features");
+      throw std::invalid_argument("dataset " + d.name +
+                                  " has no labels/features");
     }
     out_.cfg = cfg;
     out_.dataset = d.name;
@@ -165,16 +165,6 @@ class Analyzer {
     classes_ = d.num_classes;
     out_dim_ = nn::pad_feat(classes_);
     wgrowth_ = static_cast<double>(cfg.epochs) * cfg.lr * cfg.adam_kappa;
-
-    // Reconstruct the run's exact initial weights: same Rng seed, same
-    // construction order as nn::train. Zero kernel launches — make_model
-    // only allocates and xavier-inits host tensors.
-    Rng rng(cfg.seed);
-    model_ = nn::make_model(cfg.model, d.feat_dim, cfg.hidden, out_dim_, rng);
-    for (auto* p : model_->params()) {
-      w_.push_back(from_mtensor(p->master()));
-      gsum_.push_back(TV{});
-    }
 
     // Per-edge row index + degree helpers for the concrete SpMM/edge ops.
     const auto& csr = d.csr;
@@ -191,13 +181,10 @@ class Analyzer {
   }
 
   CheckResult run() {
-    cur_dt_ = train_dt_;
-    walk(/*with_backward=*/true);
-    if (!dtype_trainable(req_)) {
-      // PTQ: the run trains in f32 (walked above) and executes one extra
-      // quantized inference forward at the end.
-      cur_dt_ = req_;
-      walk(/*with_backward=*/false);
+    switch (cfg_.model) {
+      case nn::ModelKind::kGcn: interpret<nn::GcnConv>(); break;
+      case nn::ModelKind::kGat: interpret<nn::GatConv>(); break;
+      case nn::ModelKind::kGin: interpret<nn::GinConv>(); break;
     }
     for (const SiteVerdict& v : out_.verdicts) {
       if (v.active && static_cast<int>(v.verdict) >
@@ -208,7 +195,9 @@ class Analyzer {
     return std::move(out_);
   }
 
- private:
+  // Everything but the state is public: the op sites below are the
+  // backend nn/models.hpp's layer templates call.
+
   // --- envelope ----------------------------------------------------------
   // Effective magnitude bound: min(worst-case, epoch-0 envelope x declared
   // drift slack), times the loss-scale range the tensor carries. The 1.05
@@ -403,23 +392,35 @@ class Analyzer {
     return j;
   }
 
-  // --- op sites ------------------------------------------------------------
+  // --- op sites: the backend interface of nn/models.hpp -------------------
+  // Every call the layer code makes is its transfer function here: the
+  // exact f64 epoch-0 value, the worst-case AbsVal, and verdict rows for its
+  // site in the current layer. The pass opens no trace span and touches no
+  // meter, ledger or registry.
+  using Tensor = TV;
+  struct NoSpan {};
+
+  nn::SystemMode mode() const { return cfg_.mode; }
+  void at_layer(int layer) { layer_ = layer; }
+  NoSpan layer_span(const char* /*name*/) const { return {}; }
+  TV copy(const TV& x) const { return x; }
+  template <class... Ts>
+  void meter(const Ts&... /*state*/) const {}
 
   // Dense GEMM (host op in the real runtime: half multiplies, float
-  // accumulate). `w` is a parameter index into w_; bias < 0 = none.
-  TV linear_fwd(int layer, const std::string& site, const TV& x, int widx,
-                int bidx) {
+  // accumulate), y = x W (+ b).
+  TV linear(const char* site, const TV& x, nn::Param& w, nn::Param* bias) {
+    const CT& W = weight(w);
     TV out;
-    out.c = gemm_c(x.c, false, w_[static_cast<std::size_t>(widx)], false);
-    const CT& W = w_[static_cast<std::size_t>(widx)];
+    out.c = gemm_c(x.c, false, W, false);
     const double whi = W.maxabs() + wgrowth_;
     const double K = static_cast<double>(W.rows);
     out.a = AbsVal::bounded(K * x.a.hi * whi);
     out.a.may_overflow = x.a.may_overflow;
     out.a.may_nan = x.a.may_nan || x.a.may_overflow;
     double bhi = 0.0;
-    if (bidx >= 0) {
-      const CT& B = w_[static_cast<std::size_t>(bidx)];
+    if (bias != nullptr) {
+      const CT& B = weight(*bias);
       for (std::int64_t j = 0; j < B.cols; ++j) {
         for (std::int64_t r = 0; r < out.c.rows; ++r) {
           out.c.at(r, j) += B.get(0, j);
@@ -434,9 +435,9 @@ class Analyzer {
     const double M = eff(x) * whi;
     const double M1 = eff_unscaled(x) * whi;
     SiteVerdict v;
-    v.layer = layer;
+    v.layer = layer_;
     v.op = "gemm";
-    v.site = site;
+    v.site = site_name(site);
     v.kernel = gemm_label();
     v.chain_level = 0;
     v.active = true;
@@ -463,11 +464,10 @@ class Analyzer {
   }
 
   // dX = dY op W^T — same machinery, different operand order.
-  TV linear_bwd_dx(int layer, const std::string& site, const TV& dy,
-                   int widx) {
+  TV input_grad(const char* site, const TV& dy, nn::Param& w) {
+    const CT& W = weight(w);
     TV out;
-    out.c = gemm_c(dy.c, false, w_[static_cast<std::size_t>(widx)], true);
-    const CT& W = w_[static_cast<std::size_t>(widx)];
+    out.c = gemm_c(dy.c, false, W, true);
     const double whi = W.maxabs() + wgrowth_;
     const double K = static_cast<double>(W.cols);
     out.a = AbsVal::bounded(K * dy.a.hi * whi);
@@ -477,9 +477,9 @@ class Analyzer {
     out.scale_deg = dy.scale_deg;
 
     SiteVerdict v;
-    v.layer = layer;
+    v.layer = layer_;
     v.op = "gemm";
-    v.site = site;
+    v.site = site_name(site);
     v.kernel = gemm_label();
     v.active = true;
     v.storage = cur_dt_;
@@ -496,8 +496,8 @@ class Analyzer {
   }
 
   // dW = X^T dY (+ db = colsum dY), accumulated straight into f32 masters.
-  void linear_bwd_dw(int layer, const std::string& site, const TV& x_saved,
-                     const TV& dy, int widx, int bidx) {
+  void weight_grad(const char* site, const TV& x_saved, const TV& dy,
+                   nn::Param& w, nn::Param* bias) {
     TV dw;
     dw.c = gemm_c(x_saved.c, true, dy.c, false);
     const double N = static_cast<double>(x_saved.c.rows);
@@ -506,12 +506,12 @@ class Analyzer {
     dw.a.may_nan = dw.a.may_overflow || dy.a.may_nan || x_saved.a.may_nan;
     dw.grad = true;
     dw.scale_deg = dy.scale_deg + x_saved.scale_deg;
-    accumulate_grad(widx, dw);
+    accumulate_grad(w, dw);
 
     SiteVerdict v;
-    v.layer = layer;
+    v.layer = layer_;
     v.op = "gemm";
-    v.site = site;
+    v.site = site_name(site);
     v.kernel = "host_gemm_f32";  // weight grads always land in f32
     v.active = true;
     v.storage = Dtype::kF32;
@@ -527,7 +527,7 @@ class Analyzer {
                                 : j.reason;
     add_row(v);
 
-    if (bidx >= 0) {
+    if (bias != nullptr) {
       TV db;
       db.c = CT(1, dy.c.cols);
       for (std::int64_t r = 0; r < dy.c.rows; ++r) {
@@ -540,12 +540,30 @@ class Analyzer {
       db.a.may_nan = dy.a.may_nan || dy.a.may_overflow;
       db.grad = true;
       db.scale_deg = dy.scale_deg;
-      accumulate_grad(bidx, db);
+      accumulate_grad(*bias, db);
     }
   }
 
-  void accumulate_grad(int pidx, const TV& g) {
-    TV& dst = gsum_[static_cast<std::size_t>(pidx)];
+  // dz += d a^T: a rank-1 backward GEMM, then its axpby into dz.
+  void rank1(const char* site, TV& dz, const TV& d, nn::Param& a) {
+    axpby(site, input_grad(site, d, a), 1.0, dz, 1.0);
+  }
+
+  TV spmm(const char* site, const TV* ew, const TV& x,
+          kernels::Reduce reduce) {
+    return spmm_site(site, x, ew, reduce, false);
+  }
+  // Edge weights run through the reverse-edge permutation first, reported
+  // at its own site.
+  TV spmm_transposed(const char* site, const TV* ew, const TV& x,
+                     kernels::Reduce reduce, const char* perm_site = nullptr) {
+    if (ew == nullptr) return spmm_site(site, x, nullptr, reduce, true);
+    const TV wp = edge_permute(perm_site, *ew);
+    return spmm_site(site, x, &wp, reduce, true);
+  }
+
+  void accumulate_grad(const nn::Param& p, const TV& g) {
+    TV& dst = gsum_[param_index(p)];
     if (dst.c.v.empty()) {
       dst = g;
     } else {
@@ -561,16 +579,16 @@ class Analyzer {
 
   // SpMM through the dispatch chain: one verdict row per chain entry,
   // kernel predictions for the active entry's launches.
-  TV spmm_site(int layer, const std::string& site, const TV& x, const TV* ew,
-               bool ew_permuted, kernels::Reduce reduce, bool transposed) {
+  TV spmm_site(const char* site, const TV& x, const TV* ew,
+               kernels::Reduce reduce, bool transposed) {
     const int feat = static_cast<int>(x.c.cols);
     // Concrete aggregation, exact.
     TV out;
     out.c = CT(static_cast<std::int64_t>(d_.csr.num_vertices), feat);
-    spmm_concrete(x.c, ew != nullptr ? &ew->c : nullptr, ew_permuted, reduce,
-                  transposed, out.c);
+    spmm_concrete(x.c, ew != nullptr ? &ew->c : nullptr, reduce, transposed,
+                  out.c);
 
-    const bool convex = ew != nullptr && ew->a.row_stochastic && !ew_permuted;
+    const bool convex = ew != nullptr && ew->a.row_stochastic;
     const long long dmax = static_cast<long long>(out_.degrees.max_degree);
     const double ewhi = ew != nullptr ? std::min(ew->a.hi, convex ? 1.0 : ew->a.hi) : 1.0;
     // Worst-case abstract output (scale-free).
@@ -596,9 +614,9 @@ class Analyzer {
     for (int L = 0; L < chain.len; ++L) {
       const nn::KernelRow& row = nn::kernel_row(chain.at(L).kernel);
       SiteVerdict v;
-      v.layer = layer;
+      v.layer = layer_;
       v.op = transposed ? "spmm_transposed" : "spmm";
-      v.site = site;
+      v.site = site_name(site);
       v.kernel = row.label;
       v.chain_level = L;
       v.active = L == 0;
@@ -613,8 +631,9 @@ class Analyzer {
 
       if (L == 0 && row.launches()) {
         // Predicted store interval for every kernel this dispatch launches:
-        // running partials AND final stores, joined.
-        AbsVal stores = effval(x, std::max(j.running, final_bound(out, reduce, Mterm)));
+        // running partials AND final stores (mean/max stay at one input
+        // magnitude; the concrete envelope is exact at epoch 0), joined.
+        AbsVal stores = effval(x, std::max(j.running, eff(out)));
         if (row.accum == nn::Accum::kPopcount) {
           // The XNOR epilogue stores alpha_scale * (2c - deg) with
           // |2c - deg| <= deg, IGNORING any edge weights the float path
@@ -646,17 +665,8 @@ class Analyzer {
     return out;
   }
 
-  double final_bound(const TV& out, kernels::Reduce reduce, double M) const {
-    // Final stored values: mean/max stay at one input magnitude; the
-    // envelope of the concrete output is exact at epoch 0.
-    (void)reduce;
-    (void)M;
-    return eff(out);
-  }
-
   // SDDMM per-edge dot (GAT backward): fan-in = feature width.
-  TV sddmm_site(int layer, const std::string& site, const TV& a_rows,
-                const TV& b_cols) {
+  TV sddmm(const char* site, const TV& a_rows, const TV& b_cols) {
     const int feat = static_cast<int>(a_rows.c.cols);
     TV out;
     out.c = CT(static_cast<std::int64_t>(d_.csr.num_edges()), 1);
@@ -684,9 +694,9 @@ class Analyzer {
     for (int L = 0; L < chain.len; ++L) {
       const nn::KernelRow& row = nn::kernel_row(chain.at(L).kernel);
       SiteVerdict v;
-      v.layer = layer;
+      v.layer = layer_;
       v.op = "sddmm";
-      v.site = site;
+      v.site = site_name(site);
       v.kernel = row.label;
       v.chain_level = L;
       v.active = L == 0;
@@ -715,8 +725,7 @@ class Analyzer {
   }
 
   // Per-row segment reduce over edge values (GAT softmax chain).
-  TV seg_reduce_site(int layer, const std::string& site, const TV& ev,
-                     kernels::SegReduce sr, std::string protection) {
+  TV seg_reduce(const char* site, const TV& ev, kernels::SegReduce sr) {
     const bool is_sum = sr == kernels::SegReduce::kSum;
     TV out;
     out.c = CT(static_cast<std::int64_t>(d_.csr.num_vertices), 1);
@@ -746,9 +755,9 @@ class Analyzer {
     const double M = eff(ev);
     const double M1 = eff_unscaled(ev);
     SiteVerdict v;
-    v.layer = layer;
+    v.layer = layer_;
     v.op = "seg_reduce";
-    v.site = site;
+    v.site = site_name(site);
     v.kernel = label;
     v.active = true;
     v.storage = dt;
@@ -757,9 +766,9 @@ class Analyzer {
     Judge j = judge_reduction(
         row, is_sum ? kernels::Reduce::kSum : kernels::Reduce::kMax, M, M1,
         dmax, 1, false, ev.grad);
-    if (!protection.empty() && j.v == Verdict::kSafe) {
-      j.protection = std::move(protection);
-    }
+    // The forward softmax reductions (row max of the scores, row sum of
+    // their exps in (0, 1]) run the shadow half API.
+    if (!ev.grad && j.v == Verdict::kSafe) j.protection = "shadow";
     add_row(std::move(v), j, "segment reduction in range");
     AbsVal stores = effval(out, std::max(j.running, eff(out)));
     if (j.v != Verdict::kSafe) {
@@ -772,7 +781,7 @@ class Analyzer {
     return out;
   }
 
-  // The table row the runtime runs for `op` at this walk's mode and dtype
+  // The table row the runtime runs for `op` at this pass's mode and dtype
   // (level 0: the kernel that actually runs).
   const nn::KernelRow& active_row(nn::Op op) const {
     return nn::kernel_row(
@@ -781,16 +790,15 @@ class Analyzer {
 
   // Elementwise edge op: one launched kernel, store-range verdict. Edge
   // sites are named by the kernel they launch.
-  TV edge_elementwise(int layer, nn::Op kop, const std::string& op,
-                      const std::string& site, TV out,
-                      std::string protection) {
+  TV edge_elementwise(const char* site, nn::Op kop, const std::string& op,
+                      TV out, std::string protection) {
     const nn::KernelRow& row = active_row(kop);
     const Dtype dt = row.storage;
     const std::string_view label = row.launched().front();
     SiteVerdict v;
-    v.layer = layer;
+    v.layer = layer_;
     v.op = op;
-    v.site = site;
+    v.site = site_name(site);
     v.kernel = label;
     v.active = true;
     v.storage = dt;
@@ -811,8 +819,8 @@ class Analyzer {
   }
 
   // --- concrete SpMM -------------------------------------------------------
-  void spmm_concrete(const CT& x, const CT* ew, bool ew_permuted,
-                     kernels::Reduce reduce, bool transposed, CT& out) const {
+  void spmm_concrete(const CT& x, const CT* ew, kernels::Reduce reduce,
+                     bool transposed, CT& out) const {
     const std::int64_t feat = x.cols;
     const bool is_max = reduce == kernels::Reduce::kMax;
     std::vector<double> degs(static_cast<std::size_t>(out.rows), 0.0);
@@ -826,12 +834,7 @@ class Analyzer {
           transposed ? erow_[e] : d_.csr.cols[e]);
       const auto dstr = static_cast<std::int64_t>(
           transposed ? d_.csr.cols[e] : erow_[e]);
-      const double w =
-          ew != nullptr
-              ? ew->v[ew_permuted ? static_cast<std::size_t>(
-                                        rev_[e])
-                                  : e]
-              : 1.0;
+      const double w = ew != nullptr ? ew->v[e] : 1.0;
       degs[static_cast<std::size_t>(dstr)] += 1.0;
       for (std::int64_t f = 0; f < feat; ++f) {
         const double val = w * x.get(src, f);
@@ -852,7 +855,42 @@ class Analyzer {
     }
   }
 
-  // --- model walks ---------------------------------------------------------
+  // --- interpreting the model ---------------------------------------------
+
+  // Interprets the model the trainer builds for cfg_.model: same template,
+  // same Rng seed and construction order as nn::train, so the weights are
+  // the run's exact initial weights. Zero kernel launches.
+  template <template <class> class Conv>
+  void interpret() {
+    Rng rng(cfg_.seed);
+    nn::TwoLayer<Analyzer, Conv> model(d_.feat_dim, cfg_.hidden, out_dim_,
+                                       rng);
+    params_ = model.params();
+    for (nn::Param* p : params_) {
+      w_.push_back(from_mtensor(p->master()));
+      gsum_.push_back(TV{});
+    }
+    cur_dt_ = train_dt_;
+    const TV x = input_tv();
+    const TV logits = model.forward(*this, x);
+    model.backward(*this, xent_site(logits));
+    predict_param_grads();
+    if (!dtype_trainable(req_)) {
+      // PTQ: the run trains in f32 (above) and executes one extra
+      // quantized inference forward at the end.
+      cur_dt_ = req_;
+      (void)model.forward(*this, x);
+    }
+  }
+
+  std::size_t param_index(const nn::Param& p) const {
+    return static_cast<std::size_t>(
+        std::find(params_.begin(), params_.end(), &p) - params_.begin());
+  }
+  const CT& weight(const nn::Param& p) const { return w_[param_index(p)]; }
+  std::string site_name(const char* site) const {
+    return "L" + std::to_string(layer_) + "." + site;
+  }
 
   TV input_tv() const {
     TV x;
@@ -865,24 +903,23 @@ class Analyzer {
     return x;
   }
 
-  TV relu_tv(TV t, std::vector<std::uint8_t>& mask) {
+  static void relu_forward(TV& t, std::vector<std::uint8_t>& mask) {
     mask.resize(t.c.v.size());
     for (std::size_t i = 0; i < t.c.v.size(); ++i) {
       mask[i] = t.c.v[i] > 0.0 ? 1 : 0;
       if (t.c.v[i] < 0.0) t.c.v[i] = 0.0;
     }
     t.a.may_negative = false;
-    return t;
   }
-  static TV relu_bwd_tv(TV g, const std::vector<std::uint8_t>& mask) {
+  static void relu_backward(TV& g, const std::vector<std::uint8_t>& mask) {
     for (std::size_t i = 0; i < g.c.v.size(); ++i) {
       if (mask[i] == 0) g.c.v[i] = 0.0;
     }
-    return g;
   }
 
   // y = alpha * x + beta * y
-  static TV axpby_tv(const TV& x, double alpha, TV y, double beta) {
+  void axpby(const char* site, const TV& x, double alpha, TV& y,
+             double beta) {
     for (std::size_t i = 0; i < y.c.v.size(); ++i) {
       y.c.v[i] = alpha * x.c.v[i] + beta * y.c.v[i];
     }
@@ -893,10 +930,21 @@ class Analyzer {
     y.a = a;
     y.grad = x.grad || y.grad;
     y.scale_deg = std::max(x.scale_deg, y.scale_deg);
-    return y;
+
+    SiteVerdict v;
+    v.layer = layer_;
+    v.op = "axpby";
+    v.site = site_name(site);
+    v.kernel = std::string("host_axpby_") + std::string(dtype_name(cur_dt_));
+    v.active = true;
+    v.storage = cur_dt_;
+    v.input_hi = eff(y);
+    v.fan_in = 2;
+    Judge j = judge_store(eff(y), eff_unscaled(y), cur_dt_, y.grad, "none");
+    add_row(std::move(v), j, "two-term elementwise combine in range");
   }
 
-  TV scale_rows_tv(TV t) const {
+  void scale_rows(TV& t) const {
     // Host pre-scale by 1/deg (GCN/GIN backward); bounds can only shrink.
     for (std::int64_t r = 0; r < t.c.rows; ++r) {
       const double deg = static_cast<double>(
@@ -907,7 +955,7 @@ class Analyzer {
         t.c.at(r, f) *= inv;
       }
     }
-    return t;  // abstract bound unchanged (inv <= 1)
+    // abstract bound unchanged (inv <= 1)
   }
 
   // Loss head: returns dlogits.
@@ -967,141 +1015,29 @@ class Analyzer {
     }
   }
 
-  void walk(bool with_backward) {
-    switch (cfg_.model) {
-      case nn::ModelKind::kGcn: walk_gcn(with_backward); break;
-      case nn::ModelKind::kGin: walk_gin(with_backward); break;
-      case nn::ModelKind::kGat: walk_gat(with_backward); break;
-    }
-    if (with_backward) predict_param_grads();
-  }
+  // --- GAT's edge chain ------------------------------------------------------
 
-  // --- GCN -----------------------------------------------------------------
-  void walk_gcn(bool bwd) {
-    TV x = input_tv();
-    TV z1 = linear_fwd(1, "L1.fwd.gemm", x, 0, 1);
-    TV h1 = spmm_site(1, "L1.fwd.spmm", z1, nullptr, false,
-                      kernels::Reduce::kMean, false);
-    std::vector<std::uint8_t> mask;
-    TV h1r = relu_tv(h1, mask);
-    TV z2 = linear_fwd(2, "L2.fwd.gemm", h1r, 2, 3);
-    TV logits = spmm_site(2, "L2.fwd.spmm", z2, nullptr, false,
-                          kernels::Reduce::kMean, false);
-    if (!bwd) return;
-    TV dl = xent_site(logits);
-    // L2 backward: t = dy / deg (host), dz = A^T-sum, then linear backward.
-    TV t2 = scale_rows_tv(dl);
-    TV dz2 = spmm_site(2, "L2.bwd.spmmT", t2, nullptr, false,
-                       kernels::Reduce::kSum, true);
-    linear_bwd_dw(2, "L2.bwd.dW", h1r, dz2, 2, 3);
-    TV dh1 = linear_bwd_dx(2, "L2.bwd.dX", dz2, 2);
-    dh1 = relu_bwd_tv(std::move(dh1), mask);
-    TV t1 = scale_rows_tv(dh1);
-    TV dz1 = spmm_site(1, "L1.bwd.spmmT", t1, nullptr, false,
-                       kernels::Reduce::kSum, true);
-    linear_bwd_dw(1, "L1.bwd.dW", x, dz1, 0, 1);
-  }
-
-  // --- GIN -----------------------------------------------------------------
-  struct GinState {
-    TV comb, h_pre;  // saved activations for backward
-    std::vector<std::uint8_t> mask;
-  };
-
-  TV gin_conv_fwd(int layer, const TV& x, int base, GinState& st) {
-    const bool eq4 = cfg_.mode == nn::SystemMode::kHalfGnn;
-    const double lambda = eq4 ? 0.1 : 1.0;
-    const std::string l = "L" + std::to_string(layer);
-    TV agg = spmm_site(layer, l + ".fwd.spmm", x, nullptr, false,
-                       kernels::Reduce::kMean, false);
-    TV comb = axpby_tv(x, 1.0, std::move(agg), lambda);
-    axpby_row(layer, l + ".fwd.axpby", comb);
-    st.comb = comb;
-    TV h = linear_fwd(layer, l + ".fwd.gemm1", comb, base, base + 1);
-    TV hr = relu_tv(std::move(h), st.mask);
-    st.h_pre = hr;
-    return linear_fwd(layer, l + ".fwd.gemm2", hr, base + 2, base + 3);
-  }
-
-  TV gin_conv_bwd(int layer, const TV& x_in, const TV& dout, int base,
-                  const GinState& st) {
-    const bool eq4 = cfg_.mode == nn::SystemMode::kHalfGnn;
-    const double lambda = eq4 ? 0.1 : 1.0;
-    const std::string l = "L" + std::to_string(layer);
-    linear_bwd_dw(layer, l + ".bwd.dW2", st.h_pre, dout, base + 2, base + 3);
-    TV dh = linear_bwd_dx(layer, l + ".bwd.dX2", dout, base + 2);
-    dh = relu_bwd_tv(std::move(dh), st.mask);
-    linear_bwd_dw(layer, l + ".bwd.dW1", st.comb, dh, base, base + 1);
-    TV dcomb = linear_bwd_dx(layer, l + ".bwd.dX1", dh, base);
-    TV t = scale_rows_tv(dcomb);
-    TV dagg = spmm_site(layer, l + ".bwd.spmmT", t, nullptr, false,
-                        kernels::Reduce::kSum, true);
-    TV dx = axpby_tv(dcomb, 1.0, std::move(dagg), lambda);
-    axpby_row(layer, l + ".bwd.axpby", dx);
-    (void)x_in;
-    return dx;
-  }
-
-  void axpby_row(int layer, const std::string& site, const TV& out) {
-    SiteVerdict v;
-    v.layer = layer;
-    v.op = "axpby";
-    v.site = site;
-    v.kernel = std::string("host_axpby_") + std::string(dtype_name(cur_dt_));
-    v.active = true;
-    v.storage = cur_dt_;
-    v.input_hi = eff(out);
-    v.fan_in = 2;
-    Judge j = judge_store(eff(out), eff_unscaled(out), cur_dt_, out.grad,
-                          "none");
-    add_row(std::move(v), j, "two-term elementwise combine in range");
-  }
-
-  void walk_gin(bool bwd) {
-    TV x = input_tv();
-    GinState s1, s2;
-    TV h = gin_conv_fwd(1, x, 0, s1);
-    std::vector<std::uint8_t> top_mask;
-    TV hr = relu_tv(std::move(h), top_mask);
-    TV logits = gin_conv_fwd(2, hr, 4, s2);
-    if (!bwd) return;
-    TV dl = xent_site(logits);
-    TV dh = gin_conv_bwd(2, hr, dl, 4, s2);
-    dh = relu_bwd_tv(std::move(dh), top_mask);
-    (void)gin_conv_bwd(1, x, dh, 0, s1);
-  }
-
-  // --- GAT -----------------------------------------------------------------
-  struct GatState {
-    TV z, s, alpha;
-  };
-
-  TV gat_conv_fwd(int layer, const TV& x, int base, GatState& st) {
-    const std::string l = "L" + std::to_string(layer);
-    TV z = linear_fwd(layer, l + ".fwd.gemm", x, base, -1);
-    st.z = z;
-    // el = z a_l, er = z a_r: K = out-width dots (float accumulate).
-    TV el = linear_fwd(layer, l + ".fwd.gemm.el", z, base + 1, -1);
-    TV er = linear_fwd(layer, l + ".fwd.gemm.er", z, base + 2, -1);
-    // s_e = LeakyReLU(el[row] + er[col])
+  // s_e = LeakyReLU(el[row] + er[col]); |slope| <= 1.
+  TV edge_add_scalars(const char* site, const TV& el, const TV& er,
+                      double slope) {
     TV s;
     s.c = CT(static_cast<std::int64_t>(d_.csr.num_edges()), 1);
     for (std::size_t e = 0; e < erow_.size(); ++e) {
       const double raw =
           el.c.v[static_cast<std::size_t>(erow_[e])] +
           er.c.v[static_cast<std::size_t>(d_.csr.cols[e])];
-      s.c.v[e] = raw >= 0.0 ? raw : 0.2 * raw;
+      s.c.v[e] = raw >= 0.0 ? raw : slope * raw;
     }
     s.a = AbsVal::bounded(el.a.hi + er.a.hi);
     s.a.may_overflow = el.a.may_overflow || er.a.may_overflow;
     s.a.may_nan = s.a.may_overflow || el.a.may_nan || er.a.may_nan;
-    s = edge_elementwise(layer, nn::Op::kEdgeAddScalars, "edge_addscalar",
-                         l + ".fwd.scores", std::move(s), "none");
-    st.s = s;
-    // Row max (shadow half under HalfGNN: max never amplifies).
-    TV mx = seg_reduce_site(layer, l + ".fwd.segmax", s,
-                            kernels::SegReduce::kMax, "shadow");
-    // p = exp(s - mx[row]) in (0, 1]: the Sec. 5.3 range argument.
+    return edge_elementwise(site, nn::Op::kEdgeAddScalars, "edge_addscalar",
+                            std::move(s), "none");
+  }
+
+  // p = exp(s - mx[row]) with mx the row max of s, so p is in (0, 1]: the
+  // Sec. 5.3 range argument.
+  TV edge_exp_sub_row(const char* site, const TV& s, const TV& mx) {
     TV p;
     p.c = CT(s.c.rows, 1);
     for (std::size_t e = 0; e < erow_.size(); ++e) {
@@ -1110,11 +1046,12 @@ class Analyzer {
     p.a = AbsVal::nonneg(0.0, 1.0);
     p.a.may_zero = true;
     p.a.may_nan = s.a.may_nan;
-    p = edge_elementwise(layer, nn::Op::kEdgeExp, "edge_expsub",
-                         l + ".fwd.exp", std::move(p), "shadow");
-    TV dsum = seg_reduce_site(layer, l + ".fwd.segsum", p,
-                              kernels::SegReduce::kSum, "shadow");
-    // alpha = p / dsum[row]: convex row weights.
+    return edge_elementwise(site, nn::Op::kEdgeExp, "edge_expsub",
+                            std::move(p), "shadow");
+  }
+
+  // alpha = p / dsum[row] with dsum the row sum of p: convex row weights.
+  TV edge_div_row(const char* site, const TV& p, const TV& dsum) {
     TV alpha;
     alpha.c = CT(p.c.rows, 1);
     for (std::size_t e = 0; e < erow_.size(); ++e) {
@@ -1124,151 +1061,70 @@ class Analyzer {
     alpha.a = AbsVal::nonneg(0.0, 1.0);
     alpha.a.row_stochastic = true;
     alpha.a.may_nan = p.a.may_nan;
-    alpha = edge_elementwise(layer, nn::Op::kEdgeDivRow, "edge_divrow",
-                             l + ".fwd.softmax", std::move(alpha), "convex");
-    alpha.a.row_stochastic = true;  // division preserves the structure
-    st.alpha = alpha;
-    return spmm_site(layer, l + ".fwd.spmm", z, &alpha, false,
-                     kernels::Reduce::kSum, false);
+    return edge_elementwise(site, nn::Op::kEdgeDivRow, "edge_divrow",
+                            std::move(alpha), "convex");
   }
 
-  TV gat_conv_bwd(int layer, const TV& x_in, const TV& dy, int base,
-                  const GatState& st) {
-    const std::string l = "L" + std::to_string(layer);
-    TV dalpha = sddmm_site(layer, l + ".bwd.sddmm", dy, st.z);
-    // dz aggregation term: alpha rides through edge_permute (loses the
-    // row-stochastic structure: column sums of alpha are NOT <= 1).
-    TV alpha_p = st.alpha;
-    alpha_p.a.row_stochastic = false;
-    alpha_p = edge_elementwise(layer, nn::Op::kEdgePermute, "edge_permute",
-                               l + ".bwd.permA", std::move(alpha_p), "none");
-    TV dz = spmm_site(layer, l + ".bwd.spmmT", dy, &alpha_p, true,
-                      kernels::Reduce::kSum, true);
-    // Softmax backward chain.
+  // t = alpha * dalpha with alpha in [0, 1].
+  TV edge_mul(const char* site, const TV& alpha, const TV& dalpha) {
     TV t;
     t.c = CT(dalpha.c.rows, 1);
     for (std::size_t e = 0; e < t.c.v.size(); ++e) {
-      t.c.v[e] = st.alpha.c.v[e] * dalpha.c.v[e];
+      t.c.v[e] = alpha.c.v[e] * dalpha.c.v[e];
     }
-    t.a = AbsVal::bounded(dalpha.a.hi);  // alpha <= 1
+    t.a = AbsVal::bounded(alpha.a.hi * dalpha.a.hi);
     t.a.may_nan = dalpha.a.may_nan;
     t.a.may_overflow = dalpha.a.may_overflow;
     t.grad = true;
     t.scale_deg = dalpha.scale_deg;
-    t = edge_elementwise(layer, nn::Op::kEdgeMul, "edge_mul", l + ".bwd.mul",
-                         std::move(t), "convex");
-    TV csum = seg_reduce_site(layer, l + ".bwd.segsum.c", t,
-                              kernels::SegReduce::kSum, "");
-    // ds = alpha * (dalpha - csum[row]); |ds| <= |dalpha| + |csum|.
+    return edge_elementwise(site, nn::Op::kEdgeMul, "edge_mul", std::move(t),
+                            "convex");
+  }
+
+  // ds = alpha * (dalpha - c[row]); |ds| <= |dalpha| + |c| for alpha in
+  // [0, 1].
+  TV edge_softmax_backward(const char* site, const TV& alpha,
+                           const TV& dalpha, const TV& c) {
     TV ds;
     ds.c = CT(dalpha.c.rows, 1);
     for (std::size_t e = 0; e < ds.c.v.size(); ++e) {
-      ds.c.v[e] = st.alpha.c.v[e] *
+      ds.c.v[e] = alpha.c.v[e] *
                   (dalpha.c.v[e] -
-                   csum.c.v[static_cast<std::size_t>(erow_[e])]);
+                   c.c.v[static_cast<std::size_t>(erow_[e])]);
     }
-    ds.a = AbsVal::bounded(dalpha.a.hi + csum.a.hi);
-    ds.a.may_nan = dalpha.a.may_nan || csum.a.may_nan;
-    ds.a.may_overflow = dalpha.a.may_overflow || csum.a.may_overflow;
+    ds.a = AbsVal::bounded(alpha.a.hi * (dalpha.a.hi + c.a.hi));
+    ds.a.may_nan = dalpha.a.may_nan || c.a.may_nan;
+    ds.a.may_overflow = dalpha.a.may_overflow || c.a.may_overflow;
     ds.grad = true;
     ds.scale_deg = dalpha.scale_deg;
-    ds = edge_elementwise(layer, nn::Op::kEdgeSoftmaxBackward,
-                          "edge_softmax_bwd", l + ".bwd.softmax",
-                          std::move(ds), "convex");
-    // LeakyReLU backward: multiply by 1 or slope.
+    return edge_elementwise(site, nn::Op::kEdgeSoftmaxBackward,
+                            "edge_softmax_bwd", std::move(ds), "convex");
+  }
+
+  // grad * (pre >= 0 ? 1 : slope); |slope| <= 1 keeps the bound.
+  TV edge_leaky_backward(const char* site, const TV& pre, const TV& grad,
+                         double slope) {
+    TV ds = grad;
     for (std::size_t e = 0; e < ds.c.v.size(); ++e) {
-      if (st.s.c.v[e] < 0.0) ds.c.v[e] *= 0.2;
+      if (pre.c.v[e] < 0.0) ds.c.v[e] *= slope;
     }
-    ds = edge_elementwise(layer, nn::Op::kEdgeLeakyBackward,
-                          "edge_leaky_bwd", l + ".bwd.leaky", std::move(ds),
-                          "none");
-    TV del = seg_reduce_site(layer, l + ".bwd.segsum.del", ds,
-                             kernels::SegReduce::kSum, "");
-    TV ds_rev = ds;
-    {
-      TV perm;
-      perm.c = CT(ds.c.rows, 1);
-      for (std::size_t e = 0; e < perm.c.v.size(); ++e) {
-        perm.c.v[e] = ds.c.v[static_cast<std::size_t>(rev_[e])];
-      }
-      perm.a = ds.a;
-      perm.grad = ds.grad;
-      perm.scale_deg = ds.scale_deg;
-      ds_rev = edge_elementwise(layer, nn::Op::kEdgePermute, "edge_permute",
-                                l + ".bwd.permDs", std::move(perm), "none");
-    }
-    TV der = seg_reduce_site(layer, l + ".bwd.segsum.der", ds_rev,
-                             kernels::SegReduce::kSum, "");
-    // Attention-vector grads: dal = z^T del, dar = z^T der (f32 stores).
-    linear_bwd_dw_vec(layer, l + ".bwd.dal", st.z, del, base + 1);
-    linear_bwd_dw_vec(layer, l + ".bwd.dar", st.z, der, base + 2);
-    // dz += del a_l^T + der a_r^T (rank-1, magnitudes bounded by |del||a|).
-    {
-      const CT& al = w_[static_cast<std::size_t>(base + 1)];
-      const CT& ar = w_[static_cast<std::size_t>(base + 2)];
-      const double alhi = al.maxabs() + wgrowth_;
-      const double arhi = ar.maxabs() + wgrowth_;
-      for (std::int64_t r = 0; r < dz.c.rows; ++r) {
-        for (std::int64_t f = 0; f < dz.c.cols; ++f) {
-          dz.c.at(r, f) += del.c.v[static_cast<std::size_t>(r)] *
-                               al.get(f, 0) +
-                           der.c.v[static_cast<std::size_t>(r)] *
-                               ar.get(f, 0);
-        }
-      }
-      dz.a.hi += del.a.hi * alhi + der.a.hi * arhi;
-      dz.a.may_nan = dz.a.may_nan || del.a.may_nan || der.a.may_nan;
-    }
-    linear_bwd_dw(layer, l + ".bwd.dW", x_in, dz, base, -1);
-    return linear_bwd_dx(layer, l + ".bwd.dX", dz, base);
+    return edge_elementwise(site, nn::Op::kEdgeLeakyBackward, "edge_leaky_bwd",
+                            std::move(ds), "none");
   }
 
-  // dal = z^T del: (out x 1) f32 gradient for an attention vector.
-  void linear_bwd_dw_vec(int layer, const std::string& site, const TV& z,
-                         const TV& seg, int pidx) {
-    TV g;
-    g.c = gemm_c(z.c, true, seg.c, false);
-    const double N = static_cast<double>(z.c.rows);
-    g.a = AbsVal::bounded(N * z.a.hi * seg.a.hi);
-    g.a.may_nan = z.a.may_nan || seg.a.may_nan;
-    g.grad = true;
-    g.scale_deg = seg.scale_deg;
-    accumulate_grad(pidx, g);
-
-    SiteVerdict v;
-    v.layer = layer;
-    v.op = "gemm";
-    v.site = site;
-    v.kernel = "host_gemm_f32";
-    v.active = true;
-    v.storage = Dtype::kF32;
-    v.input_hi = eff(seg);
-    v.fan_in = static_cast<long long>(N);
-    Judge j = judge_store(N * eff(z) * eff(seg),
-                          N * eff_unscaled(z) * eff_unscaled(seg),
-                          Dtype::kF32, true, "f32accum");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.reason = j.reason.empty() ? "attention-vector gradient in f32"
-                                : j.reason;
-    add_row(v);
+  // out[e] = in[rev(e)]. A permuted softmax loses its row-stochastic
+  // structure: column sums of alpha are NOT <= 1.
+  TV edge_permute(const char* site, const TV& in) {
+    TV perm = in;
+    for (std::size_t e = 0; e < perm.c.v.size(); ++e) {
+      perm.c.v[e] = in.c.v[static_cast<std::size_t>(rev_[e])];
+    }
+    perm.a.row_stochastic = false;
+    return edge_elementwise(site, nn::Op::kEdgePermute, "edge_permute",
+                            std::move(perm), "none");
   }
 
-  void walk_gat(bool bwd) {
-    TV x = input_tv();
-    GatState s1, s2;
-    TV h = gat_conv_fwd(1, x, 0, s1);
-    std::vector<std::uint8_t> mask;
-    TV hr = relu_tv(std::move(h), mask);
-    TV logits = gat_conv_fwd(2, hr, 3, s2);
-    if (!bwd) return;
-    TV dl = xent_site(logits);
-    TV dh = gat_conv_bwd(2, hr, dl, 3, s2);
-    dh = relu_bwd_tv(std::move(dh), mask);
-    (void)gat_conv_bwd(1, x, dh, 0, s1);
-  }
-
+ private:
   // --- members -------------------------------------------------------------
   const Dataset& d_;
   CheckConfig cfg_;
@@ -1279,9 +1135,10 @@ class Analyzer {
   bool scaled_ = false;
   int classes_ = 0;
   int out_dim_ = 0;
+  int layer_ = 0;
   long long train_count_ = 0;
   double wgrowth_ = 0;
-  std::unique_ptr<nn::Model> model_;
+  std::vector<nn::Param*> params_;
   std::vector<CT> w_;
   std::vector<TV> gsum_;
   std::vector<vid_t> erow_;

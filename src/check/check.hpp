@@ -1,7 +1,8 @@
 // hgcheck: static precision-safety verifier (DESIGN.md Sec. 15).
 //
-// analyze() walks a model's forward+backward dispatch graph symbolically —
-// zero kernel launches — carrying a dual abstract value per tensor:
+// analyze() runs the trainer's own layer code (nn/models.hpp) forward and
+// backward under an abstract backend — zero kernel launches — carrying a
+// dual abstract value per tensor:
 //
 //   * a worst-case exponent interval (AbsVal), propagated by per-op
 //     transfer functions (GEMM with reduction length K, SpMM with per-row

@@ -1,42 +1,37 @@
 // Linear layer: y = x W (+ b). Compute runs in the mode's working dtype
 // (f16 GEMM = tensor-core path, float accumulate); weight gradients land
 // directly in float master storage.
+//
+// Like the convolutions in models.hpp, the layer is written once against an
+// op backend B (the trainer's, or hgcheck's abstract interpreter); each
+// backend call carries the site name hgcheck reports it under.
 #pragma once
 
 #include "nn/param.hpp"
 
 namespace hg::nn {
 
+template <class B>
 class Linear {
  public:
+  using Tensor = typename B::Tensor;
+
   Linear(int in, int out, bool bias, Rng& rng)
       : w_(in, out), b_(1, out), has_bias_(bias) {
     xavier_init(w_.master(), rng);
   }
 
-  MTensor forward(const SparseCtx& ctx, const MTensor& x) {
-    saved_x_ = to_dtype(x, x.dtype(), nullptr);  // state tensor (copy)
-    if (ctx.meter != nullptr) ctx.meter->add_state(saved_x_.bytes());
-    MTensor y = MTensor::zeros(x.dtype(), x.rows(), w_.master().cols());
-    gemm(x, false, w_.working(ctx.dtype(), ctx.ledger), false, y, ctx.ledger);
-    if (has_bias_) add_bias_rows(y, b_.master(), ctx.ledger);
-    return y;
+  Tensor forward(B& b, const char* site, const Tensor& x) {
+    saved_x_ = b.copy(x);  // state tensor
+    b.meter(saved_x_);
+    return b.linear(site, x, w_, bias());
   }
 
   // Returns dx; accumulates float master gradients.
-  MTensor backward(const SparseCtx& ctx, const MTensor& dy) {
-    // dW = x^T dy, accumulated straight into float (no half rounding).
-    MTensor dw = MTensor::f32(w_.master().rows(), w_.master().cols());
-    gemm(saved_x_, true, dy, false, dw, ctx.ledger);
-    axpby(dw, 1.0f, w_.grad(), 1.0f, nullptr);
-    if (has_bias_) {
-      MTensor db = MTensor::f32(1, b_.master().cols());
-      colsum(dy, db, ctx.ledger);
-      axpby(db, 1.0f, b_.grad(), 1.0f, nullptr);
-    }
-    MTensor dx = MTensor::zeros(dy.dtype(), dy.rows(), w_.master().rows());
-    gemm(dy, false, w_.working(ctx.dtype(), ctx.ledger), true, dx, ctx.ledger);
-    return dx;
+  Tensor backward(B& b, const char* dw_site, const char* dx_site,
+                  const Tensor& dy) {
+    b.weight_grad(dw_site, saved_x_, dy, w_, bias());
+    return b.input_grad(dx_site, dy, w_);
   }
 
   std::vector<Param*> params() {
@@ -46,9 +41,11 @@ class Linear {
   }
 
  private:
+  Param* bias() { return has_bias_ ? &b_ : nullptr; }
+
   Param w_, b_;
   bool has_bias_;
-  MTensor saved_x_;
+  Tensor saved_x_;
 };
 
 }  // namespace hg::nn

@@ -1,69 +1,32 @@
 #include "nn/models.hpp"
 
+#include "nn/exec.hpp"
+
 namespace hg::nn {
 
 namespace {
 
-template <class Conv>
-class TwoLayer final : public Model {
+template <template <class> class Conv>
+class Net final : public Model {
  public:
-  TwoLayer(int in, int hidden, int out, Rng& rng)
-      : c1_(in, hidden, rng), c2_(hidden, out, rng) {}
+  Net(int in, int hidden, int out, Rng& rng) : net_(in, hidden, out, rng) {}
 
   MTensor forward(const SparseCtx& ctx, const GraphCtx& g,
                   const MTensor& x) override {
-    MTensor h = c1_.forward(ctx, g, x);
-    relu_forward(h, mask_, ctx.ledger);
-    return c2_.forward(ctx, g, h);
+    Exec b(ctx, g);
+    return net_.forward(b, x);
   }
 
   void backward(const SparseCtx& ctx, const GraphCtx& g,
                 const MTensor& dlogits) override {
-    MTensor dh = c2_.backward(ctx, g, dlogits);
-    relu_backward(dh, mask_, ctx.ledger);
-    (void)c1_.backward(ctx, g, dh);  // dX is not needed
+    Exec b(ctx, g);
+    net_.backward(b, dlogits);
   }
 
-  std::vector<Param*> params() override {
-    auto p = c1_.params();
-    for (auto* q : c2_.params()) p.push_back(q);
-    return p;
-  }
+  std::vector<Param*> params() override { return net_.params(); }
 
  private:
-  Conv c1_, c2_;
-  std::vector<std::uint8_t> mask_;
-};
-
-// GIN convolutions carry their own hidden MLP width.
-class GinTwoLayer final : public Model {
- public:
-  GinTwoLayer(int in, int hidden, int out, Rng& rng)
-      : c1_(in, hidden, hidden, rng), c2_(hidden, hidden, out, rng) {}
-
-  MTensor forward(const SparseCtx& ctx, const GraphCtx& g,
-                  const MTensor& x) override {
-    MTensor h = c1_.forward(ctx, g, x);
-    relu_forward(h, mask_, ctx.ledger);
-    return c2_.forward(ctx, g, h);
-  }
-
-  void backward(const SparseCtx& ctx, const GraphCtx& g,
-                const MTensor& dlogits) override {
-    MTensor dh = c2_.backward(ctx, g, dlogits);
-    relu_backward(dh, mask_, ctx.ledger);
-    (void)c1_.backward(ctx, g, dh);
-  }
-
-  std::vector<Param*> params() override {
-    auto p = c1_.params();
-    for (auto* q : c2_.params()) p.push_back(q);
-    return p;
-  }
-
- private:
-  GinConv c1_, c2_;
-  std::vector<std::uint8_t> mask_;
+  TwoLayer<Exec, Conv> net_;
 };
 
 }  // namespace
@@ -72,13 +35,11 @@ std::unique_ptr<Model> make_model(ModelKind kind, int in_dim, int hidden,
                                   int out_dim, Rng& rng) {
   switch (kind) {
     case ModelKind::kGcn:
-      return std::make_unique<TwoLayer<GcnConv>>(in_dim, hidden, out_dim,
-                                                 rng);
+      return std::make_unique<Net<GcnConv>>(in_dim, hidden, out_dim, rng);
     case ModelKind::kGat:
-      return std::make_unique<TwoLayer<GatConv>>(in_dim, hidden, out_dim,
-                                                 rng);
+      return std::make_unique<Net<GatConv>>(in_dim, hidden, out_dim, rng);
     case ModelKind::kGin:
-      return std::make_unique<GinTwoLayer>(in_dim, hidden, out_dim, rng);
+      return std::make_unique<Net<GinConv>>(in_dim, hidden, out_dim, rng);
   }
   throw std::invalid_argument("make_model: unknown kind");
 }

@@ -57,8 +57,7 @@ inline constexpr unsigned kIsMax = 4u;   // max-select instead of add
 // GEMM micro-kernel geometry and flag bits (gemm_panel).
 inline constexpr std::size_t kGemmRows = 4;  // rows of C per call
 inline constexpr int kGemmCols = 16;         // column tile; n is a multiple
-inline constexpr unsigned kGemmFirst = 1u;     // start each sum at +0.0f
-inline constexpr unsigned kGemmSkipZero = 2u;  // skip terms with a == +-0
+inline constexpr unsigned kGemmFirst = 1u;  // start each sum at +0.0f
 
 enum class Path { kScalar = 0, kAvx2 = 1 };
 
@@ -246,9 +245,7 @@ inline void shfl_xor_f(Lanes<float>& vals, int offset, LaneMask active,
 //   c[r*ldc + j] = sum over kk < kc, ascending, of a[r*lda+kk] * b[kk*ldb+j]
 // as separate mul and add (product first). The sum starts from +0.0f with
 // kGemmFirst and from c otherwise (the exact f32 partial of the previous
-// k-block). kGemmSkipZero skips terms whose a is +-0: the historical
-// zero-skip, which only differs from plain summation when b holds an Inf or
-// NaN. n is a multiple of kGemmCols.
+// k-block). n is a multiple of kGemmCols.
 inline void gemm_panel(float* c, std::size_t ldc, const float* a,
                        std::size_t lda, const float* b, std::size_t ldb,
                        int kc, int n, unsigned flags) {
@@ -257,7 +254,6 @@ inline void gemm_panel(float* c, std::size_t ldc, const float* a,
     if (flags & kGemmFirst) std::fill(crow, crow + n, 0.0f);
     for (int kk = 0; kk < kc; ++kk) {
       const float av = a[r * lda + static_cast<std::size_t>(kk)];
-      if ((flags & kGemmSkipZero) && av == 0.0f) continue;
       const float* brow = b + static_cast<std::size_t>(kk) * ldb;
       for (int j = 0; j < n; ++j) {
         crow[j] = ordered_fadd(ordered_fmul(av, brow[j]), crow[j]);

@@ -657,10 +657,7 @@ accounting::AccessCounts access_counts_avx2(const accounting::LaneIdx& idx,
 
 // One kGemmRows x kGemmCols tile of C held in eight registers across the
 // whole k-block. Per term: product = a * b (a as src1), sum = product + acc
-// (product as src1), the scalar reference's pinned order. The zero-skip
-// variant keeps the old accumulator wherever a == +-0 (ordered compare, so
-// a NaN a is never skipped), which is the scalar `continue` lane by lane.
-template <bool kSkipZero>
+// (product as src1), the scalar reference's pinned order.
 void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
                const float* b, std::size_t ldb, int kc, bool first) {
   static_assert(kGemmRows == 4 && kGemmCols == 16);
@@ -669,7 +666,6 @@ void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
     acc[r][0] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(c + r * ldc);
     acc[r][1] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(c + r * ldc + 8);
   }
-  const __m256 zero = _mm256_setzero_ps();
   for (int kk = 0; kk < kc; ++kk) {
     const auto ku = static_cast<std::size_t>(kk);
     const __m256 b0 = _mm256_loadu_ps(b + ku * ldb);
@@ -677,15 +673,8 @@ void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
 #pragma GCC unroll 4
     for (std::size_t r = 0; r < 4; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + ku);
-      __m256 s0 = ordered_add(ordered_mul(av, b0), acc[r][0]);
-      __m256 s1 = ordered_add(ordered_mul(av, b1), acc[r][1]);
-      if constexpr (kSkipZero) {
-        const __m256 z = _mm256_cmp_ps(av, zero, _CMP_EQ_OQ);
-        s0 = _mm256_blendv_ps(s0, acc[r][0], z);
-        s1 = _mm256_blendv_ps(s1, acc[r][1], z);
-      }
-      acc[r][0] = s0;
-      acc[r][1] = s1;
+      acc[r][0] = ordered_add(ordered_mul(av, b0), acc[r][0]);
+      acc[r][1] = ordered_add(ordered_mul(av, b1), acc[r][1]);
     }
   }
   for (std::size_t r = 0; r < 4; ++r) {
@@ -700,11 +689,7 @@ void gemm_panel_avx2(float* c, std::size_t ldc, const float* a,
   const bool first = (flags & kGemmFirst) != 0;
   for (int j0 = 0; j0 < n; j0 += kGemmCols) {
     const auto ju = static_cast<std::size_t>(j0);
-    if (flags & kGemmSkipZero) {
-      gemm_tile<true>(c + ju, ldc, a, lda, b + ju, ldb, kc, first);
-    } else {
-      gemm_tile<false>(c + ju, ldc, a, lda, b + ju, ldb, kc, first);
-    }
+    gemm_tile(c + ju, ldc, a, lda, b + ju, ldb, kc, first);
   }
 }
 

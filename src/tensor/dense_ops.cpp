@@ -1,7 +1,6 @@
 #include "tensor/dense_ops.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
@@ -74,9 +73,9 @@ void pack_a(const T* a, bool trans, std::int64_t m, std::int64_t k,
 }
 
 // Rows [k0, k0 + kc) of op(B) (k x n) into the panel (row stride np,
-// columns past n zero). Returns whether every packed value is finite.
+// columns past n zero).
 template <class T>
-bool pack_b(const T* b, bool trans, std::int64_t k, std::int64_t n,
+void pack_b(const T* b, bool trans, std::int64_t k, std::int64_t n,
             std::int64_t k0, std::int64_t kc, float* panel, std::int64_t np) {
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     float* row = panel + kk * np;
@@ -89,12 +88,6 @@ bool pack_b(const T* b, bool trans, std::int64_t k, std::int64_t n,
     }
     std::fill(row + n, row + np, 0.0f);
   }
-  std::uint32_t nonfinite = 0;  // exponent all ones: Inf or NaN
-  for (std::int64_t i = 0; i < kc * np; ++i) {
-    const auto e = std::bit_cast<std::uint32_t>(panel[i]) & 0x7F800000u;
-    nonfinite |= e == 0x7F800000u ? 1u : 0u;
-  }
-  return nonfinite == 0;
 }
 
 // C rows [i0, i0 + rows) from the f32 sums; the only rounding of the GEMM.
@@ -123,12 +116,9 @@ void store_c(MTensor& c, std::int64_t i0, std::int64_t rows, const float* sums,
 }
 
 // C = op(A) * op(B), m, n > 0. Per output element the terms are summed in
-// increasing k from +0.0f, product + sum, exactly the historical loop.
-// That loop skipped terms whose A value is +-0. Such a term only matters
-// when its B value is Inf or NaN (0 * Inf = NaN); otherwise it adds +-0 to a
-// sum that is never -0 and changes nothing. So a k-block whose B panel is
-// finite runs without the skip, and only a non-finite panel takes the
-// zero-skipping fallback of the same micro-kernel.
+// increasing k from +0.0f, product + sum, with IEEE semantics throughout:
+// a zero in A times an Inf or NaN in B is NaN, as on cuBLAS, so an
+// overflowed gradient reaches the GradScaler even behind ReLU zeros.
 template <class T>
 void gemm_blocked(const T* a, bool trans_a, const T* b, bool trans_b,
                   MTensor& c, std::int64_t m, std::int64_t n, std::int64_t k) {
@@ -142,18 +132,14 @@ void gemm_blocked(const T* a, bool trans_a, const T* b, bool trans_b,
   float* bpanel = reserve(scratch.b, static_cast<std::size_t>(kc_max * np));
   float* sums = reserve(scratch.c, static_cast<std::size_t>(mc_max * np));
   const auto& ops = simd::ops();
-  bool finite = true;
   for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
     const std::int64_t mb = std::min(kMc, m - i0);
     for (std::int64_t kb = 0; kb < n_kb; ++kb) {
       const std::int64_t k0 = kb * kKc;
       const std::int64_t kc = std::min(kKc, k - k0);
       // A single k-block's panel serves every row block.
-      if (n_kb > 1 || i0 == 0) {
-        finite = pack_b(b, trans_b, k, n, k0, kc, bpanel, np);
-      }
-      const unsigned flags = (kb == 0 ? simd::kGemmFirst : 0u) |
-                             (finite ? 0u : simd::kGemmSkipZero);
+      if (n_kb > 1 || i0 == 0) pack_b(b, trans_b, k, n, k0, kc, bpanel, np);
+      const unsigned flags = kb == 0 ? simd::kGemmFirst : 0u;
       for (std::int64_t r0 = 0; r0 < mb; r0 += kRows) {
         pack_a(a, trans_a, m, k, i0 + r0, std::min(kRows, mb - r0), k0, kc,
                apanel, kc_max);

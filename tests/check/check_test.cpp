@@ -2,7 +2,8 @@
 // transfer-function entry, a dispatch chain, and a trait row), the
 // metadata linter, the star-hub verdict regression (Fig. 1c statically:
 // DGL-half UNSAFE, HalfGNN NEEDS-SCALING with applied factor == hub
-// degree, bf16/f32 SAFE), and the halfgnn-check-v1 report schema.
+// degree, bf16/f32 SAFE), the halfgnn-check-v1 report schema, and the
+// drift check: every GEMM a traced training epoch runs has an active row.
 #include "check/check.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "graph/generators.hpp"
 #include "kernels/spmm_halfgnn.hpp"
 #include "nn/kernel_table.hpp"
+#include "nn/trainer.hpp"
 #include "obs/prof/prof.hpp"
+#include "obs/trace.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
 #include "util/rng.hpp"
@@ -426,6 +429,47 @@ TEST(CheckReport, Fig1cTableShowsTheThreeRegimes) {
       << table;
   EXPECT_NE(table.find("| HalfGNN | f32 | SAFE |"), std::string::npos)
       << table;
+}
+
+// hgcheck interprets the layer code the trainer runs, so it judges every
+// GEMM of an epoch: the "gemm" dense spans of one traced Cora epoch equal
+// the report's active gemm rows, per model and system mode.
+TEST(CheckDrift, EveryTracedGemmHasAnActiveRow) {
+  const Dataset cora = make_dataset(DatasetId::kCora);
+  for (const nn::ModelKind model :
+       {nn::ModelKind::kGcn, nn::ModelKind::kGat, nn::ModelKind::kGin}) {
+    for (const nn::SystemMode mode :
+         {nn::SystemMode::kDglFloat, nn::SystemMode::kDglHalf,
+          nn::SystemMode::kHalfGnn}) {
+      nn::TrainConfig tcfg = nn::default_config(model);
+      tcfg.epochs = 1;
+      tcfg.hidden = 16;
+      tcfg.trace = true;
+      obs::tracer().reset();
+      obs::tracer().set_enabled(true);
+      (void)nn::train(model, mode, cora, tcfg);
+      obs::tracer().set_enabled(false);
+      const obs::Json trace = obs::tracer().chrome_trace_json();
+      obs::tracer().reset();
+      int spans = 0;
+      for (const obs::Json& e : trace.find("traceEvents")->items()) {
+        const obs::Json* cat = e.find("cat");
+        spans += cat != nullptr && cat->as_string() == "dense" &&
+                 e.find("name")->as_string() == "gemm";
+      }
+
+      CheckConfig cfg;
+      cfg.model = model;
+      cfg.mode = mode;
+      cfg.hidden = tcfg.hidden;
+      int rows = 0;
+      for (const SiteVerdict& v : analyze(cora, cfg).verdicts) {
+        rows += v.active && v.op == "gemm";
+      }
+      EXPECT_EQ(spans, rows) << nn::model_name(model) << " / "
+                             << nn::mode_name(mode);
+    }
+  }
 }
 
 }  // namespace

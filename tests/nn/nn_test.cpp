@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "graph/generators.hpp"
+#include "nn/exec.hpp"
 #include "nn/trainer.hpp"
 
 namespace hg::nn {
@@ -254,6 +255,37 @@ TEST(GradScaler, BacksOffAndRecovers) {
   EXPECT_FLOAT_EQ(s.scale(), 1024.0f);
   EXPECT_EQ(s.skipped_steps(), 1);
   EXPECT_EQ(s.taken_steps(), 200);
+}
+
+// The Fig. 1c hazard in dW = X^T dY: a saved input row that ReLU left all
+// zero meets an overflowed (Inf) gradient row. 0 * Inf is NaN, so the
+// weight gradient is non-finite and the GradScaler skips the step instead
+// of applying a gradient that silently dropped the overflow.
+TEST(GradScaler, SkipsAnInfGradientBehindAReluZeroRow) {
+  const Dataset d = tiny_dataset(8, 2, 16, 8, false, 5);
+  const GraphCtx g(d.csr, d.coo);
+  SparseCtx ctx;
+  ctx.mode = SystemMode::kHalfGnn;
+  Exec b(ctx, g);
+  Rng rng(5);
+  Linear<Exec> lin(2, 2, /*bias=*/false, rng);
+
+  MTensor x = MTensor::f16(2, 2);  // row 0: zeros, as ReLU leaves it
+  x.set(1, 0, 1.0f);
+  x.set(1, 1, 2.0f);
+  (void)lin.forward(b, "fwd.gemm", x);
+  MTensor dy = MTensor::f16(2, 2);  // row 0 overflowed
+  dy.set(0, 0, INFINITY);
+  dy.set(0, 1, 1.0f);
+  dy.set(1, 0, 0.5f);
+  dy.set(1, 1, 0.25f);
+  (void)lin.backward(b, "bwd.dW", "bwd.dX", dy);
+
+  const Param& w = *lin.params().front();
+  EXPECT_TRUE(w.grad_nonfinite(1.0f));
+  amp::GradScaler scaler(1024.0f);
+  EXPECT_FALSE(scaler.update(w.grad_nonfinite(1.0f)));
+  EXPECT_EQ(scaler.skipped_steps(), 1);
 }
 
 TEST(AutocastPolicy, ListsMatchThePaper) {

@@ -5,9 +5,9 @@
 // input, special values included: NaN payloads of both signs (quiet and
 // signaling), +-Inf, subnormals and signed zeros. Each dense op is also run
 // end to end under both paths via simd::set_path, as simd_test.cpp does for
-// the warp interpreter, and the blocked GEMM is checked against the
-// historical algorithm (materialize op(A) and op(B) as f32, skip zero A
-// terms, sum in increasing k with product + sum).
+// the warp interpreter, and the blocked GEMM is checked against plain
+// summation (materialize op(A) and op(B) as f32, sum in increasing k with
+// product + sum).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -139,8 +139,8 @@ void expect_same_bits(const MTensor& a, const MTensor& b,
   }
 }
 
-// The historical GEMM: materialize op(A), op(B) as f32, skip A terms that
-// compare equal to zero, sum in increasing k from +0 as product + sum.
+// Plain GEMM: materialize op(A), op(B) as f32, sum in increasing k from +0
+// as product + sum.
 MTensor reference_gemm(const MTensor& a, bool ta, const MTensor& b, bool tb,
                        Dtype c_dtype) {
   const std::int64_t m = ta ? a.cols() : a.rows();
@@ -166,7 +166,6 @@ MTensor reference_gemm(const MTensor& a, bool ta, const MTensor& b, bool tb,
     std::fill(acc.begin(), acc.end(), 0.0f);
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = af[static_cast<std::size_t>(i * k + kk)];
-      if (av == 0.0f) continue;
       const float* brow = bf.data() + kk * n;
       for (std::int64_t j = 0; j < n; ++j) {
         acc[static_cast<std::size_t>(j)] =
@@ -195,7 +194,7 @@ TEST(DenseSimd, GemmPanelMatchesScalarBitForBit) {
   const auto& vec = simd::ops();
   for (const int kc : {0, 1, 2, 7, 64, 257}) {
     for (const int n : {16, 32, 48}) {
-      for (unsigned flags = 0; flags < 4; ++flags) {
+      for (unsigned flags = 0; flags <= simd::kGemmFirst; ++flags) {
         for (int trial = 0; trial < 4; ++trial) {
           const bool finite_b = trial % 2 == 0;
           const std::size_t lda = static_cast<std::size_t>(kc) + 3;
@@ -226,9 +225,9 @@ TEST(DenseSimd, GemmPanelMatchesScalarBitForBit) {
   simd::set_path(prev);
 }
 
-// The finite-B argument behind dropping the skip: with every B value
-// finite, the skipping and the plain micro-kernel agree bit for bit, even
-// with zero A values of both signs and NaN/Inf in A.
+// Why deleting GEMM's zero-skip moved no finite result: with every B value
+// finite, skipping the terms whose a is +-0 gives the micro-kernel's bits,
+// even with zero A values of both signs and NaN/Inf in A.
 TEST(DenseSimd, GemmPanelSkipIsInvisibleOnFiniteB) {
   std::mt19937 rng(103);
   for_each_path([&](simd::Path) {
@@ -242,11 +241,19 @@ TEST(DenseSimd, GemmPanelSkipIsInvisibleOnFiniteB) {
       for (auto& v : a) v = special_float(rng);
       for (auto& v : b) v = special_float(rng, /*finite=*/true);
       std::vector<float> plain(simd::kGemmRows * ldb);
-      std::vector<float> skip(simd::kGemmRows * ldb);
       ops.gemm_panel(plain.data(), ldb, a.data(), lda, b.data(), ldb, kc, 32,
                      simd::kGemmFirst);
-      ops.gemm_panel(skip.data(), ldb, a.data(), lda, b.data(), ldb, kc, 32,
-                     simd::kGemmFirst | simd::kGemmSkipZero);
+      std::vector<float> skip(simd::kGemmRows * ldb, 0.0f);
+      for (std::size_t r = 0; r < simd::kGemmRows; ++r) {
+        for (std::size_t kk = 0; kk < static_cast<std::size_t>(kc); ++kk) {
+          const float av = a[r * lda + kk];
+          if (av == 0.0f) continue;
+          for (std::size_t j = 0; j < ldb; ++j) {
+            skip[r * ldb + j] = ordered_fadd(ordered_fmul(av, b[kk * ldb + j]),
+                                             skip[r * ldb + j]);
+          }
+        }
+      }
       for (std::size_t i = 0; i < plain.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(plain[i]),
                   std::bit_cast<std::uint32_t>(skip[i]))
@@ -360,7 +367,7 @@ TEST(DenseSimd, GemmShapeSweepMatchesReferenceOnBothPaths) {
           const bool tb = (t & 2) != 0;
           // Every dtype pair meets every transpose pair across the sweep.
           const auto [in, out] = kDtypes[shape % 7];
-          // One case in three puts Inf/NaN in op(B): the zero-skip fallback.
+          // One case in three puts Inf/NaN in op(B).
           const bool finite_b = shape % 3 != 0;
           const bool sparse = m * n * k > (1 << 16);
           const MTensor a = ta ? special_tensor(in, k, m, rng, false, sparse)
@@ -388,9 +395,9 @@ TEST(DenseSimd, GemmShapeSweepMatchesReferenceOnBothPaths) {
   }
 }
 
-// ROADMAP 2(a)'s probe: the zero in A still hides the Inf in B (IEEE and
-// cuBLAS give NaN). Deleting the non-finite fallback flips this test.
-TEST(DenseSimd, NonFiniteFallbackKeepsTheZeroSkip) {
+// A zero in A does not hide a non-finite B: 0 * Inf and -0 * NaN are NaN,
+// as in IEEE arithmetic and cuBLAS.
+TEST(DenseSimd, ZeroTimesNonFiniteIsNan) {
   for_each_path([&](simd::Path) {
     for (const Dtype dt : {Dtype::kF32, Dtype::kF16, Dtype::kBf16}) {
       MTensor a = MTensor::zeros(dt, 1, 2);
@@ -401,7 +408,7 @@ TEST(DenseSimd, NonFiniteFallbackKeepsTheZeroSkip) {
       b.set(1, 0, 2.0f);
       MTensor c = MTensor::f32(1, 1);
       gemm(a, false, b, false, c, nullptr);
-      EXPECT_EQ(c.get(0, 0), 2.0f) << simd::path_name();
+      EXPECT_TRUE(std::isnan(c.get(0, 0))) << simd::path_name();
 
       // A NaN in op(B) behind a -0 in A, past the first k-block, with op(B)
       // read through a transpose.
@@ -416,9 +423,9 @@ TEST(DenseSimd, NonFiniteFallbackKeepsTheZeroSkip) {
       yt.set(1, 280, NAN);
       MTensor out = MTensor::f32(1, 3);
       gemm(x, false, yt, true, out, nullptr);
-      for (int j = 0; j < 3; ++j) {
-        EXPECT_EQ(out.get(0, j), 0.5f * (k - 1)) << simd::path_name() << j;
-      }
+      EXPECT_EQ(out.get(0, 0), 0.5f * (k - 1)) << simd::path_name();
+      EXPECT_TRUE(std::isnan(out.get(0, 1))) << simd::path_name();
+      EXPECT_EQ(out.get(0, 2), 0.5f * (k - 1)) << simd::path_name();
     }
   });
 }
