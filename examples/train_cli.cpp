@@ -94,14 +94,22 @@ void ensure_features(hg::Dataset& d) {
 int main(int argc, char** argv) {
   using namespace hg;
 
-  // Validate the fault grammar before anything touches the default device
-  // (whose constructor parses HALFGNN_FAULTS and would throw from a static
-  // initializer): a malformed spec gets a readable error + the grammar.
+  // Validate every env value the default device parses before anything
+  // touches it (its constructor would throw from a static initializer): a
+  // malformed value gets a one-line error, plus the grammar for faults.
   try {
     simt::FaultConfig::from_env();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n\n%s", e.what(),
                  simt::FaultConfig::grammar_help().c_str());
+    return 2;
+  }
+  try {
+    simt::SanitizerConfig::from_env();
+    obs::prof::ProfConfig::from_env();
+    simt::Device::watchdog_ms_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace hg::kernels {
 
@@ -16,7 +15,6 @@ using simt::LaunchDesc;
 using simt::Op;
 using simt::prefix_mask;
 using simt::Warp;
-namespace simd = simt::simd;
 
 // Shared edge-parallel skeleton: one warp handles kEdgesPerWarp edges in
 // 32-wide batches; `fn(w, e_base, cnt)` processes one batch.
@@ -80,51 +78,19 @@ KernelStats seg_reduce_impl(simt::Stream& stream, const GraphView& g,
       const eid_t lo = g.csr->offsets[r];
       const eid_t hi = g.csr->offsets[r + 1];
 
-      Lanes<T> acc{};
-      const T ninf = from_f<T>(-std::numeric_limits<float>::infinity());
-      for (auto& a : acc) {
-        a = reduce == SegReduce::kMax ? ninf : T{};
-      }
+      const auto k = reduce == SegReduce::kMax ? simt::WarpCombine::kMax
+                                               : simt::WarpCombine::kAdd;
+      Lanes<T> acc;
+      acc.fill(simt::combine_identity<T>(k));
       for (eid_t b = lo; b < hi; b += 32) {
         const int cnt = static_cast<int>(std::min<eid_t>(32, hi - b));
         Lanes<T> v{};
         w.template load_contiguous<T>(vals, b, cnt, v);
-        // Lane-batched accumulate: the max combine is the same
-        // float-domain compare + bit-preserving select the per-lane loop
-        // performed. bf16 stays scalar (no SIMD primitive).
-        if constexpr (std::is_same_v<T, half_t>) {
-          simd::ops().h_accum(acc.data(), v.data(), cnt,
-                              reduce == SegReduce::kMax);
-        } else if constexpr (std::is_same_v<T, float>) {
-          simd::ops().f_accum(acc.data(), v.data(), 1.0f, cnt,
-                              reduce == SegReduce::kMax ? simd::kIsMax : 0u);
-        } else {
-          for (int l = 0; l < cnt; ++l) {
-            auto& slot = acc[static_cast<std::size_t>(l)];
-            const T x = v[static_cast<std::size_t>(l)];
-            if (reduce == SegReduce::kMax) {
-              slot = as_f(slot) < as_f(x) ? x : slot;
-            } else {
-              slot = slot + x;
-            }
-          }
-        }
+        simt::combine_n(k, acc.data(), v.data(), cnt);
         w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 1, cnt);
       }
-      if constexpr (std::is_same_v<T, bf16_t>) {
-        w.butterfly_reduce(acc, 32, simt::kFullMask, Op::kHalfIntrin,
-                           [&](T x, T y) {
-                             if (reduce == SegReduce::kMax) {
-                               return as_f(x) < as_f(y) ? y : x;
-                             }
-                             return x + y;
-                           });
-      } else {
-        w.butterfly_reduce(acc, 32, simt::kFullMask,
-                           is_half ? Op::kHalfIntrin : Op::kFloatAlu,
-                           reduce == SegReduce::kMax ? simt::WarpCombine::kMax
-                                                     : simt::WarpCombine::kAdd);
-      }
+      w.butterfly_reduce(acc, 32, simt::kFullMask,
+                         is_half ? Op::kHalfIntrin : Op::kFloatAlu, k);
       T result = acc[0];
       if (hi == lo) result = T{};  // empty row
       Lanes<std::int64_t> oi{};

@@ -84,13 +84,8 @@ KernelStats sddmm_dgl_impl(simt::Stream& stream, const GraphView& g,
           w.alu(alu_op, 1, lanes);
         }
         // Full-warp shuffle reduction: five rounds (Sec. 5.1.3).
-        if constexpr (std::is_same_v<T, bf16_t>) {
-          w.butterfly_reduce(acc, 32, simt::kFullMask, alu_op,
-                             [](T x, T y) { return x + y; });
-        } else {
-          w.butterfly_reduce(acc, 32, simt::kFullMask, alu_op,
-                             simt::WarpCombine::kAdd);
-        }
+        w.butterfly_reduce(acc, 32, simt::kFullMask, alu_op,
+                           simt::WarpCombine::kAdd);
         // Scalar per-edge store (uncoalesced in the DGL design).
         Lanes<std::int64_t> oi{};
         Lanes<T> ov{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <vector>
 
 namespace hg::kernels {
@@ -54,8 +53,8 @@ KernelStats spmm_f32_impl(simt::Stream& stream, const GraphView& g,
   const eid_t m = g.m();
   const auto f = static_cast<std::size_t>(feat);
   const bool is_max = reduce == Reduce::kMax;
-  std::fill(y.begin(), y.end(),
-            is_max ? -std::numeric_limits<float>::infinity() : 0.0f);
+  const auto k = is_max ? simt::WarpCombine::kMax : simt::WarpCombine::kAdd;
+  std::fill(y.begin(), y.end(), simt::combine_identity<float>(k));
 
   const int fchunks = (feat + 31) / 32;
   const eid_t edges_per_cta =
@@ -80,8 +79,7 @@ KernelStats spmm_f32_impl(simt::Stream& stream, const GraphView& g,
 
       const auto acc = cta.template scratch<float>(f);
       const auto reset = [&] {
-        std::fill(acc.begin(), acc.end(),
-                  is_max ? -std::numeric_limits<float>::infinity() : 0.0f);
+        std::fill(acc.begin(), acc.end(), simt::combine_identity<float>(k));
       };
       reset();
 
@@ -107,11 +105,7 @@ KernelStats spmm_f32_impl(simt::Stream& stream, const GraphView& g,
             }
             const int contention = std::min<int>(
                 8, 2 + static_cast<int>(g.csr->degree(r)) / kEdgesPerWarp);
-            if (is_max) {
-              w.atomic_max(out, idx, prefix_mask(lanes), vals, contention);
-            } else {
-              w.atomic_add(out, idx, prefix_mask(lanes), vals, contention);
-            }
+            w.atomic(k, out, idx, prefix_mask(lanes), vals, contention);
           }
         }
       };
@@ -189,8 +183,8 @@ KernelStats spmm_f16_impl(simt::Stream& stream, const GraphView& g,
   const eid_t m = g.m();
   const auto f = static_cast<std::size_t>(feat);
   const bool is_max = reduce == Reduce::kMax;
-  std::fill(y.begin(), y.end(),
-            is_max ? half_limits::kNegInf : half_t(0.0f));
+  const auto k = is_max ? simt::WarpCombine::kMax : simt::WarpCombine::kAdd;
+  std::fill(y.begin(), y.end(), simt::combine_identity<half_t>(k));
 
   const int fchunks = (feat + 31) / 32;
   const eid_t edges_per_cta =
@@ -253,11 +247,7 @@ KernelStats spmm_f16_impl(simt::Stream& stream, const GraphView& g,
           const int contention = std::min<int>(
               8, 1 + static_cast<int>(g.csr->degree(static_cast<vid_t>(r))) /
                         kEdgesPerWarp);
-          if (is_max) {
-            w.atomic_max(out, dst, prefix_mask(lanes), xv, contention);
-          } else {
-            w.atomic_add(out, dst, prefix_mask(lanes), xv, contention);
-          }
+          w.atomic(k, out, dst, prefix_mask(lanes), xv, contention);
           // The CAS loop's value round-trip drains the load pipeline.
           w.sync();
         }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -19,9 +18,6 @@ using simt::LaunchDesc;
 using simt::Op;
 using simt::Warp;
 namespace simd = simt::simd;
-
-const half2 kH2Zero = half2(0.0f, 0.0f);
-const half2 kH2NegInf = half2{half_limits::kNegInf, half_limits::kNegInf};
 
 struct Geometry {
   int feat;
@@ -88,10 +84,10 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
   const bool has_w = !edge_w.empty();
   const bool is_max = opts.reduce == Reduce::kMax;
   const bool is_mean = opts.reduce == Reduce::kMean;
-  const half2 init = is_max ? kH2NegInf : kH2Zero;
+  const auto k = is_max ? simt::WarpCombine::kMax : simt::WarpCombine::kAdd;
+  const half2 init = simt::combine_identity<half2>(k);
 
-  std::fill(y.begin(), y.end(),
-            is_max ? half_limits::kNegInf : half_t(0.0f));
+  std::fill(y.begin(), y.end(), simt::combine_identity<half_t>(k));
   auto y2 = simt::as_vec_mut<half2>(y);
   auto x2 = simt::as_vec<half2>(x);
 
@@ -109,9 +105,6 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
 
   const auto inv_deg = [&](vid_t r) {
     return 1.0f / static_cast<float>(std::max<vid_t>(1, g.csr->degree(r)));
-  };
-  const auto combine2 = [&](half2 a, half2 b) {
-    return is_max ? h2max(a, b) : h2add(a, b);
   };
 
   // CTA c streams edges [c*edges_per_cta, (c+1)*edges_per_cta); the rows it
@@ -299,11 +292,7 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
                 const int contention = std::min<int>(
                     32, 4 + static_cast<int>(g.csr->degree(r)) /
                                opts.edges_per_warp);
-                if (is_max) {
-                  w.atomic_max(out, idx, mask, vals, contention);
-                } else {
-                  w.atomic_add(out, idx, mask, vals, contention);
-                }
+                w.atomic(k, out, idx, mask, vals, contention);
                 // The CAS value round-trip drains the load pipeline.
                 w.sync();
               } else {
@@ -548,8 +537,8 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
               if (sm.brow[q] != r) break;
               w.smem_access(geo.chunks);
               for (int fp = 0; fp < geo.half_f; ++fp) {
-                macc[static_cast<std::size_t>(fp)] = combine2(
-                    macc[static_cast<std::size_t>(fp)],
+                macc[static_cast<std::size_t>(fp)] = simt::combine<half2>(
+                    k, macc[static_cast<std::size_t>(fp)],
                     sm.bval[q * static_cast<std::size_t>(geo.half_f) +
                             static_cast<std::size_t>(fp)]);
               }
@@ -564,18 +553,18 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
   // shared rows, so route the launch through the executor's deterministic
   // staging+merge. The non-atomic design is conflict-free by construction
   // (interior rows have one writer; boundary rows go via smem/staging).
-  KernelStats ks =
-      opts.atomic_writes
-          ? stream.launch<P>(
-                LaunchDesc{"spmm_halfgnn", num_ctas, kWarpsPerCta},
-                simt::StagedOutput<half2>{y2,
-                                          is_max ? ConflictPolicy::kStagedMax
-                                                 : ConflictPolicy::kStagedSum,
-                                          window},
-                body)
-          : stream.launch<P>(
-                LaunchDesc{"spmm_halfgnn", num_ctas, kWarpsPerCta},
-                [&](Cta<P>& cta) { body(cta, y2); });
+  // Its launch declares no window: building the std::function allocates on
+  // every call, and peak RSS is sensitive to small blocks placed between
+  // the training tensors.
+  const simt::StagedOutput<half2> out =
+      !opts.atomic_writes
+          ? simt::StagedOutput<half2>{y2, ConflictPolicy::kNone, {}}
+          : simt::StagedOutput<half2>{y2,
+                                      is_max ? ConflictPolicy::kStagedMax
+                                             : ConflictPolicy::kStagedSum,
+                                      window};
+  KernelStats ks = stream.launch<P>(
+      LaunchDesc{"spmm_halfgnn", num_ctas, kWarpsPerCta}, out, body);
 
   // ---- Follow-up kernel: fold the staging buffer into Y (Sec. 5.2.3).
   // One warp per staging entry; the warp owning the *head* of a run of
@@ -607,7 +596,7 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
             }
             const auto macc =
                 cta.template scratch<half2>(static_cast<std::size_t>(geo.half_f));
-            std::fill(macc.begin(), macc.end(), is_max ? kH2NegInf : kH2Zero);
+            std::fill(macc.begin(), macc.end(), init);
             for (int c = i; c < num_ctas &&
                             staging_rows[static_cast<std::size_t>(c)] == r;
                  ++c) {
@@ -618,8 +607,7 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
                     staged2,
                     static_cast<std::int64_t>(c) * geo.half_f + ch * 32,
                     lanes, vals);
-                simd::ops().h2_combine(macc.data() + ch * 32, vals.data(),
-                                       lanes, is_max);
+                simt::combine_n(k, macc.data() + ch * 32, vals.data(), lanes);
               }
               w.alu(Op::kHalf2, geo.chunks);
               if (c > i) {  // run-scan read of the next entry's row id
@@ -634,8 +622,7 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
               const std::int64_t base =
                   static_cast<std::int64_t>(r) * geo.half_f + ch * 32;
               w.template load_contiguous<half2>(y2, base, lanes, cur);
-              simd::ops().h2_combine(cur.data(), macc.data() + ch * 32, lanes,
-                                     is_max);
+              simt::combine_n(k, cur.data(), macc.data() + ch * 32, lanes);
               w.alu(Op::kHalf2, 1);
               w.template store_contiguous<half2>(y2, base, lanes, cur);
             }

@@ -107,9 +107,9 @@ struct AtomicExpHist {
   ExpHist snapshot() const noexcept;
 };
 
-// One launch's armed profiler view, threaded Device -> Stream -> Cta ->
-// Warp next to LaunchFaultState / LaunchSanState. Reused across launches;
-// armed under the device launch mutex. Warps only touch `stores`.
+// One launch's armed profiler view, carried to every Cta and Warp in the
+// launch's simt::LaunchHooks. Reused across launches; armed under the
+// device launch mutex. Warps only touch `stores`.
 struct LaunchProfState {
   unsigned analyzers = 0;
   std::string kernel;

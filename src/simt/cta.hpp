@@ -13,9 +13,8 @@
 // — steady-state CTA construction performs no heap allocation and no 164 KB
 // zero-fill. `shared<T>` and `scratch<T>` value-initialize every element
 // they hand out, so reused backing memory is invisible to kernels and the
-// arena cannot break determinism. Constructing a Cta without an arena
-// (direct use in tests) falls back to owned storage with identical
-// behavior.
+// arena cannot break determinism. Only the executor constructs a Cta, and
+// always on the running thread's arena.
 #pragma once
 
 #include <cstddef>
@@ -95,26 +94,18 @@ class Cta {
                 "inline warp storage skips destructor calls");
 
  public:
-  // Shared-memory capacity defaults to DeviceSpec::smem_bytes (A100: up to
-  // 164 KB per SM); we give each CTA the full carveout and enforce the
-  // capacity like the hardware would.
+  // Shared-memory capacity is DeviceSpec::smem_bytes (A100: up to 164 KB
+  // per SM); we give each CTA the full carveout and enforce the capacity
+  // like the hardware would.
   Cta(const DeviceSpec& spec, KernelStats& ks, int cta_id, int num_warps,
-      std::size_t smem_bytes, CtaArena* arena = nullptr,
-      detail::LaunchFaultState* faults = nullptr,
-      detail::LaunchSanState* san = nullptr,
-      obs::prof::detail::LaunchProfState* prof = nullptr)
-      : spec_(spec), cta_id_(cta_id), arena_(arena),
-        num_warps_(num_warps), smem_bytes_(smem_bytes) {
-    if (arena_ != nullptr) {
-      arena_->reset();
-      smem_data_ = arena_->smem(smem_bytes);
-    } else {
-      owned_smem_.resize(smem_bytes);
-      smem_data_ = owned_smem_.data();
-    }
-    if (san != nullptr) {
+      CtaArena& arena, const LaunchHooks* hooks)
+      : spec_(spec), cta_id_(cta_id), arena_(arena), num_warps_(num_warps),
+        smem_bytes_(spec.smem_bytes) {
+    arena_.reset();
+    smem_data_ = arena_.smem(smem_bytes_);
+    if (hooks != nullptr && hooks->san != nullptr) {
       san_ = &detail::CtaSan::local();
-      san_->begin(*san, cta_id);
+      san_->begin(*hooks->san, cta_id);
     }
     using W = Warp<Profiled>;
     if (num_warps <= kInlineWarps) {
@@ -125,13 +116,10 @@ class Cta {
       warps_ = reinterpret_cast<W*>(owned_warps_.get());
     }
     for (int w = 0; w < num_warps; ++w) {
-      new (warps_ + w) W(spec, ks, w, cta_id, faults, san_, prof);
+      new (warps_ + w) W(spec, ks, w, cta_id, hooks);
     }
     if constexpr (Profiled) ks_ = &ks;
   }
-
-  Cta(const DeviceSpec& spec, KernelStats& ks, int cta_id, int num_warps)
-      : Cta(spec, ks, cta_id, num_warps, spec.smem_bytes) {}
 
   Cta(const Cta&) = delete;
   Cta& operator=(const Cta&) = delete;
@@ -172,21 +160,12 @@ class Cta {
   // Kernel workspace with CTA lifetime but no shared-memory capacity
   // charge or cost-model meaning: the host-side accumulators and row
   // tables kernels previously heap-allocated per warp. Value-initialized,
-  // like the vectors it replaces; allocation-free in steady state when the
-  // CTA runs on an arena.
+  // like the vectors it replaces; allocation-free in steady state.
   template <class T>
   std::span<T> scratch(std::size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "scratch holds PODs only");
-    const std::size_t bytes = n * sizeof(T);
-    std::byte* raw;
-    if (arena_ != nullptr) {
-      raw = arena_->scratch(bytes);
-    } else {
-      owned_scratch_.push_back(std::make_unique<std::byte[]>(bytes));
-      raw = owned_scratch_.back().get();
-    }
-    T* p = reinterpret_cast<T*>(raw);
+    T* p = reinterpret_cast<T*>(arena_.scratch(n * sizeof(T)));
     for (std::size_t i = 0; i < n; ++i) new (p + i) T{};
     return {p, n};
   }
@@ -237,7 +216,7 @@ class Cta {
 
   const DeviceSpec& spec_;
   int cta_id_;
-  CtaArena* arena_;
+  CtaArena& arena_;
   int num_warps_;
   // Warp is non-copyable/non-movable and trivially destructible, so warps
   // live placement-new'd either inline or in one heap block.
@@ -248,8 +227,6 @@ class Cta {
   std::byte* smem_data_ = nullptr;
   std::size_t smem_bytes_;
   std::size_t smem_used_ = 0;
-  std::vector<std::byte> owned_smem_;
-  std::vector<std::unique_ptr<std::byte[]>> owned_scratch_;
   KernelStats* ks_ = nullptr;
   detail::CtaSan* san_ = nullptr;
 };

@@ -1,8 +1,34 @@
 #include "simt/executor.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace hg::simt {
+
+namespace {
+
+// A watchdog budget must be finite with a deadline that fits steady_clock:
+// at most half its nanosecond range, leaving the other half for the
+// clock's own epoch offset. <= 0 disables the watchdog.
+double checked_watchdog_ms(double ms, const char* source) {
+  const double max_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::duration::max())
+                            .count() /
+                        2;
+  if (!std::isfinite(ms) || ms > max_ms) {
+    char msg[160] = {};
+    std::snprintf(msg, sizeof(msg),
+                  "%s: watchdog budget %g ms is not a finite number <= %g "
+                  "(<= 0 disables the watchdog)",
+                  source, ms, max_ms);
+    throw std::invalid_argument(msg);
+  }
+  return ms;
+}
+
+}  // namespace
 
 namespace detail {
 
@@ -63,10 +89,8 @@ Device::Device(const DeviceSpec& spec, int threads)
       scratch_(static_cast<std::size_t>(detail::kConflictShards)),
       injector_(FaultConfig::from_env()),
       sanitizer_(SanitizerConfig::from_env()),
-      profiler_(obs::prof::ProfConfig::from_env()) {
-  if (const char* e = std::getenv("HALFGNN_WATCHDOG_MS")) {
-    wd_ms_ = std::strtod(e, nullptr);
-  }
+      profiler_(obs::prof::ProfConfig::from_env()),
+      wd_ms_(watchdog_ms_from_env()) {
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int t = 0; t < threads_ - 1; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -102,18 +126,50 @@ void Device::set_faults(FaultConfig cfg) {
   fault_state_.stuck = false;
 }
 
-detail::LaunchFaultState* Device::arm_faults(const std::string& kernel) {
+const LaunchHooks* Device::arm(const std::string& kernel, int ctas,
+                               LaunchHooks& hooks) {
+  hooks = LaunchHooks{};
   // A stuck flag can be left set when the same arm also threw LaunchFault;
-  // clear it before the early-out so an inactive injector never replays it.
+  // clear it first so an inactive injector never replays it.
   fault_state_.stuck = false;
-  if (!injector_.active()) return nullptr;
-  injector_.arm(kernel, fault_state_);  // throws LaunchFault on launchfail
-  return fault_state_.data_faults() ? &fault_state_ : nullptr;
+  if (injector_.active()) {
+    injector_.arm(kernel, fault_state_);  // throws LaunchFault on launchfail
+    if (fault_state_.stuck) stuck_wait(kernel);
+    if (fault_state_.data_faults()) hooks.faults = &fault_state_;
+  }
+  if (sanitizer_.active()) hooks.san = sanitizer_.arm(kernel, ctas);
+  if (profiler_.active()) hooks.prof = profiler_.arm(kernel);
+  const bool armed = hooks.faults != nullptr || hooks.san != nullptr ||
+                     hooks.prof != nullptr;
+  return armed ? &hooks : nullptr;
+}
+
+void Device::publish(const LaunchHooks& hooks, const KernelStats& ks,
+                     bool profiled) {
+  if (hooks.faults != nullptr) injector_.publish(ks.name, *hooks.faults);
+  if (hooks.san != nullptr) sanitizer_.finish_launch(*hooks.san);
+  if (hooks.prof != nullptr) {
+    profiler_.finish_launch(*hooks.prof, ks, spec_, profiled);
+  }
 }
 
 void Device::set_watchdog_ms(double ms) {
+  ms = checked_watchdog_ms(ms, "Device::set_watchdog_ms");
   std::lock_guard<std::mutex> guard(launch_mu_);
   wd_ms_ = ms;
+}
+
+double Device::watchdog_ms_from_env() {
+  const char* e = std::getenv("HALFGNN_WATCHDOG_MS");
+  if (e == nullptr || *e == '\0') return 0;
+  char* end = nullptr;
+  const double ms = std::strtod(e, &end);
+  if (end == e || *end != '\0') {
+    throw std::invalid_argument(
+        "HALFGNN_WATCHDOG_MS: expected a number of milliseconds, got '" +
+        std::string(e) + "'");
+  }
+  return checked_watchdog_ms(ms, "HALFGNN_WATCHDOG_MS");
 }
 
 void Device::arm_watchdog() {
@@ -197,21 +253,9 @@ void Device::set_sanitizer(SanitizerConfig cfg) {
   sanitizer_ = Sanitizer(cfg);
 }
 
-detail::LaunchSanState* Device::arm_sanitizer(const std::string& kernel,
-                                              int ctas) {
-  if (!sanitizer_.active()) return nullptr;
-  return sanitizer_.arm(kernel, ctas);
-}
-
 void Device::set_profiler(obs::prof::ProfConfig cfg) {
   std::lock_guard<std::mutex> guard(launch_mu_);
   profiler_ = obs::prof::Profiler(cfg);
-}
-
-obs::prof::detail::LaunchProfState* Device::arm_profiler(
-    const std::string& kernel) {
-  if (!profiler_.active()) return nullptr;
-  return profiler_.arm(kernel);
 }
 
 bool Device::claim(std::uint64_t gen, int jobs, int& idx) {

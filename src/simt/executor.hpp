@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <span>
 #include <string>
@@ -47,7 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "half/vec.hpp"
 #include "obs/prof/prof.hpp"
 #include "simt/cta.hpp"
 #include "simt/fault.hpp"
@@ -62,7 +60,8 @@ struct LaunchDesc {
 };
 
 // How a launch's cross-CTA conflicting writes combine during the staged
-// merge. kNone means CTA output locations are exclusive (no staging).
+// merge. kNone means CTA output locations are exclusive: CTAs write the
+// output directly, with no staging.
 enum class ConflictPolicy { kNone, kStagedSum, kStagedMax };
 
 // Element window [begin, end) of the output that CTAs [cta_begin, cta_end)
@@ -72,7 +71,7 @@ using CtaWindowFn =
     std::function<std::pair<std::size_t, std::size_t>(int cta_begin,
                                                       int cta_end)>;
 
-// A conflict-writing launch's output declaration.
+// A launch's output declaration.
 template <class T>
 struct StagedOutput {
   std::span<T> dst;
@@ -127,36 +126,6 @@ struct LaunchScratch {
 // clamped by peak DRAM bandwidth.
 void finalize(KernelStats& ks, const DeviceSpec& spec,
               const std::vector<std::pair<double, double>>& cta_cost);
-
-template <class T>
-T staged_identity(ConflictPolicy policy) {
-  if constexpr (std::is_same_v<T, half2>) {
-    return policy == ConflictPolicy::kStagedMax
-               ? half2{half_limits::kNegInf, half_limits::kNegInf}
-               : half2(0.0f, 0.0f);
-  } else if constexpr (std::is_same_v<T, half_t>) {
-    return policy == ConflictPolicy::kStagedMax ? half_limits::kNegInf
-                                                : half_t(0.0f);
-  } else {
-    return policy == ConflictPolicy::kStagedMax
-               ? -std::numeric_limits<T>::infinity()
-               : T{};
-  }
-}
-
-template <class T>
-T staged_combine(ConflictPolicy policy, T a, T b) {
-  if constexpr (std::is_same_v<T, half2>) {
-    return policy == ConflictPolicy::kStagedMax ? h2max(a, b) : h2add(a, b);
-  } else if constexpr (std::is_same_v<T, half_t>) {
-    if (policy == ConflictPolicy::kStagedMax) {
-      return a.to_float() < b.to_float() ? b : a;
-    }
-    return a + b;
-  } else {
-    return policy == ConflictPolicy::kStagedMax ? std::max(a, b) : a + b;
-  }
-}
 
 }  // namespace detail
 
@@ -213,29 +182,31 @@ class Device {
   // LaunchHang, which rides the same TrainGuard retry ladder as
   // LaunchFault. The reap is wall-clock work, so it publishes nothing to
   // metrics/trace (the deterministic `stuck` arm already did). Takes the
-  // launch mutex.
+  // launch mutex. Throws std::invalid_argument unless `ms` is finite and
+  // its deadline fits steady_clock.
   void set_watchdog_ms(double ms);
   double watchdog_ms() const noexcept { return wd_ms_; }
+  // HALFGNN_WATCHDOG_MS parsed strictly: unset or empty is 0 (disabled);
+  // anything but one number set_watchdog_ms accepts throws
+  // std::invalid_argument naming the variable.
+  static double watchdog_ms_from_env();
 
  private:
   friend class Stream;
 
-  // Arms the reusable per-launch fault state for `kernel`, or returns
-  // nullptr when no data-corrupting fault applies to it (an inactive
-  // injector costs one branch). Throws LaunchFault when a launchfail
-  // clause fires. The caller must hold launch_mu_.
-  detail::LaunchFaultState* arm_faults(const std::string& kernel);
-
-  // Arms the reusable per-launch sanitizer state, or returns nullptr when
-  // the sanitizer is inactive (the common case costs one branch here and
-  // one null-check per instrumented access). The caller must hold
-  // launch_mu_.
-  detail::LaunchSanState* arm_sanitizer(const std::string& kernel, int ctas);
-
-  // Arms the reusable per-launch hgprof state, or returns nullptr when the
-  // profiler is inactive (same cost profile as the other two). The caller
-  // must hold launch_mu_.
-  obs::prof::detail::LaunchProfState* arm_profiler(const std::string& kernel);
+  // Arms every per-launch hook for `kernel` — faults, the sanitizer and
+  // hgprof — into the caller's `hooks` and returns &hooks, or nullptr when
+  // nothing is armed (the common case costs three branches here and one
+  // null-check per access). Throws LaunchFault when a launchfail clause
+  // fires; a `stuck` launch blocks in stuck_wait until the watchdog reaps
+  // it. The caller must hold launch_mu_.
+  const LaunchHooks* arm(const std::string& kernel, int ctas,
+                         LaunchHooks& hooks);
+  // Post-launch accounting from the calling thread, once per launch in
+  // program order: fault totals + fault.* counters, then the sanitizer
+  // merge, then hgprof. The profiler sees the merged (already
+  // thread-invariant) stats, so its aggregates inherit determinism.
+  void publish(const LaunchHooks& hooks, const KernelStats& ks, bool profiled);
 
   void worker_loop();
   bool claim(std::uint64_t gen, int jobs, int& idx);
@@ -243,8 +214,6 @@ class Device {
                    const std::function<void(int)>& fn);
 
   // --- watchdog (all called with launch_mu_ held, except the loop) ---------
-  // Whether the armed fault state marked this launch as stuck.
-  bool stuck_armed() const noexcept { return fault_state_.stuck; }
   // Simulates the hang on the calling thread: blocks until the watchdog
   // reaps it (throwing LaunchHang), or forever when no watchdog is armed —
   // exactly like hardware.
@@ -316,149 +285,20 @@ class Stream {
   // be exclusive per CTA (or written only through kernel-private staging).
   template <bool Profiled, class Body>
   KernelStats launch(LaunchDesc desc, Body&& body) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> guard(dev_->launch_mu_);
-    detail::LaunchFaultState* flt = dev_->arm_faults(desc.name);
-    if (dev_->stuck_armed()) dev_->stuck_wait(desc.name);
-    WdGuard wd(dev_);
-    detail::LaunchSanState* san = dev_->arm_sanitizer(desc.name, desc.ctas);
-    obs::prof::detail::LaunchProfState* prf = dev_->arm_profiler(desc.name);
-    KernelStats ks = run_ctas<Profiled>(desc, body, flt, san, prf);
-    return finish_launch<Profiled>(ks, t0, flt, san, prf);
+    // The declared output is empty and never touched (its type is moot).
+    const StagedOutput<float> none{{}, ConflictPolicy::kNone, {}};
+    auto ctas_only = [&](Cta<Profiled>& cta, std::span<float>) { body(cta); };
+    return run<Profiled>(desc, none, ctas_only);
   }
 
-  // Conflict launch: body(Cta<Profiled>&, std::span<T> out) writes every
-  // conflicting (and interior) output element through `out`, a per-shard
-  // staging view indexed like staged.dst. Shards merge into staged.dst in
-  // fixed shard order under the declared policy.
+  // Declared-output launch: body(Cta<Profiled>&, std::span<T> out). Under
+  // kNone `out` is staged.dst itself. Under a staged policy `out` is a
+  // per-shard staging view indexed like staged.dst, through which the body
+  // writes every conflicting (and interior) output element; shards merge
+  // into staged.dst in fixed shard order under the declared policy.
   template <bool Profiled, class T, class Body>
   KernelStats launch(LaunchDesc desc, StagedOutput<T> staged, Body&& body) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> guard(dev_->launch_mu_);
-    detail::LaunchFaultState* flt = dev_->arm_faults(desc.name);
-    if (dev_->stuck_armed()) dev_->stuck_wait(desc.name);
-    WdGuard wd(dev_);
-    detail::LaunchSanState* san = dev_->arm_sanitizer(desc.name, desc.ctas);
-    obs::prof::detail::LaunchProfState* prf = dev_->arm_profiler(desc.name);
-    // Warps only sample stores when the numerics analyzer is armed; a
-    // roofline-only profiler stays entirely out of the CTA path.
-    obs::prof::detail::LaunchProfState* prfw =
-        (prf != nullptr && prf->numerics()) ? prf : nullptr;
-
-    const int ctas = desc.ctas;
-    const int shards = std::min(detail::kConflictShards, std::max(1, ctas));
-    const auto shard_begin = [&](int s) {
-      return static_cast<int>(static_cast<long long>(ctas) * s / shards);
-    };
-
-    detail::LaunchScratch& ls = dev_->launch_scratch_;
-    ls.prepare(static_cast<std::size_t>(shards), Profiled);
-    auto& win = ls.win;
-    win.resize(static_cast<std::size_t>(shards));
-    std::vector<std::span<T>> stage(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      const auto su = static_cast<std::size_t>(s);
-      win[su] = staged.window
-                    ? staged.window(shard_begin(s), shard_begin(s + 1))
-                    : std::pair<std::size_t, std::size_t>{0,
-                                                          staged.dst.size()};
-      win[su].second = std::min(win[su].second, staged.dst.size());
-      win[su].first = std::min(win[su].first, win[su].second);
-      auto bytes = dev_->scratch(s, staged.dst.size() * sizeof(T));
-      stage[su] = {reinterpret_cast<T*>(bytes.data()), staged.dst.size()};
-    }
-
-    // Declare the staged layout to the conflict checker: per-shard staging
-    // address ranges (to translate plain stores back to logical offsets),
-    // the declared windows in bytes, and each shard's CTA range.
-    if (san != nullptr) {
-      san->policy = static_cast<int>(staged.policy);
-      san->elem_bytes = sizeof(T);
-      san->shards.resize(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        const auto su = static_cast<std::size_t>(s);
-        detail::SanShardInfo& sh = san->shards[su];
-        sh.stage_lo = reinterpret_cast<std::uint64_t>(stage[su].data());
-        sh.stage_hi = sh.stage_lo + stage[su].size() * sizeof(T);
-        sh.win_lo = win[su].first * sizeof(T);
-        sh.win_hi = win[su].second * sizeof(T);
-        sh.cta_begin = shard_begin(s);
-        sh.cta_end = shard_begin(s + 1);
-      }
-    }
-
-    const T identity = detail::staged_identity<T>(staged.policy);
-    auto& part = ls.part;
-    auto& cost = ls.cost;
-    dev_->run_jobs(ctas > 0 ? shards : 0, [&](int s) {
-      if (dev_->watchdog_cancelled()) dev_->throw_hang(desc.name);
-      const auto su = static_cast<std::size_t>(s);
-      for (std::size_t i = win[su].first; i < win[su].second; ++i) {
-        stage[su][i] = identity;
-      }
-      const int c0 = shard_begin(s);
-      const int c1 = shard_begin(s + 1);
-      if constexpr (Profiled) {
-        cost[su].reserve(static_cast<std::size_t>(c1 - c0));
-      }
-      for (int c = c0; c < c1; ++c) {
-        Cta<Profiled> cta(dev_->spec(), part[su].ks, c, desc.warps_per_cta,
-                          dev_->spec().smem_bytes, &CtaArena::local(), flt,
-                          san, prfw);
-        body(cta, stage[su]);
-        auto cc = cta.finish();
-        if constexpr (Profiled) cost[su].push_back(cc);
-      }
-    });
-
-    // Staged merge (host machinery, never charged to the cost model): fold
-    // the shards into dst in shard order, per fixed element blocks. Elements
-    // outside every window keep the caller's prefill.
-    std::size_t lo = staged.dst.size(), hi = 0;
-    for (const auto& w : win) {
-      if (w.first >= w.second) continue;
-      lo = std::min(lo, w.first);
-      hi = std::max(hi, w.second);
-    }
-    if (lo < hi) {
-      const auto blocks = static_cast<int>(
-          (hi - lo + detail::kMergeBlockElems - 1) / detail::kMergeBlockElems);
-      dev_->run_jobs(blocks, [&](int b) {
-        const std::size_t b0 =
-            lo + static_cast<std::size_t>(b) * detail::kMergeBlockElems;
-        const std::size_t b1 = std::min(hi, b0 + detail::kMergeBlockElems);
-        for (std::size_t i = b0; i < b1; ++i) {
-          T v = identity;
-          bool covered = false;
-          for (int s = 0; s < shards; ++s) {
-            const auto su = static_cast<std::size_t>(s);
-            if (i >= win[su].first && i < win[su].second) {
-              v = detail::staged_combine<T>(staged.policy, v, stage[su][i]);
-              covered = true;
-            }
-          }
-          if (covered) staged.dst[i] = v;
-        }
-      });
-    }
-
-    KernelStats ks;
-    ks.name = std::move(desc.name);
-    ks.ctas = ctas;
-    ks.warps_per_cta = desc.warps_per_cta;
-    for (int s = 0; s < shards; ++s) {
-      ks += part[static_cast<std::size_t>(s)].ks;
-    }
-    if constexpr (Profiled) {
-      auto& cta_cost = ls.cta_cost;
-      cta_cost.reserve(static_cast<std::size_t>(ctas));
-      for (int s = 0; s < shards; ++s) {
-        const auto& v = cost[static_cast<std::size_t>(s)];
-        cta_cost.insert(cta_cost.end(), v.begin(), v.end());
-      }
-      detail::finalize(ks, dev_->spec(), cta_cost);
-    }
-    return finish_launch<Profiled>(ks, t0, flt, san, prf);
+    return run<Profiled>(desc, staged, body);
   }
 
  private:
@@ -475,80 +315,171 @@ class Stream {
     Device* d_;
   };
 
-  template <bool Profiled, class Body>
-  KernelStats run_ctas(const LaunchDesc& desc, Body& body,
-                       detail::LaunchFaultState* flt,
-                       detail::LaunchSanState* san,
-                       obs::prof::detail::LaunchProfState* prf) {
-    obs::prof::detail::LaunchProfState* prfw =
-        (prf != nullptr && prf->numerics()) ? prf : nullptr;
+  // The one launch body. The policy picks the partition: kNone runs the
+  // CTAs in kCtasPerChunk chunks writing staged.dst directly; a staged
+  // policy splits them over at most kConflictShards shards, each writing a
+  // private staging copy of its window, merged afterwards.
+  template <bool Profiled, class T, class Body>
+  KernelStats run(const LaunchDesc& desc, const StagedOutput<T>& staged,
+                  Body& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> guard(dev_->launch_mu_);
+    LaunchHooks armed;
+    const LaunchHooks* hooks = dev_->arm(desc.name, desc.ctas, armed);
+    WdGuard wd(dev_);
+
     const int ctas = desc.ctas;
-    const int chunks =
-        (ctas + detail::kCtasPerChunk - 1) / detail::kCtasPerChunk;
+    const bool staging = staged.policy != ConflictPolicy::kNone;
+    const int shards =
+        staging ? std::min(detail::kConflictShards, std::max(1, ctas))
+                : (ctas + detail::kCtasPerChunk - 1) / detail::kCtasPerChunk;
     detail::LaunchScratch& ls = dev_->launch_scratch_;
-    ls.prepare(static_cast<std::size_t>(chunks), Profiled);
+    ls.prepare(static_cast<std::size_t>(shards), Profiled);
+    std::vector<std::span<T>> stage;
+    if (staging) stage = stage_shards(staged, ctas, shards, hooks);
+
+    const WarpCombine k = staged.policy == ConflictPolicy::kStagedMax
+                              ? WarpCombine::kMax
+                              : WarpCombine::kAdd;
     auto& part = ls.part;
     auto& cost = ls.cost;
-    dev_->run_jobs(chunks, [&](int ch) {
+    dev_->run_jobs(ctas > 0 ? shards : 0, [&](int s) {
       if (dev_->watchdog_cancelled()) dev_->throw_hang(desc.name);
-      const auto cu = static_cast<std::size_t>(ch);
-      const int c0 = ch * detail::kCtasPerChunk;
-      const int c1 = std::min(ctas, c0 + detail::kCtasPerChunk);
+      const auto su = static_cast<std::size_t>(s);
+      if (staging) {
+        const auto [w0, w1] = ls.win[su];
+        std::fill(stage[su].begin() + static_cast<std::ptrdiff_t>(w0),
+                  stage[su].begin() + static_cast<std::ptrdiff_t>(w1),
+                  combine_identity<T>(k));
+      }
+      const int c0 = first_cta(staging, ctas, shards, s);
+      const int c1 = first_cta(staging, ctas, shards, s + 1);
       if constexpr (Profiled) {
-        cost[cu].reserve(static_cast<std::size_t>(c1 - c0));
+        cost[su].reserve(static_cast<std::size_t>(c1 - c0));
       }
       for (int c = c0; c < c1; ++c) {
-        Cta<Profiled> cta(dev_->spec(), part[cu].ks, c, desc.warps_per_cta,
-                          dev_->spec().smem_bytes, &CtaArena::local(), flt,
-                          san, prfw);
-        body(cta);
+        Cta<Profiled> cta(dev_->spec(), part[su].ks, c, desc.warps_per_cta,
+                          CtaArena::local(), hooks);
+        body(cta, staging ? stage[su] : staged.dst);
         auto cc = cta.finish();
-        if constexpr (Profiled) cost[cu].push_back(cc);
+        if constexpr (Profiled) cost[su].push_back(cc);
       }
     });
+    if (staging) merge(staged.dst, stage, k);
 
     KernelStats ks;
+    // Copied, not moved: the heap layout this leaves is the one the
+    // benchmark's peak RSS was recorded with (a move measurably raised it).
     ks.name = desc.name;
     ks.ctas = ctas;
     ks.warps_per_cta = desc.warps_per_cta;
-    for (int ch = 0; ch < chunks; ++ch) {
-      ks += part[static_cast<std::size_t>(ch)].ks;
+    for (int s = 0; s < shards; ++s) {
+      ks += part[static_cast<std::size_t>(s)].ks;
     }
     if constexpr (Profiled) {
       auto& cta_cost = ls.cta_cost;
       cta_cost.reserve(static_cast<std::size_t>(ctas));
-      for (int ch = 0; ch < chunks; ++ch) {
-        const auto& v = cost[static_cast<std::size_t>(ch)];
+      for (int s = 0; s < shards; ++s) {
+        const auto& v = cost[static_cast<std::size_t>(s)];
         cta_cost.insert(cta_cost.end(), v.begin(), v.end());
       }
       detail::finalize(ks, dev_->spec(), cta_cost);
     }
-    return ks;
-  }
-
-  template <bool Profiled>
-  KernelStats finish_launch(KernelStats& ks,
-                            std::chrono::steady_clock::time_point t0,
-                            detail::LaunchFaultState* flt = nullptr,
-                            detail::LaunchSanState* san = nullptr,
-                            obs::prof::detail::LaunchProfState* prf = nullptr) {
     ks.host_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-    // Fault accounting first (injector totals + fault.* counters), then the
-    // sanitizer merge, then hgprof — each once per launch, from this
-    // thread, in program order. The profiler sees the merged (already
-    // thread-invariant) stats, so its aggregates inherit determinism.
-    if (flt != nullptr) dev_->injector_.publish(ks.name, *flt);
-    if (san != nullptr) dev_->sanitizer_.finish_launch(*san);
-    if (prf != nullptr) {
-      dev_->profiler_.finish_launch(*prf, ks, dev_->spec(), Profiled);
+    if (hooks != nullptr) dev_->publish(*hooks, ks, Profiled);
+    // One publish per launch, from the merged stats, on this thread.
+    if constexpr (Profiled) publish_profile(ks);
+    return ks;
+  }
+
+  // First CTA of shard (or chunk) s: fixed kCtasPerChunk chunks without
+  // staging, an even split of the CTAs over the shards with it.
+  static int first_cta(bool staging, int ctas, int shards, int s) {
+    return staging
+               ? static_cast<int>(static_cast<long long>(ctas) * s / shards)
+               : std::min(ctas, s * detail::kCtasPerChunk);
+  }
+
+  // Computes each shard's output window into the launch scratch, hands out
+  // its staging buffer, and declares the staged layout to the conflict
+  // checker: per-shard staging address ranges (to translate plain stores
+  // back to logical offsets), the declared windows in bytes, and each
+  // shard's CTA range.
+  template <class T>
+  std::vector<std::span<T>> stage_shards(const StagedOutput<T>& staged,
+                                         int ctas, int shards,
+                                         const LaunchHooks* hooks) {
+    const auto shard_begin = [&](int s) {
+      return first_cta(true, ctas, shards, s);
+    };
+    auto& win = dev_->launch_scratch_.win;
+    win.resize(static_cast<std::size_t>(shards));
+    std::vector<std::span<T>> stage(static_cast<std::size_t>(shards));
+    for (int s = 0; s < shards; ++s) {
+      const auto su = static_cast<std::size_t>(s);
+      win[su] = staged.window
+                    ? staged.window(shard_begin(s), shard_begin(s + 1))
+                    : std::pair<std::size_t, std::size_t>{0,
+                                                          staged.dst.size()};
+      win[su].second = std::min(win[su].second, staged.dst.size());
+      win[su].first = std::min(win[su].first, win[su].second);
+      auto bytes = dev_->scratch(s, staged.dst.size() * sizeof(T));
+      stage[su] = {reinterpret_cast<T*>(bytes.data()), staged.dst.size()};
     }
-    if constexpr (Profiled) {
-      // One publish per launch, from the merged stats, on this thread.
-      publish_profile(ks);
+    if (hooks != nullptr && hooks->san != nullptr) {
+      detail::LaunchSanState& san = *hooks->san;
+      san.policy = static_cast<int>(staged.policy);
+      san.elem_bytes = sizeof(T);
+      san.shards.resize(static_cast<std::size_t>(shards));
+      for (int s = 0; s < shards; ++s) {
+        const auto su = static_cast<std::size_t>(s);
+        detail::SanShardInfo& sh = san.shards[su];
+        sh.stage_lo = reinterpret_cast<std::uint64_t>(stage[su].data());
+        sh.stage_hi = sh.stage_lo + stage[su].size() * sizeof(T);
+        sh.win_lo = win[su].first * sizeof(T);
+        sh.win_hi = win[su].second * sizeof(T);
+        sh.cta_begin = shard_begin(s);
+        sh.cta_end = shard_begin(s + 1);
+      }
     }
-    return std::move(ks);
+    return stage;
+  }
+
+  // Staged merge (host machinery, never charged to the cost model): fold
+  // the shards into dst in shard order, per fixed element blocks. Elements
+  // outside every window keep the caller's prefill.
+  template <class T>
+  void merge(std::span<T> dst, const std::vector<std::span<T>>& stage,
+             WarpCombine k) {
+    const auto& win = dev_->launch_scratch_.win;
+    std::size_t lo = dst.size(), hi = 0;
+    for (const auto& w : win) {
+      if (w.first >= w.second) continue;
+      lo = std::min(lo, w.first);
+      hi = std::max(hi, w.second);
+    }
+    if (lo >= hi) return;
+    const T identity = combine_identity<T>(k);
+    const auto blocks = static_cast<int>(
+        (hi - lo + detail::kMergeBlockElems - 1) / detail::kMergeBlockElems);
+    dev_->run_jobs(blocks, [&](int b) {
+      const std::size_t b0 =
+          lo + static_cast<std::size_t>(b) * detail::kMergeBlockElems;
+      const std::size_t b1 = std::min(hi, b0 + detail::kMergeBlockElems);
+      for (std::size_t i = b0; i < b1; ++i) {
+        T v = identity;
+        bool covered = false;
+        for (std::size_t s = 0; s < stage.size(); ++s) {
+          if (i >= win[s].first && i < win[s].second) {
+            v = combine(k, v, stage[s][i]);
+            covered = true;
+          }
+        }
+        if (covered) dst[i] = v;
+      }
+    });
   }
 
   Device* dev_;

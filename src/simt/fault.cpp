@@ -74,18 +74,18 @@ LaunchFault::LaunchFault(std::string kernel, std::uint64_t ordinal)
       kernel_(std::move(kernel)),
       ordinal_(ordinal) {}
 
-LaunchFault::LaunchFault(std::string message, std::string kernel,
+LaunchFault::LaunchFault(std::string message, const std::string& kernel,
                          std::uint64_t ordinal)
     : std::runtime_error(std::move(message)),
-      kernel_(std::move(kernel)),
+      kernel_(kernel),
       ordinal_(ordinal) {}
 
-LaunchHang::LaunchHang(std::string kernel, std::uint64_t ordinal,
+LaunchHang::LaunchHang(const std::string& kernel, std::uint64_t ordinal,
                        double deadline_ms)
     : LaunchFault("launch hang: kernel '" + kernel + "' (launch ordinal " +
                       std::to_string(ordinal) + ") exceeded watchdog deadline " +
                       obs::Json::number_to_string(deadline_ms) + " ms",
-                  std::move(kernel), ordinal),
+                  kernel, ordinal),
       deadline_ms_(deadline_ms) {}
 
 FaultConfig FaultConfig::parse(std::string_view spec) {

@@ -61,8 +61,11 @@ class LaunchFault : public std::runtime_error {
   std::uint64_t ordinal() const noexcept { return ordinal_; }
 
  protected:
-  // Subclass hook (LaunchHang): same fields, custom message.
-  LaunchFault(std::string message, std::string kernel, std::uint64_t ordinal);
+  // Subclass hook (LaunchHang): same fields, custom message. `kernel` is
+  // copied, so a subclass can build `message` from the same string in the
+  // same call without an argument-order dependency.
+  LaunchFault(std::string message, const std::string& kernel,
+              std::uint64_t ordinal);
 
  private:
   std::string kernel_;
@@ -74,7 +77,8 @@ class LaunchFault : public std::runtime_error {
 // `catch (const LaunchFault&)` retry site handles hangs with no new code.
 class LaunchHang : public LaunchFault {
  public:
-  LaunchHang(std::string kernel, std::uint64_t ordinal, double deadline_ms);
+  LaunchHang(const std::string& kernel, std::uint64_t ordinal,
+             double deadline_ms);
   double deadline_ms() const noexcept { return deadline_ms_; }
 
  private:
@@ -119,7 +123,7 @@ struct FaultConfig {
   std::vector<TornCrashFault> torncrashes;
 
   // Launch-path activity only: torncrash clauses never touch the launch
-  // path, so a config carrying just those keeps arm_faults a no-op.
+  // path, so a config carrying just those arms no fault state.
   bool active() const noexcept {
     return !bitflips.empty() || !launchfails.empty() || !overflows.empty() ||
            !stucks.empty();
@@ -189,7 +193,7 @@ inline void fault_saturate(T& v) noexcept {
   }
 }
 
-// One launch's armed fault view, threaded Device -> Stream -> Cta -> Warp.
+// One launch's armed fault view, carried to every Warp in LaunchHooks.
 // Pool workers only read the configuration fields; the counters are
 // atomics each warp flushes into at most once (in Warp::finish()).
 struct LaunchFaultState {

@@ -137,9 +137,9 @@ struct SanShardInfo {
   int cta_end = 0;
 };
 
-// One launch's armed sanitizer view, threaded Device -> Stream -> Cta ->
-// Warp next to LaunchFaultState. Reused across launches; armed under the
-// device launch mutex.
+// One launch's armed sanitizer view, carried to every Cta in the launch's
+// LaunchHooks. Reused across launches; armed under the device launch
+// mutex.
 struct LaunchSanState {
   unsigned checks = 0;
   std::string kernel;

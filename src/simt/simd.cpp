@@ -24,7 +24,6 @@ constexpr SimdOps kScalarOps = {
     &scalar::h2_scale,
     &scalar::h2_combine,
     &scalar::h2_fma_splat,
-    &scalar::h2_rmw,
     &scalar::h_accum,
     &scalar::h_scale,
     &scalar::f_accum,

@@ -125,13 +125,6 @@ inline void h2_fma_splat(half2* acc, const half2* x, half2 w, int n,
   }
 }
 
-// Contiguous half2 read-modify-write (the atomic fast path's combine).
-inline void h2_rmw(half2* acc, const half2* v, int n, bool is_max) {
-  for (int i = 0; i < n; ++i) {
-    acc[i] = is_max ? h2max(acc[i], v[i]) : h2add(acc[i], v[i]);
-  }
-}
-
 // Contiguous half read-modify-write: slot + v, or the bit-preserving
 // max select hmax(slot, v) == slot < v ? v : slot.
 inline void h_accum(half_t* acc, const half_t* v, int n, bool is_max) {
@@ -337,7 +330,6 @@ struct SimdOps {
   void (*h2_scale)(half2*, half2, int);
   void (*h2_combine)(half2*, const half2*, int, bool);
   void (*h2_fma_splat)(half2*, const half2*, half2, int, bool);
-  void (*h2_rmw)(half2*, const half2*, int, bool);
   void (*h_accum)(half_t*, const half_t*, int, bool);
   void (*h_scale)(half_t*, half_t, int, bool);
   void (*f_accum)(float*, const float*, float, int, unsigned);

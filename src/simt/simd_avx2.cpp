@@ -343,10 +343,6 @@ void h2_combine_avx2(half2* acc, const half2* x, int n, bool is_max) {
   h_accum_avx2(reinterpret_cast<half_t*>(acc),
                reinterpret_cast<const half_t*>(x), 2 * n, is_max);
 }
-void h2_rmw_avx2(half2* acc, const half2* v, int n, bool is_max) {
-  h_accum_avx2(reinterpret_cast<half_t*>(acc),
-               reinterpret_cast<const half_t*>(v), 2 * n, is_max);
-}
 
 inline void h2_fma_step(half2* acc, const half2* x, __m256 wv,
                         bool has_w) noexcept {
@@ -851,7 +847,6 @@ constexpr SimdOps kAvx2Ops = {
     &h2_scale_avx2,
     &h2_combine_avx2,
     &h2_fma_splat_avx2,
-    &h2_rmw_avx2,
     &h_accum_avx2,
     &h_scale_avx2,
     &f_accum_avx2,

@@ -36,9 +36,11 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 
+#include "half/bf16.hpp"
 #include "half/half.hpp"
 #include "half/vec.hpp"
 #include "obs/prof/prof.hpp"
@@ -76,12 +78,61 @@ constexpr LaneMask prefix_mask(int n) noexcept {
 template <class T>
 using Lanes = std::array<T, kWarpSize>;
 
-// Combine used by the tag-dispatched shuffle/reduce overloads below. The
-// SIMD path needs the combine as data rather than a callable; the scalar
-// dispatch entry replays the exact per-lane loop the lambda forms used, so
-// both spellings are interchangeable where the combine is add or the
-// kernels' bit-preserving max select (a < b ? b : a).
+// How two values merge in a shuffle reduction, an atomic RMW or the
+// executor's staged merge: a sum, or the bit-preserving max select
+// (a < b ? b : a — a NaN on the right is dropped, one on the left kept).
+// The SIMD dispatch entries implement exactly combine() per lane.
 enum class WarpCombine { kAdd, kMax };
+
+template <class T>
+T combine(WarpCombine k, T a, T b) noexcept {
+  if constexpr (std::is_same_v<T, half2>) {
+    return k == WarpCombine::kMax ? h2max(a, b) : h2add(a, b);
+  } else if constexpr (std::is_same_v<T, float>) {
+    return k == WarpCombine::kMax ? (a < b ? b : a) : ordered_fadd(a, b);
+  } else {
+    return k == WarpCombine::kMax ? (a < b ? b : a) : a + b;
+  }
+}
+
+// The start value of a combine() fold: +0 for kAdd, -Inf for kMax.
+template <class T>
+T combine_identity(WarpCombine k) noexcept {
+  if (k == WarpCombine::kAdd) return T{};
+  if constexpr (std::is_same_v<T, half2>) {
+    return half2::broadcast(half_limits::kNegInf);
+  } else if constexpr (std::is_same_v<T, half_t>) {
+    return half_limits::kNegInf;
+  } else if constexpr (std::is_same_v<T, bf16_t>) {
+    return bf16_limits::kNegInf;
+  } else {
+    return -std::numeric_limits<T>::infinity();
+  }
+}
+
+// acc[i] = combine(k, acc[i], v[i]) for i < n: lane-batched on the active
+// SIMD path for float, half and half2, per element for bf16.
+template <class T>
+void combine_n(WarpCombine k, T* acc, const T* v, int n) {
+  const bool is_max = k == WarpCombine::kMax;
+  if constexpr (std::is_same_v<T, float>) {
+    simd::ops().f_accum(acc, v, 1.0f, n, is_max ? simd::kIsMax : 0u);
+  } else if constexpr (std::is_same_v<T, half_t>) {
+    simd::ops().h_accum(acc, v, n, is_max);
+  } else if constexpr (std::is_same_v<T, half2>) {
+    simd::ops().h2_combine(acc, v, n, is_max);
+  } else {
+    for (int i = 0; i < n; ++i) acc[i] = combine(k, acc[i], v[i]);
+  }
+}
+
+// Everything Device::arm armed for one launch, handed to every CTA and
+// warp; a launch with nothing armed passes nullptr instead.
+struct LaunchHooks {
+  detail::LaunchFaultState* faults = nullptr;  // data-corrupting faults only
+  detail::LaunchSanState* san = nullptr;
+  obs::prof::detail::LaunchProfState* prof = nullptr;
+};
 
 // Per-warp accumulation of everything a warp charges to KernelStats.
 // Flushed once per warp in Warp::finish(); see the header note on why the
@@ -108,17 +159,18 @@ struct WarpCounters {
 template <bool Profiled>
 class Warp {
  public:
+  // The sanitizer view is the thread's CtaSan, which the owning Cta has
+  // already bound to this CTA.
   Warp(const DeviceSpec& spec, KernelStats& ks, int warp_in_cta, int cta_id,
-       detail::LaunchFaultState* faults = nullptr,
-       detail::CtaSan* san = nullptr,
-       obs::prof::detail::LaunchProfState* prof = nullptr) noexcept
-      : spec_(spec),
-        ks_(ks),
-        warp_in_cta_(warp_in_cta),
-        cta_id_(cta_id),
-        faults_(faults),
-        san_(san),
-        prof_(prof) {}
+       const LaunchHooks* hooks) noexcept
+      : spec_(spec), ks_(ks), warp_in_cta_(warp_in_cta), cta_id_(cta_id) {
+    if (hooks == nullptr) return;
+    faults_ = hooks->faults;
+    if (hooks->san != nullptr) san_ = &detail::CtaSan::local();
+    // Warps only sample stores when the numerics analyzer is armed; a
+    // roofline-only profiler stays entirely out of the CTA path.
+    if (hooks->prof != nullptr && hooks->prof->numerics()) prof_ = hooks->prof;
+  }
 
   Warp(const Warp&) = delete;
   Warp& operator=(const Warp&) = delete;
@@ -281,20 +333,27 @@ class Warp {
 
   // ----- atomics --------------------------------------------------------
 
-  // Atomic add, element type float: lanes serialize per target element.
-  // `contention` is the expected number of concurrent agents (other warps /
-  // CTAs) racing for the same destination words: a CAS/RMW to a contended
-  // address serializes across the device, so the cost multiplies. The
-  // caller knows this number (e.g. how many warps share a split row); the
-  // warp alone cannot see it.
-  void atomic_add(std::span<float> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<float>& vals,
-                  int contention = 1) {
+  // Atomic read-modify-write slot = combine(k, slot, v) on float, half or
+  // packed half2: lanes serialize per target element. `contention` is the
+  // expected number of concurrent agents (other warps / CTAs) racing for
+  // the same destination words: a CAS/RMW to a contended address
+  // serializes across the device, so the cost multiplies. The caller knows
+  // this number (e.g. how many warps share a split row); the warp alone
+  // cannot see it. Half atomics are CAS loops on hardware (the half cost
+  // penalty), and a half_t CAS owns the containing 32-bit word, so two
+  // lanes hitting *neighboring* halves conflict too — word_elems = 2. The
+  // float max is commonly lowered via atomicMax on the int representation.
+  template <class T>
+  void atomic(WarpCombine k, std::span<T> mem, const Lanes<std::int64_t>& idx,
+              LaneMask active, const Lanes<T>& vals, int contention = 1) {
+    static_assert(std::is_same_v<T, float> || std::is_same_v<T, half_t> ||
+                      std::is_same_v<T, half2>,
+                  "atomics cover float/half/half2");
     if (san_ != nullptr) {
       // Atomics are race-free RMWs on hardware: bounds-checked, never
       // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
+      active = san_check_lanes<T>(mem.data(), mem.size(), idx, active,
+                                  /*is_load=*/false);
     }
     // Contiguous targets are pairwise distinct, so the lane-serial RMW loop
     // and a batched combine see the same memory state per element; the
@@ -302,212 +361,62 @@ class Warp {
     const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
                                           : 0;
     if (cn > 0) {
-      simd::ops().f_accum(mem.data() + idx[0], vals.data(), 1.0f, cn, 0u);
+      combine_n(k, mem.data() + idx[0], vals.data(), cn);
     } else {
       for (int l = 0; l < kWarpSize; ++l) {
         if (active >> l & 1) {
-          mem[static_cast<std::size_t>(idx[l])] +=
-              vals[static_cast<std::size_t>(l)];
+          T& slot = mem[static_cast<std::size_t>(idx[l])];
+          slot = combine(k, slot, vals[static_cast<std::size_t>(l)]);
         }
       }
     }
     if (faults_ != nullptr) fault_stored(mem, idx, active);
     if (prof_ != nullptr) prof_stored(mem, idx, active);
     if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/1, /*half_cost=*/false,
-                     contention);
+      account_atomic(idx, active,
+                     /*word_elems=*/std::is_same_v<T, half_t> ? 2 : 1,
+                     /*half_cost=*/!std::is_same_v<T, float>, contention);
     }
   }
 
-  // Atomic add on half: hardware implements this as a CAS loop on the
-  // containing 32-bit word, so two lanes hitting the *neighboring* half
-  // conflict too — word_elems = 2.
-  void atomic_add(std::span<half_t> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<half_t>& vals,
-                  int contention = 1) {
-    if (san_ != nullptr) {
-      // Atomics are race-free RMWs on hardware: bounds-checked, never
-      // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
-    }
-    const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
-                                          : 0;
-    if (cn > 0) {
-      simd::ops().h_accum(mem.data() + idx[0], vals.data(), cn, false);
-    } else {
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          half_t& slot = mem[static_cast<std::size_t>(idx[l])];
-          slot = slot + vals[static_cast<std::size_t>(l)];
-        }
-      }
-    }
-    if (faults_ != nullptr) fault_stored(mem, idx, active);
-    if (prof_ != nullptr) prof_stored(mem, idx, active);
-    if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/2, /*half_cost=*/true,
-                     contention);
-    }
+  template <class T>
+  void atomic_add(std::span<T> mem, const Lanes<std::int64_t>& idx,
+                  LaneMask active, const Lanes<T>& vals, int contention = 1) {
+    atomic(WarpCombine::kAdd, mem, idx, active, vals, contention);
   }
 
-  // Atomic add on packed half2 (32-bit word).
-  void atomic_add(std::span<half2> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<half2>& vals,
-                  int contention = 1) {
-    if (san_ != nullptr) {
-      // Atomics are race-free RMWs on hardware: bounds-checked, never
-      // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
-    }
-    const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
-                                          : 0;
-    if (cn > 0) {
-      simd::ops().h2_rmw(mem.data() + idx[0], vals.data(), cn, false);
-    } else {
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          half2& slot = mem[static_cast<std::size_t>(idx[l])];
-          slot = h2add(slot, vals[static_cast<std::size_t>(l)]);
-        }
-      }
-    }
-    if (faults_ != nullptr) fault_stored(mem, idx, active);
-    if (prof_ != nullptr) prof_stored(mem, idx, active);
-    if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/1, /*half_cost=*/true,
-                     contention);
-    }
-  }
-
-  // Atomic max (atomicCAS loop on GPUs for both types; the float form is
-  // commonly lowered via atomicMax on the int representation).
-  void atomic_max(std::span<float> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<float>& vals,
-                  int contention = 1) {
-    if (san_ != nullptr) {
-      // Atomics are race-free RMWs on hardware: bounds-checked, never
-      // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
-    }
-    const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
-                                          : 0;
-    if (cn > 0) {
-      simd::ops().f_accum(mem.data() + idx[0], vals.data(), 1.0f, cn,
-                          simd::kIsMax);
-    } else {
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          float& slot = mem[static_cast<std::size_t>(idx[l])];
-          slot = std::max(slot, vals[static_cast<std::size_t>(l)]);
-        }
-      }
-    }
-    if (faults_ != nullptr) fault_stored(mem, idx, active);
-    if (prof_ != nullptr) prof_stored(mem, idx, active);
-    if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/1, /*half_cost=*/false,
-                     contention);
-    }
-  }
-
-  void atomic_max(std::span<half_t> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<half_t>& vals,
-                  int contention = 1) {
-    if (san_ != nullptr) {
-      // Atomics are race-free RMWs on hardware: bounds-checked, never
-      // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
-    }
-    const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
-                                          : 0;
-    if (cn > 0) {
-      simd::ops().h_accum(mem.data() + idx[0], vals.data(), cn, true);
-    } else {
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          half_t& slot = mem[static_cast<std::size_t>(idx[l])];
-          slot = hmax(slot, vals[static_cast<std::size_t>(l)]);
-        }
-      }
-    }
-    if (faults_ != nullptr) fault_stored(mem, idx, active);
-    if (prof_ != nullptr) prof_stored(mem, idx, active);
-    if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/2, /*half_cost=*/true,
-                     contention);
-    }
-  }
-
-  void atomic_max(std::span<half2> mem, const Lanes<std::int64_t>& idx,
-                  LaneMask active, const Lanes<half2>& vals,
-                  int contention = 1) {
-    if (san_ != nullptr) {
-      // Atomics are race-free RMWs on hardware: bounds-checked, never
-      // recorded as plain-store conflicts.
-      active = san_check_lanes<typename decltype(mem)::element_type>(
-          mem.data(), mem.size(), idx, active, /*is_load=*/false);
-    }
-    const int cn = simd::vector_enabled() ? simd::prefix_contiguous(idx, active)
-                                          : 0;
-    if (cn > 0) {
-      simd::ops().h2_rmw(mem.data() + idx[0], vals.data(), cn, true);
-    } else {
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          half2& slot = mem[static_cast<std::size_t>(idx[l])];
-          slot = h2max(slot, vals[static_cast<std::size_t>(l)]);
-        }
-      }
-    }
-    if (faults_ != nullptr) fault_stored(mem, idx, active);
-    if (prof_ != nullptr) prof_stored(mem, idx, active);
-    if constexpr (Profiled) {
-      account_atomic(idx, active, /*word_elems=*/1, /*half_cost=*/true,
-                     contention);
-    }
+  template <class T>
+  void atomic_max(std::span<T> mem, const Lanes<std::int64_t>& idx,
+                  LaneMask active, const Lanes<T>& vals, int contention = 1) {
+    atomic(WarpCombine::kMax, mem, idx, active, vals, contention);
   }
 
   // ----- warp-internal communication -------------------------------------
 
   // One butterfly (xor) shuffle round over groups of `width` lanes:
-  // vals[l] <- combine(vals[l], vals[l ^ offset]). A shuffle synchronizes
-  // the warp, so pending load latency is exposed here.
-  template <class T, class Combine>
-  void shfl_xor(Lanes<T>& vals, int offset, LaneMask active, Combine&& c) {
-    sync();
-    Lanes<T> other = vals;
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (active >> l & 1) {
-        vals[static_cast<std::size_t>(l)] =
-            c(vals[static_cast<std::size_t>(l)],
-              other[static_cast<std::size_t>(l ^ offset)]);
-      }
-    }
-    if constexpr (Profiled) {
-      acc_.shfl_instrs += 1;
-      issue(spec_.shfl_cycles);
-    }
-  }
-
-  // Tag-dispatched shuffle round: same sync point and charges as the
-  // callable form, with the combine executed by the active SIMD path.
+  // vals[l] <- combine(k, vals[l], vals[l ^ offset]), executed by the
+  // active SIMD path (bf16, which has no SIMD entry, by the per-lane loop).
+  // A shuffle synchronizes the warp, so pending load latency is exposed
+  // here.
   template <class T>
   void shfl_xor(Lanes<T>& vals, int offset, LaneMask active, WarpCombine k) {
-    static_assert(std::is_same_v<T, half2> || std::is_same_v<T, half_t> ||
-                      std::is_same_v<T, float>,
-                  "tag-dispatched shuffles cover half2/half/float lanes");
     sync();
     const bool is_max = k == WarpCombine::kMax;
     if constexpr (std::is_same_v<T, half2>) {
       simd::ops().shfl_xor_h2(vals, offset, active, is_max);
     } else if constexpr (std::is_same_v<T, half_t>) {
       simd::ops().shfl_xor_h(vals, offset, active, is_max);
-    } else {
+    } else if constexpr (std::is_same_v<T, float>) {
       simd::ops().shfl_xor_f(vals, offset, active, is_max);
+    } else {
+      const Lanes<T> other = vals;
+      for (int l = 0; l < kWarpSize; ++l) {
+        if (active >> l & 1) {
+          vals[static_cast<std::size_t>(l)] =
+              combine(k, vals[static_cast<std::size_t>(l)],
+                      other[static_cast<std::size_t>(l ^ offset)]);
+        }
+      }
     }
     if constexpr (Profiled) {
       acc_.shfl_instrs += 1;
@@ -519,16 +428,6 @@ class Warp {
   // (a power of two). After log2(group_width) rounds every lane of a group
   // holds the group's reduction. `op_class` is charged once per round for
   // the combine arithmetic.
-  template <class T, class Combine>
-  void butterfly_reduce(Lanes<T>& vals, int group_width, LaneMask active,
-                        Op op_class, Combine&& c) {
-    assert((group_width & (group_width - 1)) == 0 && group_width >= 1);
-    for (int offset = 1; offset < group_width; offset <<= 1) {
-      shfl_xor(vals, offset, active, c);
-      alu(op_class, 1);
-    }
-  }
-
   template <class T>
   void butterfly_reduce(Lanes<T>& vals, int group_width, LaneMask active,
                         Op op_class, WarpCombine k) {

@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -347,6 +349,9 @@ TEST(Watchdog, ReapsStuckKernelAsTypedLaunchHang) {
   } catch (const LaunchHang& h) {
     EXPECT_EQ(h.kernel(), "copytest");
     EXPECT_DOUBLE_EQ(h.deadline_ms(), 20.0);
+    EXPECT_NE(std::string(h.what()).find("kernel 'copytest'"),
+              std::string::npos)
+        << h.what();
   }
   EXPECT_EQ(dev.faults().total_stucks(), 1u);
   // The device survives the reap: the next launch runs normally, and no
@@ -379,6 +384,47 @@ TEST(Watchdog, StuckArmIsDeterministicAcrossThreadCounts) {
     EXPECT_THROW(run_copy(dev), LaunchHang);
     EXPECT_EQ(run_copy(dev), base);
     EXPECT_EQ(dev.faults().total_stucks(), 1u);
+  }
+}
+
+TEST(Watchdog, BudgetMustBeFiniteWithADeadlineThatFits) {
+  // A non-finite or astronomically large budget would overflow the
+  // steady_clock deadline and reap every launch at once, and trailing text
+  // would silently disable the watchdog: both are configuration errors.
+  Device dev(DeviceSpec{}, 1);
+  for (const double ms : {std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 1e30}) {
+    EXPECT_THROW(dev.set_watchdog_ms(ms), std::invalid_argument) << ms;
+  }
+  dev.set_watchdog_ms(-1);  // <= 0 still disables
+  EXPECT_DOUBLE_EQ(dev.watchdog_ms(), -1.0);
+  dev.set_watchdog_ms(1e9);
+  EXPECT_DOUBLE_EQ(dev.watchdog_ms(), 1e9);
+
+  const char* prev = std::getenv("HALFGNN_WATCHDOG_MS");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const char* bad : {"inf", "nan", "1e30", "abc", "25ms", "25 "}) {
+    SCOPED_TRACE(bad);
+    ::setenv("HALFGNN_WATCHDOG_MS", bad, 1);
+    try {
+      Device d(DeviceSpec{}, 1);
+      ADD_FAILURE() << "accepted HALFGNN_WATCHDOG_MS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("HALFGNN_WATCHDOG_MS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& [spec, ms] :
+       {std::pair<const char*, double>{"25", 25.0}, {"0", 0.0}, {"", 0.0}}) {
+    ::setenv("HALFGNN_WATCHDOG_MS", spec, 1);
+    EXPECT_DOUBLE_EQ(Device(DeviceSpec{}, 1).watchdog_ms(), ms) << spec;
+  }
+  if (prev != nullptr) {
+    ::setenv("HALFGNN_WATCHDOG_MS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("HALFGNN_WATCHDOG_MS");
   }
 }
 

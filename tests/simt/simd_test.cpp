@@ -213,8 +213,12 @@ TEST_F(SimdAvx2, H2ScaleCombineFmaRmwMatchScalar) {
         simd::ops().h2_fma_splat(b.data() + off, x.data() + off, s, n, flag);
         break;
       default:
-        simd::scalar::h2_rmw(a.data() + off, x.data() + off, n, flag);
-        simd::ops().h2_rmw(b.data() + off, x.data() + off, n, flag);
+        simd::scalar::h_accum(reinterpret_cast<half_t*>(a.data() + off),
+                              reinterpret_cast<const half_t*>(x.data() + off),
+                              2 * n, flag);
+        simd::ops().h_accum(reinterpret_cast<half_t*>(b.data() + off),
+                            reinterpret_cast<const half_t*>(x.data() + off),
+                            2 * n, flag);
         break;
     }
     expect_h2_eq(a.data() + off, b.data() + off, n, "h2 op", trial);

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "util/aligned.hpp"
 
@@ -77,7 +83,7 @@ TEST(SimtFunctional, ButterflyReduceSumsEachSubWarpGroup) {
                     for (int l = 0; l < 32; ++l) v[l] = static_cast<float>(l);
                     // Sub-warp width 8: 4 groups of 8 lanes.
                     w.butterfly_reduce(v, 8, kFullMask, Op::kFloatAlu,
-                                       [](float a, float b) { return a + b; });
+                                       WarpCombine::kAdd);
                     result = v;
                   });
                 });
@@ -283,6 +289,153 @@ TEST(SimtCost, AtomicContentionSerializes) {
                   (s.warp_busy_cycles + s.stall_cycles),
               32.0, 1e-6);
   EXPECT_EQ(c.atomic_serialized, 31u);
+}
+
+// --- atomics, bit for bit ---------------------------------------------------
+// Warp::atomic_add / atomic_max against a lane-serial RMW loop written here,
+// on values that include NaN payloads, +-0, +-Inf and subnormals.
+// Contiguous prefix targets take the SIMD entry on the vector path;
+// scattered targets with duplicates take the per-lane loop. Both must match
+// the loop bit for bit on every dispatch path and charge the same atomic
+// counters.
+
+std::uint16_t special_half_bits(std::mt19937& rng) {
+  const auto sign = static_cast<std::uint16_t>(rng() & 0x8000u);
+  switch (rng() % 6) {
+    case 0:  // NaN with a random nonzero payload
+      return static_cast<std::uint16_t>(sign | 0x7C00u | (rng() & 0x3FFu) | 1u);
+    case 1:
+      return static_cast<std::uint16_t>(sign | 0x7C00u);  // +-Inf
+    case 2:
+      return sign;  // +-0
+    case 3:  // subnormal
+      return static_cast<std::uint16_t>(sign | (rng() & 0x3FFu));
+    default:
+      return static_cast<std::uint16_t>(rng());
+  }
+}
+
+template <class T>
+T special_value(std::mt19937& rng) {
+  if constexpr (std::is_same_v<T, float>) {
+    const auto sign = static_cast<std::uint32_t>(rng() & 0x80000000u);
+    const auto mant = static_cast<std::uint32_t>(rng() & 0x7FFFFFu);
+    switch (rng() % 6) {
+      case 0:  // NaN with a random nonzero payload
+        return std::bit_cast<float>(sign | 0x7F800000u | mant | 1u);
+      case 1:
+        return std::bit_cast<float>(sign | 0x7F800000u);  // +-Inf
+      case 2:
+        return std::bit_cast<float>(sign);  // +-0
+      case 3:
+        return std::bit_cast<float>(sign | mant);  // subnormal
+      case 4:
+        return static_cast<float>(static_cast<int>(rng() % 2001) - 1000) /
+               64.0f;
+      default:
+        return std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+    }
+  } else if constexpr (std::is_same_v<T, half_t>) {
+    return half_t::from_bits(special_half_bits(rng));
+  } else {
+    return half2{half_t::from_bits(special_half_bits(rng)),
+                 half_t::from_bits(special_half_bits(rng))};
+  }
+}
+
+// The reference: one lane after another, read-modify-write.
+template <class T>
+T serial_rmw(WarpCombine k, T slot, T v) {
+  if constexpr (std::is_same_v<T, half2>) {
+    return half2{serial_rmw(k, slot.lo, v.lo), serial_rmw(k, slot.hi, v.hi)};
+  } else if constexpr (std::is_same_v<T, float>) {
+    return k == WarpCombine::kMax ? (slot < v ? v : slot)
+                                  : ordered_fadd(slot, v);
+  } else {
+    return k == WarpCombine::kMax ? (slot < v ? v : slot) : slot + v;
+  }
+}
+
+template <class T>
+void check_atomics_bit_for_bit(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  // A half CAS owns its 32-bit word: neighboring halves collide.
+  const int word_elems = std::is_same_v<T, half_t> ? 2 : 1;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto k = trial % 2 == 0 ? WarpCombine::kAdd : WarpCombine::kMax;
+    const bool contiguous = trial % 4 < 2;
+    Lanes<std::int64_t> idx{};
+    LaneMask active = 0;
+    const int n = 1 + static_cast<int>(rng() % 32);
+    if (contiguous) {
+      const auto base = static_cast<std::int64_t>(rng() % 17);
+      for (int l = 0; l < 32; ++l) idx[static_cast<std::size_t>(l)] = base + l;
+      active = prefix_mask(n);
+    } else {
+      // Few targets, so lanes collide; a random (non-prefix) mask.
+      for (auto& i : idx) i = static_cast<std::int64_t>(rng() % 12);
+      active = static_cast<LaneMask>(rng()) | 1u;
+    }
+    Lanes<T> vals{};
+    for (auto& v : vals) v = special_value<T>(rng);
+    std::vector<T> init(64);
+    for (auto& v : init) v = special_value<T>(rng);
+    const int contention = 1 + static_cast<int>(rng() % 4);
+
+    std::vector<T> want = init;
+    int depth = 0;
+    for (int l = 0; l < 32; ++l) {
+      if (!(active >> l & 1)) continue;
+      const auto lu = static_cast<std::size_t>(l);
+      auto& slot = want[static_cast<std::size_t>(idx[lu])];
+      slot = serial_rmw(k, slot, vals[lu]);
+      int same_word = 0;
+      for (int m = 0; m < 32; ++m) {
+        if ((active >> m & 1) &&
+            idx[static_cast<std::size_t>(m)] / word_elems ==
+                idx[lu] / word_elems) {
+          ++same_word;
+        }
+      }
+      depth = std::max(depth, same_word);
+    }
+
+    const auto run = [&](auto& w, std::vector<T>& mem) {
+      if (k == WarpCombine::kMax) {
+        w.atomic_max(std::span<T>(mem), idx, active, vals, contention);
+      } else {
+        w.atomic_add(std::span<T>(mem), idx, active, vals, contention);
+      }
+    };
+    std::vector<T> fast = init;
+    launch<false>(test_spec(), "atomic", {.ctas = 1, .warps_per_cta = 1},
+                  [&](Cta<false>& cta) {
+                    cta.for_each_warp([&](Warp<false>& w) { run(w, fast); });
+                  });
+    std::vector<T> profiled = init;
+    const KernelStats ks =
+        run_one_warp(test_spec(), [&](Warp<true>& w) { run(w, profiled); });
+    EXPECT_EQ(std::memcmp(fast.data(), want.data(), want.size() * sizeof(T)),
+              0);
+    EXPECT_EQ(
+        std::memcmp(profiled.data(), want.data(), want.size() * sizeof(T)), 0);
+    EXPECT_EQ(ks.atomic_instrs, 1u);
+    EXPECT_EQ(ks.atomic_serialized,
+              static_cast<std::uint64_t>(depth - 1 + contention - 1));
+  }
+}
+
+TEST(SimtAtomics, MatchLaneSerialLoopBitForBitOnEveryPath) {
+  const simd::Path prev = simd::active_path();
+  for (const simd::Path p : {simd::Path::kScalar, simd::Path::kAvx2}) {
+    if (!simd::set_path(p)) continue;  // avx2 unavailable here
+    SCOPED_TRACE(simd::path_name());
+    check_atomics_bit_for_bit<float>(0xA701u);
+    check_atomics_bit_for_bit<half_t>(0xA702u);
+    check_atomics_bit_for_bit<half2>(0xA703u);
+  }
+  simd::set_path(prev);
 }
 
 TEST(SimtCost, BandwidthClampBoundsUtilization) {
