@@ -4,8 +4,12 @@
 # usage: ci/hgcheck_bad_flags.sh <path to hgcheck>
 bin=$1
 status=0
+# The last three are widths a HalfGNN kernel cannot take: sddmm_halfgnn
+# needs a multiple of 8 (GAT), spmm_halfgnn an even width (every model).
 for args in "--hidden 0" "--hidden -8" "--dataset 4" "--dataset abc" \
-            "--dataset 17" "--epochs -3" "--epochs 0" "--lr nan" "--lr 0"; do
+            "--dataset 17" "--epochs -3" "--epochs 0" "--lr nan" "--lr 0" \
+            "--model gat --hidden 60" "--model gat --hidden 12" \
+            "--hidden 63"; do
   # shellcheck disable=SC2086  # $args is a flag and its value
   "$bin" --model gcn $args > /dev/null 2>&1
   code=$?

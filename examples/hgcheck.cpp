@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
   try {
     return run(a);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "hgcheck: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 }

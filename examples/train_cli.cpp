@@ -295,6 +295,11 @@ int main(int argc, char** argv) {
     // distinctive status lets harnesses assert the crash actually fired.
     std::fprintf(stderr, "%s\n", e.what());
     return 42;
+  } catch (const std::invalid_argument& e) {
+    // A configuration the run cannot take (a feature width some dispatched
+    // kernel rejects, a checkpoint of another run): rejected before epoch 0.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   std::printf("\nbest test accuracy : %.2f%%\n", 100 * res.best_test_acc);
   std::printf("final loss         : %.4f\n", res.losses.back());

@@ -164,6 +164,13 @@ class Analyzer {
     out_.loss_scaled = scaled_;
     classes_ = d.num_classes;
     out_dim_ = nn::pad_feat(classes_);
+    // The configuration the trainer would reject is not analyzed either.
+    nn::check_feature_widths(cfg.model, cfg.mode, train_dt_, d.feat_dim,
+                             cfg.hidden, out_dim_);
+    if (req_ != train_dt_) {
+      nn::check_feature_widths(cfg.model, cfg.mode, req_, d.feat_dim,
+                               cfg.hidden, out_dim_);
+    }
     wgrowth_ = static_cast<double>(cfg.epochs) * cfg.lr * cfg.adam_kappa;
 
     // Per-edge row index + degree helpers for the concrete SpMM/edge ops.

@@ -144,6 +144,28 @@ KernelStats sddmm_halfgnn_impl(simt::Stream& stream,
     const eid_t cta_e1 = std::min<eid_t>(m, cta_e0 + edges_per_cta);
     if (cta_e0 >= cta_e1) return;
 
+    if (simd::vector_enabled() && cta.warp(0).fused_fast_path()) {
+      // Fused fast loop (train mode, every hook disarmed): each warp's whole
+      // edge range in one h2_sddmm_run call, reading the NZE indices and
+      // writing the scores straight from and to global memory. Per edge it
+      // is the sub-warp sequence below — the h2_dot_mask chunks, the
+      // lane-group butterfly, the leader's h2reduce_add — with the lanes
+      // kept in registers; the smem staging, per-lane index builds and
+      // charges it skips have no observable effect in this mode.
+      cta.for_each_warp([&](Warp<P>& w) {
+        const eid_t e0 = cta_e0 + static_cast<eid_t>(w.warp_in_cta()) *
+                                      kEdgesPerWarp;
+        const eid_t e1 = std::min<eid_t>(cta_e1, e0 + kEdgesPerWarp);
+        if (e0 >= e1) return;
+        const auto eu = static_cast<std::size_t>(e0);
+        simd::ops().h2_sddmm_run(
+            out.data() + eu, reinterpret_cast<const half2*>(a.data()),
+            reinterpret_cast<const half2*>(b.data()), g.coo->row.data() + eu,
+            g.coo->col.data() + eu, kV / 2, fvec, static_cast<int>(e1 - e0));
+      });
+      return;
+    }
+
     auto s_rows = cta.template shared<vid_t>(
         static_cast<std::size_t>(kWarpsPerCta) * kEdgesPerWarp);
     auto s_cols = cta.template shared<vid_t>(

@@ -2,6 +2,7 @@
 
 #include <initializer_list>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 
 namespace hg::nn {
@@ -34,8 +35,9 @@ constexpr KernelRow kRows[] = {
      {"spmm_cusparse_f16", "scale_f16"}},
     // The paper's kernel: each segment partial is scaled by inv_deg at flush
     // (kernels::halfgnn_segment_edges bounds the unnormalized terms).
+    // half2 loads: an even width.
     {"spmm_halfgnn", kF16, Accum::kF16, MeanScale::kDiscretized, true,
-     {"spmm_halfgnn", "spmm_halfgnn_followup", "spmm_halfgnn_postscale"}},
+     {"spmm_halfgnn", "spmm_halfgnn_followup", "spmm_halfgnn_postscale"}, 2},
     // bf16 has the f32 exponent: the pre-norm running sum cannot overflow.
     {"spmm_bf16", kBf16, Accum::kBf16, MeanScale::kPostNorm, true,
      {"spmm_bf16"}},
@@ -52,8 +54,9 @@ constexpr KernelRow kRows[] = {
      {"sddmm_dgl_f32"}},
     {"sddmm_dgl_f16", kF16, Accum::kF16, MeanScale::kNone, true,
      {"sddmm_dgl_f16"}},
+    // The dispatcher runs the half8 flavour: a multiple of 8.
     {"sddmm_halfgnn", kF16, Accum::kF16, MeanScale::kNone, true,
-     {"sddmm_halfgnn_h2", "sddmm_halfgnn_h4", "sddmm_halfgnn_h8"}},
+     {"sddmm_halfgnn_h2", "sddmm_halfgnn_h4", "sddmm_halfgnn_h8"}, 8},
     {"sddmm_bf16", kBf16, Accum::kBf16, MeanScale::kNone, true,
      {"sddmm_bf16"}},
     {"sddmm_reference", kF32, Accum::kF64Host, MeanScale::kNone, true},
@@ -271,12 +274,14 @@ constexpr const Chain& find_chain(Op op, SystemMode mode, Dtype dt) {
 
 // Rows: labels name counters and guard audits, so they are unique; a host
 // reference row accumulates in f64 and launches nothing, every other row
-// names its launches; only reducing rows scale a mean.
+// names its launches; only reducing rows scale a mean; a width multiple is
+// positive.
 constexpr bool rows_ok() {
   for (std::size_t i = 0; i < std::size(kRows); ++i) {
     const KernelRow& r = kRows[i];
     if (r.label.empty() || r.launches() == (r.accum == Accum::kF64Host) ||
-        (r.mean_scale != MeanScale::kNone && !r.reducing)) {
+        (r.mean_scale != MeanScale::kNone && !r.reducing) ||
+        r.feat_multiple < 1) {
       return false;
     }
     for (std::size_t j = i + 1; j < std::size(kRows); ++j) {
@@ -323,6 +328,12 @@ static_assert(chains_ok(), "kernel table chain invariant broken");
 }  // namespace
 
 const KernelRow& kernel_row(Kernel k) { return row_of(k); }
+
+int common_feat_multiple() {
+  int m = 1;
+  for (const KernelRow& r : kRows) m = std::lcm(m, r.feat_multiple);
+  return m;
+}
 
 const Chain& dispatch_chain(Op op, SystemMode mode, Dtype dt) {
   return find_chain(op, mode, dt);

@@ -67,6 +67,9 @@ struct KernelRow {
   // LaunchDesc names a dispatch to this row can produce; unused slots are
   // empty, and a host reference row has none.
   std::array<std::string_view, 3> launch{};
+  // The feature widths the kernel takes are the multiples of this (the
+  // paper's feature padding, Sec. 4.1.2 / 5.1.3); 1 = any width.
+  int feat_multiple = 1;
 
   constexpr std::span<const std::string_view> launched() const {
     std::size_t n = 0;
@@ -106,6 +109,10 @@ struct Chain {
 };
 
 const KernelRow& kernel_row(Kernel k);
+
+// The least common multiple of every row's feat_multiple: a width that is
+// a multiple of it is taken by every kernel.
+int common_feat_multiple();
 
 // The chain for `op` at (mode, dtype). spmm/sddmm fall back to the
 // reference-only chain for a dtype the table does not know.

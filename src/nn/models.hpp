@@ -270,4 +270,11 @@ class Model {
 std::unique_ptr<Model> make_model(ModelKind kind, int in_dim, int hidden,
                                   int out_dim, Rng& rng);
 
+// Runs the layer code of `kind` on feature widths alone and throws
+// std::invalid_argument when a sparse op meets a kernel in its (mode, dt)
+// dispatch chain that cannot take the op's width (KernelRow::feat_multiple)
+// — the launch that would otherwise throw mid-epoch. No kernel runs.
+void check_feature_widths(ModelKind kind, SystemMode mode, Dtype dt,
+                          int in_dim, int hidden, int out_dim);
+
 }  // namespace hg::nn

@@ -128,7 +128,6 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   GraphCtx g(d.csr, d.coo);
   const int classes = d.num_classes;
   const int out_dim = pad_feat(classes);  // feature padding for half kernels
-  auto model = make_model(kind, d.feat_dim, cfg.hidden, out_dim, rng);
 
   // Precision lattice: the requested dtype defaults to the mode-implied one
   // (bit-for-bit historical behavior when cfg.dtype is unset). PTQ dtypes
@@ -137,6 +136,13 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   const Dtype req = cfg.dtype.value_or(working_dtype(mode));
   const Dtype train_dt = dtype_trainable(req) ? req : Dtype::kF32;
   const bool override_active = cfg.dtype.has_value();
+  // A width some dispatched kernel cannot take fails here, before epoch 0
+  // (the PTQ dtypes add their eval forward's chains).
+  check_feature_widths(kind, mode, train_dt, d.feat_dim, cfg.hidden, out_dim);
+  if (req != train_dt) {
+    check_feature_widths(kind, mode, req, d.feat_dim, cfg.hidden, out_dim);
+  }
+  auto model = make_model(kind, d.feat_dim, cfg.hidden, out_dim, rng);
 
   // Input features, cast once to the working dtype (a one-time cost, not
   // part of the per-epoch ledger).

@@ -31,9 +31,12 @@ constexpr SimdOps kScalarOps = {
     &scalar::h_fma_mask,
     &scalar::f_fma_mask,
     &scalar::h2_dot_mask,
-    &scalar::shfl_xor_h2,
-    &scalar::shfl_xor_h,
-    &scalar::shfl_xor_f,
+    &scalar::group_reduce_h2,
+    &scalar::group_reduce_h,
+    &scalar::group_reduce_f,
+    &scalar::h2_sddmm_run,
+    &scalar::seg_reduce_h,
+    &scalar::seg_reduce_f,
     &accounting::access_counts,
     &scalar::gemm_panel,
     &scalar::h_add_bias_rows,

@@ -37,6 +37,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "half/half.hpp"
 #include "half/vec.hpp"
@@ -66,6 +67,9 @@ enum class Path { kScalar = 0, kAvx2 = 1 };
 // ---------------------------------------------------------------------------
 // Each of these is the exact loop the corresponding kernel used to write
 // inline; the vector path is property-tested against them field-for-field.
+// The fused entries (h2_spmm_run, seg_reduce_{h,f}, h2_sddmm_run) are
+// compositions of the per-step references, and the tests check them against
+// both.
 namespace scalar {
 
 inline void cvt_h2f(const std::uint16_t* in, float* out, int n) {
@@ -189,42 +193,101 @@ inline void h2_dot_mask(Lanes<half2>& acc, const half2* a, const half2* b,
   }
 }
 
-// Butterfly shuffle rounds: vals[l] <- combine(vals[l], snapshot[l^offset]).
+// Whole butterfly over groups of `width` lanes (a power of two, 1..32):
+// rounds at offsets 1, 2, 4, .. below `width`, each a snapshot exchange
+//   vals[l] <- combine(vals[l], snapshot[l ^ offset])   for active lanes l.
+// Inactive lanes keep their value but still serve as partners.
+template <class T, class Combine>
+inline void group_reduce(Lanes<T>& vals, int width, LaneMask active,
+                         Combine&& combine) {
+  for (int offset = 1; offset < width; offset <<= 1) {
+    const Lanes<T> other = vals;
+    for (int l = 0; l < kLanes; ++l) {
+      if (active >> l & 1) {
+        const auto lu = static_cast<std::size_t>(l);
+        const auto pu = static_cast<std::size_t>(l ^ offset);
+        vals[lu] = combine(vals[lu], other[pu]);
+      }
+    }
+  }
+}
+
 // The max combine is the kernels' bit-preserving select (x < y ? y : x).
-inline void shfl_xor_h2(Lanes<half2>& vals, int offset, LaneMask active,
-                        bool is_max) {
-  const Lanes<half2> other = vals;
-  for (int l = 0; l < kLanes; ++l) {
-    if (active >> l & 1) {
-      const auto lu = static_cast<std::size_t>(l);
-      const half2 o = other[static_cast<std::size_t>(l ^ offset)];
-      vals[lu] = is_max ? h2max(vals[lu], o) : h2add(vals[lu], o);
-    }
-  }
+inline void group_reduce_h2(Lanes<half2>& vals, int width, LaneMask active,
+                            bool is_max) {
+  group_reduce(vals, width, active, [is_max](half2 v, half2 o) {
+    return is_max ? h2max(v, o) : h2add(v, o);
+  });
 }
 
-inline void shfl_xor_h(Lanes<half_t>& vals, int offset, LaneMask active,
-                       bool is_max) {
-  const Lanes<half_t> other = vals;
-  for (int l = 0; l < kLanes; ++l) {
-    if (active >> l & 1) {
-      const auto lu = static_cast<std::size_t>(l);
-      const half_t o = other[static_cast<std::size_t>(l ^ offset)];
-      vals[lu] = is_max ? (vals[lu] < o ? o : vals[lu]) : vals[lu] + o;
-    }
-  }
+inline void group_reduce_h(Lanes<half_t>& vals, int width, LaneMask active,
+                           bool is_max) {
+  group_reduce(vals, width, active, [is_max](half_t v, half_t o) {
+    return is_max ? hmax(v, o) : v + o;
+  });
 }
 
-inline void shfl_xor_f(Lanes<float>& vals, int offset, LaneMask active,
-                       bool is_max) {
-  const Lanes<float> other = vals;
-  for (int l = 0; l < kLanes; ++l) {
-    if (active >> l & 1) {
-      const auto lu = static_cast<std::size_t>(l);
-      const float o = other[static_cast<std::size_t>(l ^ offset)];
-      vals[lu] =
-          is_max ? (vals[lu] < o ? o : vals[lu]) : ordered_fadd(vals[lu], o);
+inline void group_reduce_f(Lanes<float>& vals, int width, LaneMask active,
+                           bool is_max) {
+  group_reduce(vals, width, active, [is_max](float v, float o) {
+    return is_max ? (v < o ? o : v) : ordered_fadd(v, o);
+  });
+}
+
+// Fused segment reduce of one row of n edge values (train mode, every hook
+// disarmed): the value lane 0 holds after the warp sequence of
+// edge_segment_reduce — lanes start at the combine identity (+0, or -Inf
+// for max), fold the row's 32-edge chunks with h_accum / f_accum, then one
+// 32-lane group_reduce.
+inline half_t seg_reduce_h(const half_t* vals, int n, bool is_max) {
+  Lanes<half_t> acc;
+  acc.fill(is_max ? half_limits::kNegInf : half_t{});
+  for (int b = 0; b < n; b += kLanes) {
+    h_accum(acc.data(), vals + b, std::min(kLanes, n - b), is_max);
+  }
+  group_reduce_h(acc, kLanes, ~LaneMask{0}, is_max);
+  return acc[0];
+}
+
+inline float seg_reduce_f(const float* vals, int n, bool is_max) {
+  Lanes<float> acc;
+  acc.fill(is_max ? -std::numeric_limits<float>::infinity() : 0.0f);
+  for (int b = 0; b < n; b += kLanes) {
+    f_accum(acc.data(), vals + b, 1.0f, std::min(kLanes, n - b),
+            is_max ? kIsMax : 0u);
+  }
+  group_reduce_f(acc, kLanes, ~LaneMask{0}, is_max);
+  return acc[0];
+}
+
+// Fused sddmm_halfgnn phase 2 (train mode, every hook disarmed): out[i] is
+// edge i's dot of a's row rows[i] with b's row cols[i], each row `fvec`
+// packed vectors of h2per half2 words, computed exactly like one sub-warp of
+// the unfused kernel: lane j of a bit_ceil(fvec)-wide group (at most 32)
+// chains h2fma over vectors j, j + 32, ..; an add butterfly over the group;
+// the leader's pair folded by h2reduce_add. Lanes past the row never load and
+// keep their +0 accumulator.
+inline void h2_sddmm_run(half_t* out, const half2* a, const half2* b,
+                         const std::int32_t* rows, const std::int32_t* cols,
+                         int h2per, int fvec, int n_edges) {
+  const int width = std::min(
+      kLanes, static_cast<int>(std::bit_ceil(
+                  static_cast<unsigned>(std::max(1, fvec)))));
+  const auto row_words =
+      static_cast<std::size_t>(fvec) * static_cast<std::size_t>(h2per);
+  for (int i = 0; i < n_edges; ++i) {
+    const half2* ar = a + static_cast<std::size_t>(rows[i]) * row_words;
+    const half2* br = b + static_cast<std::size_t>(cols[i]) * row_words;
+    Lanes<half2> acc;
+    acc.fill(half2(0.0f, 0.0f));
+    for (int c = 0; c * kLanes < fvec; ++c) {
+      const int n = std::min(kLanes, fvec - c * kLanes);
+      const auto off = static_cast<std::size_t>(c * kLanes * h2per);
+      h2_dot_mask(acc, ar + off, br + off, h2per,
+                  n >= kLanes ? ~LaneMask{0} : (LaneMask{1} << n) - 1);
     }
+    group_reduce_h2(acc, width, ~LaneMask{0}, false);
+    out[i] = h2reduce_add(acc[0]);
   }
 }
 
@@ -340,9 +403,14 @@ struct SimdOps {
                      LaneMask);
   void (*h2_dot_mask)(Lanes<half2>&, const half2*, const half2*, int,
                       LaneMask);
-  void (*shfl_xor_h2)(Lanes<half2>&, int, LaneMask, bool);
-  void (*shfl_xor_h)(Lanes<half_t>&, int, LaneMask, bool);
-  void (*shfl_xor_f)(Lanes<float>&, int, LaneMask, bool);
+  void (*group_reduce_h2)(Lanes<half2>&, int, LaneMask, bool);
+  void (*group_reduce_h)(Lanes<half_t>&, int, LaneMask, bool);
+  void (*group_reduce_f)(Lanes<float>&, int, LaneMask, bool);
+  void (*h2_sddmm_run)(half_t*, const half2*, const half2*,
+                       const std::int32_t*, const std::int32_t*, int, int,
+                       int);
+  half_t (*seg_reduce_h)(const half_t*, int, bool);
+  float (*seg_reduce_f)(const float*, int, bool);
   accounting::AccessCounts (*access_counts)(const accounting::LaneIdx&,
                                             std::uint32_t, std::size_t, int);
   // Dense host path.

@@ -37,7 +37,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "simt/simd.hpp"
 
@@ -64,6 +66,8 @@ inline __m256 ordered_mul(__m256 a, __m256 b) noexcept {
 
 inline __m256 cvt8(__m128i h) noexcept { return _mm256_cvtph_ps(h); }
 inline __m128i cvt8b(__m256 f) noexcept { return _mm256_cvtps_ph(f, kRne); }
+// A float vector rounded to half and back: the exact image of the halves.
+inline __m256 round_h(__m256 x) noexcept { return cvt8(cvt8b(x)); }
 
 inline __m128i load8h(const void* p) noexcept {
   return _mm_loadu_si128(static_cast<const __m128i*>(p));
@@ -504,82 +508,459 @@ void h2_dot_mask_avx2(Lanes<half2>& acc, const half2* a, const half2* b,
 }
 
 // ---------------------------------------------------------------------------
-// Butterfly shuffle combines
+// Whole-butterfly group reductions
 // ---------------------------------------------------------------------------
+// All rounds run on the lanes held in registers: each round permutes a
+// partner copy (lane l ^ offset) in-register, combines, and blends the
+// result into the active lanes only. Lanes are 8 floats, 8 half2 or 16
+// halves per register; offsets inside a register are shuffles, larger ones
+// swap whole registers.
 
-void shfl_xor_f_avx2(Lanes<float>& vals, int offset, LaneMask active,
-                     bool is_max) {
-  Lanes<float> other;
-  for (int l = 0; l < kLanes; ++l) {
-    other[static_cast<std::size_t>(l)] =
-        vals[static_cast<std::size_t>(l ^ offset)];
+// Expand the low 16 bits of a lane mask into 16-bit lanes.
+inline __m256i expand16(unsigned bits) noexcept {
+  const __m256i kBit =
+      _mm256_setr_epi16(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                        4096, 8192, 16384, static_cast<short>(0x8000));
+  const __m256i v = _mm256_and_si256(
+      _mm256_set1_epi16(static_cast<short>(bits & 0xFFFFu)), kBit);
+  return _mm256_cmpeq_epi16(v, kBit);
+}
+
+// 16 halves: v <- combine(v, o) where `act` (16-bit lanes) is set. The half
+// add rounds once per element with v as the first operand; the max is the
+// bit-preserving select (v < o ? o : v).
+inline __m256i combine16h(__m256i v, __m256i o, __m256i act, bool full,
+                          bool is_max) noexcept {
+  const __m128i vl = _mm256_castsi256_si128(v);
+  const __m128i vh = _mm256_extracti128_si256(v, 1);
+  const __m128i ol = _mm256_castsi256_si128(o);
+  const __m128i oh = _mm256_extracti128_si256(o, 1);
+  if (is_max) {
+    const __m128i ltl = narrow_mask(_mm256_castps_si256(
+        _mm256_cmp_ps(cvt8(vl), cvt8(ol), _CMP_LT_OQ)));
+    const __m128i lth = narrow_mask(_mm256_castps_si256(
+        _mm256_cmp_ps(cvt8(vh), cvt8(oh), _CMP_LT_OQ)));
+    __m256i sel = _mm256_set_m128i(lth, ltl);
+    if (!full) sel = _mm256_and_si256(sel, act);
+    return _mm256_blendv_epi8(v, o, sel);
   }
+  const __m256i r =
+      _mm256_set_m128i(cvt8b(ordered_add(cvt8(vh), cvt8(oh))),
+                       cvt8b(ordered_add(cvt8(vl), cvt8(ol))));
+  return full ? r : _mm256_blendv_epi8(v, r, act);
+}
+
+// Partner registers for one round over four 8-lane registers of 32-bit
+// lanes (float or half2): a shuffle inside each register below offset 8,
+// register g ^ (offset / 8) above.
+template <class V, class Shuf>
+inline void partners32(const V (&v)[4], V (&o)[4], int offset,
+                       Shuf&& shuf) noexcept {
   for (int g = 0; g < 4; ++g) {
-    const unsigned mb = (active >> (8 * g)) & 0xFFu;
-    if (mb == 0) continue;
-    const std::size_t off = static_cast<std::size_t>(8 * g);
-    const __m256 v = _mm256_loadu_ps(vals.data() + off);
-    const __m256 o = _mm256_loadu_ps(other.data() + off);
-    // (v < o ? o : v) == vmaxps(o, v); add keeps v as first operand.
-    __m256 r = is_max ? _mm256_max_ps(o, v) : ordered_add(v, o);
-    if (mb != 0xFFu) {
-      r = _mm256_blendv_ps(v, r, _mm256_castsi256_ps(expand8(mb)));
-    }
-    _mm256_storeu_ps(vals.data() + off, r);
+    o[g] = offset < 8 ? shuf(v[g], offset) : v[g ^ (offset >> 3)];
   }
 }
 
-void shfl_xor_h_avx2(Lanes<half_t>& vals, int offset, LaneMask active,
-                     bool is_max) {
-  Lanes<half_t> other;
-  for (int l = 0; l < kLanes; ++l) {
-    other[static_cast<std::size_t>(l)] =
-        vals[static_cast<std::size_t>(l ^ offset)];
+void group_reduce_f_avx2(Lanes<float>& vals, int width, LaneMask active,
+                         bool is_max) {
+  if (width <= 1) return;
+  const bool full = active == ~LaneMask{0};
+  __m256 v[4];
+  __m256 act[4];
+  for (int g = 0; g < 4; ++g) {
+    v[g] = _mm256_loadu_ps(vals.data() + 8 * g);
+    act[g] = _mm256_castsi256_ps(expand8((active >> (8 * g)) & 0xFFu));
+  }
+  for (int offset = 1; offset < width; offset <<= 1) {
+    __m256 o[4];
+    partners32(v, o, offset, [](__m256 x, int off) {
+      return off == 1   ? _mm256_permute_ps(x, 0xB1)
+             : off == 2 ? _mm256_permute_ps(x, 0x4E)
+                        : _mm256_permute2f128_ps(x, x, 0x01);
+    });
+    for (int g = 0; g < 4; ++g) {
+      // (v < o ? o : v) == vmaxps(o, v); the add keeps v first.
+      const __m256 r =
+          is_max ? _mm256_max_ps(o[g], v[g]) : ordered_add(v[g], o[g]);
+      v[g] = full ? r : _mm256_blendv_ps(v[g], r, act[g]);
+    }
+  }
+  for (int g = 0; g < 4; ++g) _mm256_storeu_ps(vals.data() + 8 * g, v[g]);
+}
+
+void group_reduce_h2_avx2(Lanes<half2>& vals, int width, LaneMask active,
+                          bool is_max) {
+  if (width <= 1) return;
+  const bool full = active == ~LaneMask{0};
+  __m256i v[4];
+  __m256i act[4];
+  for (int g = 0; g < 4; ++g) {
+    v[g] = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(vals.data() + 8 * g));
+    act[g] = expand8((active >> (8 * g)) & 0xFFu);  // both halves of a lane
+  }
+  for (int offset = 1; offset < width; offset <<= 1) {
+    __m256i o[4];
+    partners32(v, o, offset, [](__m256i x, int off) {
+      return off == 1   ? _mm256_shuffle_epi32(x, 0xB1)
+             : off == 2 ? _mm256_shuffle_epi32(x, 0x4E)
+                        : _mm256_permute2x128_si256(x, x, 0x01);
+    });
+    for (int g = 0; g < 4; ++g) {
+      v[g] = combine16h(v[g], o[g], act[g], full, is_max);
+    }
   }
   for (int g = 0; g < 4; ++g) {
-    const unsigned mb = (active >> (8 * g)) & 0xFFu;
-    if (mb == 0) continue;
-    const std::size_t off = static_cast<std::size_t>(8 * g);
-    const __m128i vh = load8h(vals.data() + off);
-    const __m128i oh = load8h(other.data() + off);
-    __m128i r;
-    if (is_max) {  // bit-preserving (v < o ? o : v) on active lanes only
-      __m128i sel = narrow_mask(_mm256_castps_si256(
-          _mm256_cmp_ps(cvt8(vh), cvt8(oh), _CMP_LT_OQ)));
-      if (mb != 0xFFu) sel = _mm_and_si128(sel, narrow_mask(expand8(mb)));
-      r = _mm_blendv_epi8(vh, oh, sel);
-    } else {
-      r = cvt8b(ordered_add(cvt8(vh), cvt8(oh)));
-      if (mb != 0xFFu) r = _mm_blendv_epi8(vh, r, narrow_mask(expand8(mb)));
-    }
-    store8h(vals.data() + off, r);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals.data() + 8 * g),
+                        v[g]);
   }
 }
 
-void shfl_xor_h2_avx2(Lanes<half2>& vals, int offset, LaneMask active,
-                      bool is_max) {
-  Lanes<half2> other;
-  for (int l = 0; l < kLanes; ++l) {
-    other[static_cast<std::size_t>(l)] =
-        vals[static_cast<std::size_t>(l ^ offset)];
+void group_reduce_h_avx2(Lanes<half_t>& vals, int width, LaneMask active,
+                         bool is_max) {
+  if (width <= 1) return;
+  const bool full = active == ~LaneMask{0};
+  __m256i v[2];
+  __m256i act[2];
+  for (int g = 0; g < 2; ++g) {
+    v[g] = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(vals.data() + 16 * g));
+    act[g] = expand16(active >> (16 * g));
   }
-  for (int g = 0; g < 8; ++g) {
-    const unsigned mb = (active >> (4 * g)) & 0xFu;
-    if (mb == 0) continue;
-    const std::size_t off = static_cast<std::size_t>(4 * g);
-    const __m128i vh = load8h(vals.data() + off);
-    const __m128i oh = load8h(other.data() + off);
-    __m128i r;
-    if (is_max) {  // h2max per half; activity uniform across a lane's halves
-      __m128i sel = narrow_mask(_mm256_castps_si256(
-          _mm256_cmp_ps(cvt8(vh), cvt8(oh), _CMP_LT_OQ)));
-      if (mb != 0xFu) sel = _mm_and_si128(sel, expand4(mb));
-      r = _mm_blendv_epi8(vh, oh, sel);
-    } else {
-      r = cvt8b(ordered_add(cvt8(vh), cvt8(oh)));
-      if (mb != 0xFu) r = _mm_blendv_epi8(vh, r, expand4(mb));
+  for (int offset = 1; offset < width; offset <<= 1) {
+    __m256i o[2];
+    for (int g = 0; g < 2; ++g) {
+      const __m256i x = v[g];
+      switch (offset) {
+        case 1:  // swap the two halves of every 32-bit word
+          o[g] = _mm256_or_si256(_mm256_slli_epi32(x, 16),
+                                 _mm256_srli_epi32(x, 16));
+          break;
+        case 2: o[g] = _mm256_shuffle_epi32(x, 0xB1); break;
+        case 4: o[g] = _mm256_shuffle_epi32(x, 0x4E); break;
+        case 8: o[g] = _mm256_permute2x128_si256(x, x, 0x01); break;
+        default: o[g] = v[1 - g]; break;
+      }
     }
-    store8h(vals.data() + off, r);
+    for (int g = 0; g < 2; ++g) {
+      v[g] = combine16h(v[g], o[g], act[g], full, is_max);
+    }
+  }
+  for (int g = 0; g < 2; ++g) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals.data() + 16 * g),
+                        v[g]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused segment reduce of one row
+// ---------------------------------------------------------------------------
+// The row's 32 lanes stay in four registers of float images. Half sums
+// round after every add; the max select is exact on images, and no lane
+// ever holds a NaN (the identity -Inf drops one on the right), so images
+// and half bits stay in step. Only lane 0's value is wanted, and lanes past
+// the row's edges hold the identity: folding such a subtree in leaves
+// lane 0's partial unchanged (+0 into a sum that is never -0, -Inf under
+// the max), so the butterfly stops at bit_ceil(n) lanes.
+
+// Lane 0's butterfly tree over `width` lanes of four 8-lane registers;
+// `fold(x, partner)` is one rounded combine.
+template <class Fold>
+inline __m256 lane0_tree(__m256 (&v)[4], int width, Fold&& fold) noexcept {
+  const int regs = std::max(1, width / 8);
+  for (int g = 0; g < regs; ++g) {
+    if (width >= 2) v[g] = fold(v[g], _mm256_permute_ps(v[g], 0xB1));
+    if (width >= 4) v[g] = fold(v[g], _mm256_permute_ps(v[g], 0x4E));
+    if (width >= 8) {
+      v[g] = fold(v[g], _mm256_permute2f128_ps(v[g], v[g], 0x01));
+    }
+  }
+  if (width >= 16) {
+    v[0] = fold(v[0], v[1]);
+    if (width >= 32) {
+      v[2] = fold(v[2], v[3]);
+      v[0] = fold(v[0], v[2]);
+    }
+  }
+  return v[0];
+}
+
+// The max select (x < o ? o : x), which is vmaxps(o, x).
+inline __m256 max_fold(__m256 x, __m256 o) noexcept {
+  return _mm256_max_ps(o, x);
+}
+
+inline int seg_width(int n) noexcept {
+  return static_cast<int>(
+      std::bit_ceil(static_cast<unsigned>(std::clamp(n, 1, kLanes))));
+}
+
+half_t seg_reduce_h_avx2(const half_t* vals, int n, bool is_max) {
+  const __m256 id = is_max ? cvt8(_mm_set1_epi16(static_cast<short>(0xFC00)))
+                           : _mm256_setzero_ps();
+  __m256 v[4] = {id, id, id, id};
+  for (int b = 0; b < n; b += kLanes) {
+    for (int g = 0; g < 4; ++g) {
+      const int k = std::min(8, n - b - 8 * g);
+      if (k <= 0) break;
+      const half_t* p = vals + b + 8 * g;
+      __m128i h;
+      if (k == 8) {
+        h = load8h(p);
+      } else {
+        alignas(16) half_t t[8] = {};
+        std::memcpy(t, p, static_cast<std::size_t>(k) * sizeof(half_t));
+        h = load8h(t);
+      }
+      const __m256 x = cvt8(h);
+      __m256 r = is_max ? _mm256_max_ps(x, v[g])  // (acc < x ? x : acc)
+                        : round_h(ordered_add(v[g], x));
+      if (k < 8) {
+        const __m256i m = expand8((1u << static_cast<unsigned>(k)) - 1u);
+        r = _mm256_blendv_ps(v[g], r, _mm256_castsi256_ps(m));
+      }
+      v[g] = r;
+    }
+  }
+  const __m256 lane0 =
+      is_max ? lane0_tree(v, seg_width(n), max_fold)
+             : lane0_tree(v, seg_width(n), [](__m256 x, __m256 o) {
+                 return round_h(ordered_add(x, o));
+               });
+  return half_t::from_bits(static_cast<std::uint16_t>(
+      _mm_extract_epi16(cvt8b(lane0), 0)));
+}
+
+float seg_reduce_f_avx2(const float* vals, int n, bool is_max) {
+  const __m256 id =
+      is_max ? _mm256_set1_ps(-std::numeric_limits<float>::infinity())
+             : _mm256_setzero_ps();
+  __m256 v[4] = {id, id, id, id};
+  for (int b = 0; b < n; b += kLanes) {
+    for (int g = 0; g < 4; ++g) {
+      const int k = std::min(8, n - b - 8 * g);
+      if (k <= 0) break;
+      const float* p = vals + b + 8 * g;
+      const __m256i m = expand8((1u << static_cast<unsigned>(k)) - 1u);
+      const __m256 x = k == 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, m);
+      __m256 r = is_max ? _mm256_max_ps(x, v[g]) : ordered_add(v[g], x);
+      if (k < 8) r = _mm256_blendv_ps(v[g], r, _mm256_castsi256_ps(m));
+      v[g] = r;
+    }
+  }
+  const __m256 lane0 =
+      is_max ? lane0_tree(v, seg_width(n), max_fold)
+             : lane0_tree(v, seg_width(n), [](__m256 x, __m256 o) {
+                 return ordered_add(x, o);
+               });
+  return _mm256_cvtss_f32(lane0);
+}
+
+// ---------------------------------------------------------------------------
+// Fused sddmm_halfgnn edge run
+// ---------------------------------------------------------------------------
+// Lanes are processed in quads: four lanes' half2 accumulators are the
+// exact float image of their half bits, 8 floats. A quad's h2per-word
+// vectors are loaded lane by lane and transposed so step i holds word i of
+// all four lanes; each step is then the h2_dot_mask chain, rounded to half
+// after every fma. Only lane 0's result leaves the butterfly, so the
+// reduction runs as the tree that lane sees: pairs (0,1), (0..1, 2..3),
+// then whole quads, each add rounded, the lower lane first. Four edges run
+// interleaved, so their independent chains hide each step's convert
+// latency.
+
+// The first `valid` 32-bit words of p (0..4); the masked load never
+// touches the words past a row's end.
+inline __m128i load_words(const half2* p, int valid) noexcept {
+  const __m128i m =
+      _mm_cmpgt_epi32(_mm_set1_epi32(valid), _mm_setr_epi32(0, 1, 2, 3));
+  return _mm_maskload_epi32(reinterpret_cast<const int*>(p), m);
+}
+
+// Word i of lanes 0..3 of a quad whose lanes hold H words each, from the
+// quad's H loaded 4-word groups.
+template <int H>
+inline void transpose_quad(const __m128i (&r)[H], __m128i (&s)[H]) noexcept {
+  if constexpr (H == 1) {
+    s[0] = r[0];
+  } else if constexpr (H == 2) {
+    const __m128 x = _mm_castsi128_ps(r[0]);
+    const __m128 y = _mm_castsi128_ps(r[1]);
+    s[0] = _mm_castps_si128(_mm_shuffle_ps(x, y, _MM_SHUFFLE(2, 0, 2, 0)));
+    s[1] = _mm_castps_si128(_mm_shuffle_ps(x, y, _MM_SHUFFLE(3, 1, 3, 1)));
+  } else {
+    static_assert(H == 4);
+    const __m128i t0 = _mm_unpacklo_epi32(r[0], r[1]);
+    const __m128i t1 = _mm_unpacklo_epi32(r[2], r[3]);
+    const __m128i t2 = _mm_unpackhi_epi32(r[0], r[1]);
+    const __m128i t3 = _mm_unpackhi_epi32(r[2], r[3]);
+    s[0] = _mm_unpacklo_epi64(t0, t1);
+    s[1] = _mm_unpackhi_epi64(t0, t1);
+    s[2] = _mm_unpacklo_epi64(t2, t3);
+    s[3] = _mm_unpackhi_epi64(t2, t3);
+  }
+}
+
+// Word i of the quad's lanes, for each step i; lanes past `lanes` (< 4 only
+// in a row's last quad) load nothing.
+template <int H>
+inline void quad_words(const half2* p, int lanes, __m128i (&s)[H]) noexcept {
+  __m128i r[H];
+  if (lanes == 4) {
+#pragma GCC unroll 4
+    for (int k = 0; k < H; ++k) {
+      r[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4 * k));
+    }
+  } else {
+#pragma GCC unroll 4
+    for (int k = 0; k < H; ++k) {
+      r[k] = load_words(p + 4 * k, lanes * H - 4 * k);
+    }
+  }
+  transpose_quad<H>(r, s);
+}
+
+// acc += the quad's chained h2fma steps, with a's step words already in
+// float; lanes past `lanes` keep their accumulator.
+template <int H>
+inline __m256 quad_fma(__m256 acc, const __m256 (&fa)[H],
+                       const __m128i (&sb)[H], int lanes) noexcept {
+  __m256 r = acc;
+#pragma GCC unroll 4
+  for (int i = 0; i < H; ++i) {
+    r = round_h(ordered_add(ordered_mul(fa[i], cvt8(sb[i])), r));
+  }
+  if (lanes == 4) return r;
+  // Both floats of a lane follow its mask bit.
+  const __m256i keep = _mm256_cvtepi16_epi32(expand4((1u << lanes) - 1u));
+  return _mm256_blendv_ps(acc, r, _mm256_castsi256_ps(keep));
+}
+
+template <int H>
+inline void quad_floats(const half2* p, int lanes, __m256 (&f)[H]) noexcept {
+  __m128i s[H];
+  quad_words<H>(p, lanes, s);
+#pragma GCC unroll 4
+  for (int i = 0; i < H; ++i) f[i] = cvt8(s[i]);
+}
+
+// Four edges; rows/cols hold four entries (a short group repeats its last
+// edge), and the first `n_out` results are stored. Edges in CSR order
+// mostly share their row: then a's quads load and convert once.
+template <int H, int Q>
+void sddmm_group(half_t* out, int n_out, const half2* a, const half2* b,
+                 const std::int32_t* rows, const std::int32_t* cols,
+                 int fvec, int width) {
+  constexpr int E = 4;
+  const auto row_words =
+      static_cast<std::size_t>(fvec) * static_cast<std::size_t>(H);
+  const bool one_row =
+      rows[0] == rows[1] && rows[0] == rows[2] && rows[0] == rows[3];
+  const half2* ar[E];
+  const half2* br[E];
+  __m256 acc[E][Q];
+#pragma GCC unroll 4
+  for (int e = 0; e < E; ++e) {
+    ar[e] = a + static_cast<std::size_t>(rows[e]) * row_words;
+    br[e] = b + static_cast<std::size_t>(cols[e]) * row_words;
+#pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) acc[e][q] = _mm256_setzero_ps();
+  }
+  for (int c = 0; c * kLanes < fvec; ++c) {
+    const int n = std::min(kLanes, fvec - c * kLanes);
+#pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) {
+      if (4 * q >= n) break;
+      const auto qo = static_cast<std::size_t>((c * kLanes + 4 * q) * H);
+      const int lanes = std::min(4, n - 4 * q);
+      __m256 fa[H];
+      if (one_row) quad_floats<H>(ar[0] + qo, lanes, fa);
+#pragma GCC unroll 4
+      for (int e = 0; e < E; ++e) {
+        if (!one_row) quad_floats<H>(ar[e] + qo, lanes, fa);
+        __m128i sb[H];
+        quad_words<H>(br[e] + qo, lanes, sb);
+        acc[e][q] = quad_fma<H>(acc[e][q], fa, sb, lanes);
+      }
+    }
+  }
+  // Offsets 1 and 2 inside every quad: partners are the neighbouring
+  // (lo, hi) pair, then the other 128-bit half.
+#pragma GCC unroll 8
+  for (int q = 0; q < Q; ++q) {
+#pragma GCC unroll 4
+    for (int e = 0; e < E; ++e) {
+      __m256 x = acc[e][q];
+      if (width >= 2) x = round_h(ordered_add(x, _mm256_permute_ps(x, 0x4E)));
+      if (width >= 4) {
+        x = round_h(ordered_add(x, _mm256_permute2f128_ps(x, x, 0x01)));
+      }
+      acc[e][q] = x;
+    }
+  }
+  // Offsets 4, 8, 16: whole quads.
+#pragma GCC unroll 4
+  for (int step = 1; step < Q; step <<= 1) {
+#pragma GCC unroll 4
+    for (int q = 0; q < Q; q += 2 * step) {
+#pragma GCC unroll 4
+      for (int e = 0; e < E; ++e) {
+        acc[e][q] = round_h(ordered_add(acc[e][q], acc[e][q + step]));
+      }
+    }
+  }
+  // h2reduce_add of lane 0: lo + hi, one half rounding.
+  for (int e = 0; e < n_out; ++e) {
+    const float lo = _mm256_cvtss_f32(acc[e][0]);
+    const float hi = _mm256_cvtss_f32(_mm256_permute_ps(acc[e][0], 0x01));
+    out[e] = half_t(ordered_fadd(lo, hi));
+  }
+}
+
+template <int H, int Q>
+void sddmm_run(half_t* out, const half2* a, const half2* b,
+               const std::int32_t* rows, const std::int32_t* cols, int fvec,
+               int width, int n_edges) {
+  int i = 0;
+  for (; i + 4 <= n_edges; i += 4) {
+    sddmm_group<H, Q>(out + i, 4, a, b, rows + i, cols + i, fvec, width);
+  }
+  if (i < n_edges) {
+    std::int32_t r[4];
+    std::int32_t c[4];
+    for (int k = 0; k < 4; ++k) {
+      r[k] = rows[std::min(i + k, n_edges - 1)];
+      c[k] = cols[std::min(i + k, n_edges - 1)];
+    }
+    sddmm_group<H, Q>(out + i, n_edges - i, a, b, r, c, fvec, width);
+  }
+}
+
+template <int H>
+void sddmm_run_h(half_t* out, const half2* a, const half2* b,
+                 const std::int32_t* rows, const std::int32_t* cols, int fvec,
+                 int n) {
+  const int width = std::min(
+      kLanes, static_cast<int>(std::bit_ceil(
+                  static_cast<unsigned>(std::max(1, fvec)))));
+  switch ((width + 3) / 4) {  // quads of the lane group
+    case 1: return sddmm_run<H, 1>(out, a, b, rows, cols, fvec, width, n);
+    case 2: return sddmm_run<H, 2>(out, a, b, rows, cols, fvec, width, n);
+    case 4: return sddmm_run<H, 4>(out, a, b, rows, cols, fvec, width, n);
+    default: return sddmm_run<H, 8>(out, a, b, rows, cols, fvec, width, n);
+  }
+}
+
+void h2_sddmm_run_avx2(half_t* out, const half2* a, const half2* b,
+                       const std::int32_t* rows, const std::int32_t* cols,
+                       int h2per, int fvec, int n_edges) {
+  switch (h2per) {
+    case 1: sddmm_run_h<1>(out, a, b, rows, cols, fvec, n_edges); break;
+    case 2: sddmm_run_h<2>(out, a, b, rows, cols, fvec, n_edges); break;
+    case 4: sddmm_run_h<4>(out, a, b, rows, cols, fvec, n_edges); break;
+    default:
+      scalar::h2_sddmm_run(out, a, b, rows, cols, h2per, fvec, n_edges);
+      break;
   }
 }
 
@@ -854,9 +1235,12 @@ constexpr SimdOps kAvx2Ops = {
     &h_fma_mask_avx2,
     &f_fma_mask_avx2,
     &h2_dot_mask_avx2,
-    &shfl_xor_h2_avx2,
-    &shfl_xor_h_avx2,
-    &shfl_xor_f_avx2,
+    &group_reduce_h2_avx2,
+    &group_reduce_h_avx2,
+    &group_reduce_f_avx2,
+    &h2_sddmm_run_avx2,
+    &seg_reduce_h_avx2,
+    &seg_reduce_f_avx2,
     &access_counts_avx2,
     &gemm_panel_avx2,
     &h_add_bias_rows_avx2,

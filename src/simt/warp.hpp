@@ -393,48 +393,38 @@ class Warp {
 
   // ----- warp-internal communication -------------------------------------
 
-  // One butterfly (xor) shuffle round over groups of `width` lanes:
-  // vals[l] <- combine(k, vals[l], vals[l ^ offset]), executed by the
-  // active SIMD path (bf16, which has no SIMD entry, by the per-lane loop).
-  // A shuffle synchronizes the warp, so pending load latency is exposed
-  // here.
-  template <class T>
-  void shfl_xor(Lanes<T>& vals, int offset, LaneMask active, WarpCombine k) {
-    sync();
-    const bool is_max = k == WarpCombine::kMax;
-    if constexpr (std::is_same_v<T, half2>) {
-      simd::ops().shfl_xor_h2(vals, offset, active, is_max);
-    } else if constexpr (std::is_same_v<T, half_t>) {
-      simd::ops().shfl_xor_h(vals, offset, active, is_max);
-    } else if constexpr (std::is_same_v<T, float>) {
-      simd::ops().shfl_xor_f(vals, offset, active, is_max);
-    } else {
-      const Lanes<T> other = vals;
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (active >> l & 1) {
-          vals[static_cast<std::size_t>(l)] =
-              combine(k, vals[static_cast<std::size_t>(l)],
-                      other[static_cast<std::size_t>(l ^ offset)]);
-        }
-      }
-    }
-    if constexpr (Profiled) {
-      acc_.shfl_instrs += 1;
-      issue(spec_.shfl_cycles);
-    }
-  }
-
   // Full butterfly reduction over sub-warp groups of `group_width` lanes
-  // (a power of two). After log2(group_width) rounds every lane of a group
-  // holds the group's reduction. `op_class` is charged once per round for
-  // the combine arithmetic.
+  // (a power of two): rounds at offsets 1, 2, 4, .. below the width, each
+  // vals[l] <- combine(k, vals[l], vals[l ^ offset]) on the active lanes.
+  // The active SIMD path runs every round in one call (bf16, which has no
+  // SIMD entry, the reference loop); after it every lane of a group holds
+  // the group's reduction. Each round is still charged as one shuffle plus
+  // one `op_class` combine, and a shuffle synchronizes the warp, so pending
+  // load latency is exposed at the first.
   template <class T>
   void butterfly_reduce(Lanes<T>& vals, int group_width, LaneMask active,
                         Op op_class, WarpCombine k) {
     assert((group_width & (group_width - 1)) == 0 && group_width >= 1);
-    for (int offset = 1; offset < group_width; offset <<= 1) {
-      shfl_xor(vals, offset, active, k);
-      alu(op_class, 1);
+    const bool is_max = k == WarpCombine::kMax;
+    if constexpr (std::is_same_v<T, half2>) {
+      simd::ops().group_reduce_h2(vals, group_width, active, is_max);
+    } else if constexpr (std::is_same_v<T, half_t>) {
+      simd::ops().group_reduce_h(vals, group_width, active, is_max);
+    } else if constexpr (std::is_same_v<T, float>) {
+      simd::ops().group_reduce_f(vals, group_width, active, is_max);
+    } else {
+      simd::scalar::group_reduce(vals, group_width, active,
+                                 [k](T v, T o) { return combine(k, v, o); });
+    }
+    if constexpr (Profiled) {
+      for (int offset = 1; offset < group_width; offset <<= 1) {
+        sync();
+        acc_.shfl_instrs += 1;
+        issue(spec_.shfl_cycles);
+        alu(op_class, 1);
+      }
+    } else {
+      (void)op_class;
     }
   }
 

@@ -2,10 +2,17 @@
 // also covered indirectly by the GAT finite-difference gradient check).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "kernels/edge_ops.hpp"
+#include "simt/simd.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
@@ -44,6 +51,85 @@ TEST(EdgeBackward, SoftmaxBackwardMatchesFormula) {
     const auto r = static_cast<std::size_t>(t.coo.row[eu]);
     ASSERT_NEAR(out[eu], alpha[eu] * (dalpha[eu] - c[r]), 1e-5) << e;
   }
+}
+
+// When both operands of a product or sum are NaN, the payload that wins is
+// the one the historical lane loops compiled to (DESIGN.md Sec. 13): the
+// first operand, except the f32 softmax backward (the difference dalpha - c)
+// and bf16 mul (the second). Every dtype, both modes, both SIMD paths.
+template <class T>
+T quiet_nan(std::uint32_t p) {
+  if constexpr (std::is_same_v<T, float>) {
+    return std::bit_cast<float>(0x7FC00000u | (p << 16));
+  } else if constexpr (std::is_same_v<T, half_t>) {
+    return half_t::from_bits(static_cast<std::uint16_t>(0x7E00u | p));
+  } else {
+    return bf16_t::from_bits(static_cast<std::uint16_t>(0x7FC0u | p));
+  }
+}
+
+template <class T>
+void expect_payloads(const TestGraph& t, bool profiled) {
+  const auto me = static_cast<std::size_t>(t.csr.num_edges());
+  const auto nv = static_cast<std::size_t>(t.csr.num_vertices);
+  constexpr bool kF32 = std::is_same_v<T, float>;
+  constexpr bool kBf16 = std::is_same_v<T, bf16_t>;
+  AlignedVec<T> x(me), y(me), vx(nv), vy(nv), zero(nv);
+  std::fill(x.begin(), x.end(), quiet_nan<T>(0x11));
+  std::fill(y.begin(), y.end(), quiet_nan<T>(0x22));
+  std::fill(vx.begin(), vx.end(), quiet_nan<T>(0x11));
+  std::fill(vy.begin(), vy.end(), quiet_nan<T>(0x22));
+  auto& s = simt::default_stream();
+  AlignedVec<T> out(me);
+  const auto bits = [](T v) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, &v, sizeof(T));
+    return b;
+  };
+  const auto expect_all = [&](T want, const char* what) {
+    for (std::size_t e = 0; e < me; ++e) {
+      ASSERT_EQ(bits(out[e]), bits(want))
+          << what << " edge " << e << " profiled " << profiled;
+    }
+  };
+  if constexpr (kF32) {
+    edge_mul_f32(s, profiled, x, y, out);
+    expect_all(x[0], "mul f32");
+    edge_softmax_backward_f32(s, profiled, t.g, x, y, zero, out);
+    expect_all(y[0], "softmax_backward f32");
+    edge_add_scalars_f32(s, profiled, t.g, vx, vy, out, 0.2f);
+    expect_all(x[0], "add_scalars f32");
+  } else if constexpr (kBf16) {
+    edge_mul_bf16(s, profiled, x, y, out);
+    expect_all(y[0], "mul bf16");
+    edge_softmax_backward_bf16(s, profiled, t.g, x, y, zero, out);
+    expect_all(x[0], "softmax_backward bf16");
+    edge_add_scalars_bf16(s, profiled, t.g, vx, vy, out, 0.2f);
+    expect_all(x[0], "add_scalars bf16");
+  } else {
+    edge_mul_f16(s, profiled, x, y, out);
+    expect_all(x[0], "mul f16");
+    edge_softmax_backward_f16(s, profiled, t.g, x, y, zero, out);
+    expect_all(x[0], "softmax_backward f16");
+    edge_add_scalars_f16(s, profiled, t.g, vx, vy, out, 0.2f);
+    expect_all(x[0], "add_scalars f16");
+  }
+}
+
+TEST(EdgeBackward, PinnedOperandOrderPicksTheNanPayload) {
+  Rng rng(4);
+  const TestGraph t = make_er(150, 700, rng);
+  const simt::simd::Path prev = simt::simd::active_path();
+  for (const auto path :
+       {simt::simd::Path::kScalar, simt::simd::Path::kAvx2}) {
+    if (!simt::simd::set_path(path)) continue;
+    for (const bool profiled : {true, false}) {
+      expect_payloads<float>(t, profiled);
+      expect_payloads<half_t>(t, profiled);
+      expect_payloads<bf16_t>(t, profiled);
+    }
+  }
+  simt::simd::set_path(prev);
 }
 
 TEST(EdgeBackward, LeakyBackwardUsesPreActivationSign) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "nn/exec.hpp"
@@ -133,6 +136,49 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SystemMode::kDglFloat,
                                          SystemMode::kDglHalf,
                                          SystemMode::kHalfGnn)));
+
+// A hidden width a HalfGNN kernel cannot take (sddmm_halfgnn needs a
+// multiple of 8, spmm_halfgnn an even width) is rejected before epoch 0;
+// every other mode and dtype trains at it.
+TEST(FeatureWidth, HalfGnnRejectsWidthsItsKernelsCannotTake) {
+  const Dataset d = tiny_dataset(200, 4, 800, 16, false, 5);
+  const auto run = [&](ModelKind kind, SystemMode mode, int hidden,
+                       std::optional<Dtype> dt) {
+    TrainConfig cfg = default_config(kind);
+    cfg.epochs = 1;
+    cfg.hidden = hidden;
+    cfg.dtype = dt;
+    return train(kind, mode, d, cfg);
+  };
+  const auto h = SystemMode::kHalfGnn;
+  EXPECT_THROW(run(ModelKind::kGat, h, 60, std::nullopt),
+               std::invalid_argument);
+  EXPECT_THROW(run(ModelKind::kGat, h, 12, std::nullopt),
+               std::invalid_argument);
+  for (const ModelKind k : {ModelKind::kGcn, ModelKind::kGat,
+                            ModelKind::kGin}) {
+    EXPECT_THROW(run(k, h, 63, std::nullopt), std::invalid_argument)
+        << model_name(k);
+    EXPECT_EQ(run(k, SystemMode::kDglHalf, 63, std::nullopt).losses.size(),
+              1u)
+        << model_name(k);
+    EXPECT_EQ(run(k, SystemMode::kDglFloat, 63, std::nullopt).losses.size(),
+              1u)
+        << model_name(k);
+    for (const Dtype dt : {Dtype::kBf16, Dtype::kF32, Dtype::kI8}) {
+      EXPECT_EQ(run(k, h, 63, dt).losses.size(), 1u) << model_name(k);
+    }
+  }
+  // GCN and GIN run no sddmm: an even width that is no multiple of 8 trains.
+  EXPECT_EQ(run(ModelKind::kGcn, h, 60, std::nullopt).losses.size(), 1u);
+  EXPECT_EQ(run(ModelKind::kGin, h, 60, std::nullopt).losses.size(), 1u);
+  try {
+    run(ModelKind::kGat, h, 60, std::nullopt);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sddmm_halfgnn"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(OverflowCollapse, DglHalfDiesOnHubsHalfGnnSurvives) {
   // The Fig. 1c / Fig. 5 mechanism end to end, scaled down: a hub dataset

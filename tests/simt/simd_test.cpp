@@ -14,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -380,41 +383,169 @@ TEST_F(SimdAvx2, MaskedFmaAndDotMatchScalar) {
   }
 }
 
-TEST_F(SimdAvx2, ShuffleXorMatchesScalar) {
+// Float bit patterns biased toward the special classes, like
+// random_half_bits: NaN payloads of either sign, +-Inf, subnormals, +-0.
+float random_special_float(std::mt19937& rng) {
+  switch (rng() % 8) {
+    case 0:
+      return std::bit_cast<float>(
+          static_cast<std::uint32_t>(0x7F800000u | (rng() & 0x80000000u)));
+    case 1:
+      return std::bit_cast<float>(static_cast<std::uint32_t>(
+          0x7F800000u | (rng() & 0x807FFFFFu) | 1u));
+    case 2:
+      return std::bit_cast<float>(static_cast<std::uint32_t>(rng()) &
+                                  0x807FFFFFu);
+    case 3:
+      return std::bit_cast<float>(static_cast<std::uint32_t>(rng()) &
+                                  0x80000000u);
+    default:
+      return random_float(rng);
+  }
+}
+
+// The whole butterfly in one call: every power-of-two group width, every
+// mask class, add and max, over special-value lanes.
+TEST_F(SimdAvx2, GroupReduceMatchesScalar) {
   std::mt19937 rng(0x5F1Eu);
-  for (int trial = 0; trial < 600; ++trial) {
-    const int offset = 1 << (trial % 5);  // 1, 2, 4, 8, 16
-    const std::uint32_t active = random_mask(rng, trial / 5);
-    const bool is_max = (trial & 32) != 0;
-    switch (trial % 3) {
+  for (int trial = 0; trial < 1800; ++trial) {
+    const int width = 1 << (trial % 6);  // 1, 2, 4, 8, 16, 32
+    const std::uint32_t active = random_mask(rng, trial / 6);
+    const bool is_max = (trial / 24) % 2 != 0;
+    switch ((trial / 48) % 3) {
       case 0: {
         Lanes<half2> v{};
         for (auto& e : v) e = random_half2(rng);
         Lanes<half2> v2 = v;
-        simd::scalar::shfl_xor_h2(v, offset, active, is_max);
-        simd::ops().shfl_xor_h2(v2, offset, active, is_max);
-        expect_h2_eq(v.data(), v2.data(), simd::kLanes, "shfl_xor_h2", trial);
+        simd::scalar::group_reduce_h2(v, width, active, is_max);
+        simd::ops().group_reduce_h2(v2, width, active, is_max);
+        expect_h2_eq(v.data(), v2.data(), simd::kLanes, "group_reduce_h2",
+                     trial);
         break;
       }
       case 1: {
         Lanes<half_t> v{};
         for (auto& e : v) e = random_half(rng);
         Lanes<half_t> v2 = v;
-        simd::scalar::shfl_xor_h(v, offset, active, is_max);
-        simd::ops().shfl_xor_h(v2, offset, active, is_max);
-        expect_h_eq(v.data(), v2.data(), simd::kLanes, "shfl_xor_h", trial);
+        simd::scalar::group_reduce_h(v, width, active, is_max);
+        simd::ops().group_reduce_h(v2, width, active, is_max);
+        expect_h_eq(v.data(), v2.data(), simd::kLanes, "group_reduce_h",
+                    trial);
         break;
       }
       default: {
         Lanes<float> v{};
-        for (auto& e : v) e = random_float(rng);
+        for (auto& e : v) e = random_special_float(rng);
         Lanes<float> v2 = v;
-        simd::scalar::shfl_xor_f(v, offset, active, is_max);
-        simd::ops().shfl_xor_f(v2, offset, active, is_max);
-        expect_f_eq(v.data(), v2.data(), simd::kLanes, "shfl_xor_f", trial);
+        simd::scalar::group_reduce_f(v, width, active, is_max);
+        simd::ops().group_reduce_f(v2, width, active, is_max);
+        expect_f_eq(v.data(), v2.data(), simd::kLanes, "group_reduce_f",
+                    trial);
         break;
       }
     }
+  }
+}
+
+// One row of the fused segment reduce: lengths around the 8-lane registers
+// and the 32-lane chunks, sum and max, over special values.
+TEST_F(SimdAvx2, SegReduceRowMatchesScalar) {
+  std::mt19937 rng(0x5E9u);
+  constexpr int kNs[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40,
+                         63, 64, 65, 100};
+  for (int trial = 0; trial < 760; ++trial) {
+    const int n = kNs[static_cast<std::size_t>(trial) % std::size(kNs)];
+    const bool is_max = (trial / 19) % 2 != 0;
+    // Exact-size buffers: a load past the row's end overflows the heap.
+    std::vector<half_t> vh(static_cast<std::size_t>(n));
+    std::vector<float> vf(static_cast<std::size_t>(n));
+    for (auto& v : vh) v = random_half(rng);
+    for (auto& v : vf) v = random_special_float(rng);
+    const half_t h0 = simd::scalar::seg_reduce_h(vh.data(), n, is_max);
+    const half_t h1 = simd::ops().seg_reduce_h(vh.data(), n, is_max);
+    ASSERT_EQ(h0.bits(), h1.bits()) << "seg_reduce_h trial " << trial;
+    const float f0 = simd::scalar::seg_reduce_f(vf.data(), n, is_max);
+    const float f1 = simd::ops().seg_reduce_f(vf.data(), n, is_max);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(f0),
+              std::bit_cast<std::uint32_t>(f1))
+        << "seg_reduce_f trial " << trial;
+  }
+}
+
+// The fused sddmm run against the scalar reference and against the
+// unfused sub-warp sequence (gather into lanes, h2_dot_mask per chunk,
+// group_reduce_h2, h2reduce_add). Rows are exact-size allocations, so a
+// load past the last row's end is a heap overflow.
+TEST_F(SimdAvx2, H2SddmmRunMatchesScalarAndUnfusedSequence) {
+  std::mt19937 rng(0x5DD3u);
+  constexpr int kFvecs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32,
+                            33, 36, 64, 66};
+  constexpr int kRows = 9;
+  for (int trial = 0; trial < 486; ++trial) {
+    const int fvec =
+        kFvecs[static_cast<std::size_t>(trial) % std::size(kFvecs)];
+    const int h2per = 1 << ((trial / 18) % 3);  // half2, half4, half8
+    const auto row_words =
+        static_cast<std::size_t>(fvec) * static_cast<std::size_t>(h2per);
+    std::vector<half2> a(kRows * row_words);
+    std::vector<half2> b(kRows * row_words);
+    // Every third trial multiplies negative by positive subnormals: every
+    // product underflows to -0, so every accumulator and the result are -0
+    // — unless a lane that is inactive in a row's last chunk adds +0
+    // instead of keeping its value (-0 + +0 = +0).
+    const auto draw = [&](std::uint32_t sign) {
+      if (trial % 3 != 2) return random_half2(rng);
+      const auto tiny = [&] {
+        return half_t::from_bits(
+            static_cast<std::uint16_t>(sign | (1u + rng() % 0x3FFu)));
+      };
+      return half2{tiny(), tiny()};
+    };
+    for (auto& v : a) v = draw(0x8000u);
+    for (auto& v : b) v = draw(0u);
+    const int n = 1 + static_cast<int>(rng() % 12);
+    std::vector<std::int32_t> rows(static_cast<std::size_t>(n));
+    std::vector<std::int32_t> cols(static_cast<std::size_t>(n));
+    for (auto& r : rows) r = static_cast<std::int32_t>(rng() % kRows);
+    for (auto& c : cols) c = static_cast<std::int32_t>(rng() % kRows);
+    rows.back() = cols.back() = kRows - 1;  // the allocation's last row
+
+    std::vector<half_t> ref(static_cast<std::size_t>(n));
+    std::vector<half_t> got(static_cast<std::size_t>(n));
+    std::vector<half_t> unfused(static_cast<std::size_t>(n));
+    simd::scalar::h2_sddmm_run(ref.data(), a.data(), b.data(), rows.data(),
+                               cols.data(), h2per, fvec, n);
+    simd::ops().h2_sddmm_run(got.data(), a.data(), b.data(), rows.data(),
+                             cols.data(), h2per, fvec, n);
+    const int width = std::min(32, static_cast<int>(std::bit_ceil(
+                                       static_cast<unsigned>(fvec))));
+    for (int i = 0; i < n; ++i) {
+      const auto iu = static_cast<std::size_t>(i);
+      Lanes<half2> acc;
+      acc.fill(half2(0.0f, 0.0f));
+      for (int c = 0; c * 32 < fvec; ++c) {
+        std::vector<half2> va(32 * static_cast<std::size_t>(h2per));
+        std::vector<half2> vb(va.size());
+        const int lanes = std::min(32, fvec - c * 32);
+        for (int j = 0; j < lanes; ++j) {
+          for (int k = 0; k < h2per; ++k) {
+            const std::size_t w =
+                static_cast<std::size_t>((c * 32 + j) * h2per + k);
+            va[static_cast<std::size_t>(j * h2per + k)] =
+                a[static_cast<std::size_t>(rows[iu]) * row_words + w];
+            vb[static_cast<std::size_t>(j * h2per + k)] =
+                b[static_cast<std::size_t>(cols[iu]) * row_words + w];
+          }
+        }
+        simd::scalar::h2_dot_mask(acc, va.data(), vb.data(), h2per,
+                                  prefix_mask(lanes));
+      }
+      simd::scalar::group_reduce_h2(acc, width, kFullMask, false);
+      unfused[iu] = h2reduce_add(acc[0]);
+    }
+    expect_h_eq(ref.data(), got.data(), n, "h2_sddmm_run", trial);
+    expect_h_eq(ref.data(), unfused.data(), n, "h2_sddmm_run vs unfused",
+                trial);
   }
 }
 
@@ -484,6 +615,7 @@ struct KernelFixture {
     Rng gen_rng(11);
     Coo raw = erdos_renyi(400, 2500, gen_rng);
     plant_hubs(raw, 2, 120, gen_rng);
+    raw.num_vertices += 3;  // isolated vertices: empty rows at the end
     csr = coo_to_csr(raw);
     coo = csr_to_coo(csr);
     g = kernels::view(csr, coo);
@@ -572,20 +704,116 @@ TEST_F(SimdAvx2, SpmmCusparseF16IdenticalAcrossPaths) {
       });
 }
 
+std::vector<std::uint16_t> bits_of(std::span<const float> v) {
+  std::vector<std::uint16_t> out;
+  out.reserve(2 * v.size());
+  for (const float f : v) {
+    const auto b = std::bit_cast<std::uint32_t>(f);
+    out.push_back(static_cast<std::uint16_t>(b));
+    out.push_back(static_cast<std::uint16_t>(b >> 16));
+  }
+  return out;
+}
+
+// n x feat finite features like the fixture's; with `specials`, every
+// 37th row holds NaN payloads, +-Inf and -0, and the row after it
+// subnormals whose products underflow to +-0.
+AlignedVec<half_t> make_features(std::size_t n, int feat, std::mt19937& rng,
+                                 bool specials) {
+  AlignedVec<half_t> x(n * static_cast<std::size_t>(feat));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::size_t r = i / static_cast<std::size_t>(feat);
+    if (specials && r % 37 == 0) {
+      constexpr std::uint16_t kSpecial[] = {0x7E01, 0xFC00, 0x7C00, 0x8000,
+                                            0xFD55, 0x3C00};
+      x[i] = half_t::from_bits(kSpecial[i % std::size(kSpecial)]);
+    } else if (specials && r % 37 == 1) {
+      x[i] = half_t::from_bits(static_cast<std::uint16_t>(
+          (rng() & 0x8000u) | (1u + rng() % 0x3FFu)));
+    } else {
+      x[i] = half_t((static_cast<float>(rng() % 4000u) - 2000.0f) / 128.0f);
+    }
+  }
+  return x;
+}
+
+// Every vector width over feature widths with padded lanes (48), 1 to 32
+// sub-warps and more than one chunk (72 at half2, 264 at half8). Each row
+// is an exact-size allocation: the last row ends where the buffer does.
 TEST_F(SimdAvx2, SddmmHalfgnnIdenticalAcrossPaths) {
   KernelFixture f;
   Device dev(a100_spec());
   Stream stream(dev);
-  run_both_paths_and_compare(
-      "sddmm_halfgnn h8",
-      [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
-        AlignedVec<half_t> e(static_cast<std::size_t>(f.coo.row.size()));
-        const auto ks =
-            kernels::sddmm_halfgnn(stream, profiled, f.g, f.xh, f.xh, e,
-                                   f.feat, kernels::SddmmVec::kHalf8);
-        out_bits = bits_of(e);
-        return ks;
-      });
+  const auto n = static_cast<std::size_t>(f.csr.num_vertices);
+  std::mt19937 rng(0x5DDu);
+  for (const bool specials : {false, true}) {
+    for (const int feat : {8, 16, 48, 64, 72, 264}) {
+      const AlignedVec<half_t> a = make_features(n, feat, rng, specials);
+      const AlignedVec<half_t> b = make_features(n, feat, rng, specials);
+      for (const auto vec : {kernels::SddmmVec::kHalf2,
+                             kernels::SddmmVec::kHalf4,
+                             kernels::SddmmVec::kHalf8}) {
+        const std::string what = "sddmm_halfgnn h" +
+                                 std::to_string(static_cast<int>(vec)) +
+                                 " feat " + std::to_string(feat) +
+                                 (specials ? " specials" : "");
+        run_both_paths_and_compare(
+            what.c_str(),
+            [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+              AlignedVec<half_t> e(static_cast<std::size_t>(f.coo.row.size()));
+              const auto ks = kernels::sddmm_halfgnn(stream, profiled, f.g, a,
+                                                     b, e, feat, vec);
+              out_bits = bits_of(e);
+              return ks;
+            });
+      }
+    }
+  }
+}
+
+// Sum and max over the hub rows (degree > 32) and the empty rows, f16 and
+// f32, with and without special values.
+TEST_F(SimdAvx2, SegReduceIdenticalAcrossPaths) {
+  KernelFixture f;
+  Device dev(a100_spec());
+  Stream stream(dev);
+  std::mt19937 rng(0x5E6u);
+  const std::size_t m = f.coo.row.size();
+  const auto n = static_cast<std::size_t>(f.csr.num_vertices);
+  for (const bool specials : {false, true}) {
+    AlignedVec<half_t> vh(m);
+    AlignedVec<float> vf(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      vh[e] = specials && e % 29 == 0 ? random_half(rng) : f.wh[e];
+      vf[e] = specials && e % 29 == 0 ? random_special_float(rng)
+                                      : f.wh[e].to_float() * 1e3f;
+    }
+    for (const auto red :
+         {kernels::SegReduce::kSum, kernels::SegReduce::kMax}) {
+      const std::string tag = std::string(red == kernels::SegReduce::kSum
+                                              ? " sum"
+                                              : " max") +
+                              (specials ? " specials" : "");
+      run_both_paths_and_compare(
+          ("edge_segreduce_f16" + tag).c_str(),
+          [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+            AlignedVec<half_t> r(n);
+            const auto ks = kernels::edge_segment_reduce_f16(
+                stream, profiled, f.g, vh, r, red);
+            out_bits = bits_of(r);
+            return ks;
+          });
+      run_both_paths_and_compare(
+          ("edge_segreduce_f32" + tag).c_str(),
+          [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+            AlignedVec<float> r(n);
+            const auto ks = kernels::edge_segment_reduce_f32(
+                stream, profiled, f.g, vf, r, red);
+            out_bits = bits_of(std::span<const float>(r));
+            return ks;
+          });
+    }
+  }
 }
 
 TEST_F(SimdAvx2, EdgeSoftmaxIdenticalAcrossPaths) {
@@ -609,6 +837,90 @@ TEST_F(SimdAvx2, EdgeSoftmaxIdenticalAcrossPaths) {
         out_bits = bits_of(e);
         return ks;
       });
+}
+
+// Every edge-parallel op, f16 and f32, over special values, with the
+// in-place exp_sub_row(e, r, e) the softmax chain uses.
+template <class T>
+void edge_ops_case(const KernelFixture& f, Stream& stream, std::mt19937& rng,
+                   const char* what) {
+  const std::size_t m = f.coo.row.size();
+  const auto n = static_cast<std::size_t>(f.csr.num_vertices);
+  const auto value = [&](std::size_t i) -> T {
+    if constexpr (std::is_same_v<T, half_t>) {
+      return i % 23 == 0 ? random_half(rng) : f.wh[i % f.wh.size()];
+    } else {
+      return i % 23 == 0 ? random_special_float(rng)
+                         : f.wh[i % f.wh.size()].to_float();
+    }
+  };
+  AlignedVec<T> el(n), er(n), d(m), gr(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    el[i] = value(i);
+    er[i] = value(i + 7);
+  }
+  for (std::size_t e = 0; e < m; ++e) {
+    d[e] = value(e + 3);
+    gr[e] = value(e + 11);
+  }
+  std::vector<eid_t> perm(m);
+  for (std::size_t e = 0; e < m; ++e) perm[e] = static_cast<eid_t>(e);
+  std::shuffle(perm.begin(), perm.end(), rng);
+
+  run_both_paths_and_compare(
+      what, [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+        constexpr bool kHalf = std::is_same_v<T, half_t>;
+        const auto op = [&](auto f16, auto f32, auto&&... args) {
+          if constexpr (kHalf) {
+            return f16(stream, profiled, args...);
+          } else {
+            return f32(stream, profiled, args...);
+          }
+        };
+        AlignedVec<T> s(m), r(n), a(m), t(m), c(n), ds(m), lb(m), pm(m);
+        auto ks = op(kernels::edge_add_scalars_f16,
+                     kernels::edge_add_scalars_f32, f.g,
+                     std::span<const T>(el), std::span<const T>(er),
+                     std::span<T>(s), 0.2f);
+        AlignedVec<T> e = s;
+        ks += op(kernels::edge_segment_reduce_f16,
+                 kernels::edge_segment_reduce_f32, f.g, std::span<const T>(e),
+                 std::span<T>(r), kernels::SegReduce::kMax);
+        ks += op(kernels::edge_exp_sub_row_f16, kernels::edge_exp_sub_row_f32,
+                 f.g, std::span<const T>(e), std::span<const T>(r),
+                 std::span<T>(e));
+        ks += op(kernels::edge_div_row_f16, kernels::edge_div_row_f32, f.g,
+                 std::span<const T>(e), std::span<const T>(el),
+                 std::span<T>(a));
+        ks += op(kernels::edge_mul_f16, kernels::edge_mul_f32,
+                 std::span<const T>(a), std::span<const T>(d),
+                 std::span<T>(t));
+        ks += op(kernels::edge_softmax_backward_f16,
+                 kernels::edge_softmax_backward_f32, f.g,
+                 std::span<const T>(a), std::span<const T>(d),
+                 std::span<const T>(er), std::span<T>(ds));
+        ks += op(kernels::edge_leaky_backward_f16,
+                 kernels::edge_leaky_backward_f32, std::span<const T>(s),
+                 std::span<const T>(gr), std::span<T>(lb), 0.2f);
+        ks += op(kernels::edge_permute_f16, kernels::edge_permute_f32,
+                 std::span<const T>(gr), std::span<const eid_t>(perm),
+                 std::span<T>(pm));
+        out_bits.clear();
+        for (const AlignedVec<T>* v : {&s, &r, &e, &a, &t, &ds, &lb, &pm}) {
+          const auto b = bits_of(std::span<const T>(*v));
+          out_bits.insert(out_bits.end(), b.begin(), b.end());
+        }
+        return ks;
+      });
+}
+
+TEST_F(SimdAvx2, EdgeOpsIdenticalAcrossPaths) {
+  KernelFixture f;
+  Device dev(a100_spec());
+  Stream stream(dev);
+  std::mt19937 rng(0xED6Eu);
+  edge_ops_case<half_t>(f, stream, rng, "edge ops f16");
+  edge_ops_case<float>(f, stream, rng, "edge ops f32");
 }
 
 }  // namespace
