@@ -8,6 +8,7 @@ status=0
 # needs a multiple of 8 (GAT), spmm_halfgnn an even width (every model).
 for args in "--hidden 0" "--hidden -8" "--dataset 4" "--dataset abc" \
             "--dataset 17" "--epochs -3" "--epochs 0" "--lr nan" "--lr 0" \
+            "--seed -1" "--seed abc" \
             "--model gat --hidden 60" "--model gat --hidden 12" \
             "--hidden 63"; do
   # shellcheck disable=SC2086  # $args is a flag and its value

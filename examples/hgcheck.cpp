@@ -13,7 +13,8 @@
 //     0  every active site SAFE or NEEDS-SCALING (or UNSAFE but allowlisted)
 //     1  an active UNSAFE site not covered by the allowlist, or lint issues
 //     2  bad usage: unknown flag, or a value outside what train_cli accepts
-//        (dataset 1..16 and labeled, hidden >= 8, epochs >= 1, lr > 0)
+//        (whole numbers only; dataset 1..16, hidden >= 8, epochs >= 1,
+//        lr finite and > 0, seed >= 0), or a dataset without labels
 //
 //   --report writes the halfgnn-check-v1 JSON report ('-' = stdout).
 //   --lint runs the metadata linter (dtype traits, doc-grammar drift
@@ -24,12 +25,8 @@
 //   check-gate entry point); --allowlist names a JSON file with an array
 //   of "model/mode/dtype/site" strings allowed to stay UNSAFE.
 #include <algorithm>
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -39,9 +36,14 @@
 
 #include "check/check.hpp"
 #include "check/lint.hpp"
+#include "cli_args.hpp"
 #include "graph/datasets.hpp"
 
 namespace {
+
+using hg::cli::parse_int;
+using hg::cli::parse_lr;
+using hg::cli::parse_seed;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -56,9 +58,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// A numeric flag whose value does not parse: argv[i - 1] is the flag.
+// A numeric flag whose value does not parse (cli_args.hpp) or is out of
+// its range: argv[i - 1] is the flag.
 int not_a_number(char** argv, int i) {
-  std::fprintf(stderr, "hgcheck: %s needs a number, got '%s'\n", argv[i - 1],
+  std::fprintf(stderr, "hgcheck: %s: invalid value '%s'\n", argv[i - 1],
                argv[i]);
   return usage(argv[0]);
 }
@@ -81,27 +84,9 @@ struct Args {
   bool grid = false;
 };
 
-// Whole-string base-10 int; false on junk, trailing text or overflow.
-bool parse_int(const char* s, int& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno != 0 || v < INT_MIN || v > INT_MAX) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_lr(const char* s, float& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<float>(v);
-  return true;
-}
-
-// The ranges train_cli accepts; "" when `a` is runnable.
+// The ranges train_cli enforces too (the parsers already rejected a
+// non-finite or non-positive lr and a negative seed), plus the labels
+// hgcheck needs; "" when `a` is runnable.
 std::string invalid_args(const Args& a) {
   if (a.dataset < 1 || a.dataset > hg::kNumDatasets) {
     return "--dataset must be in 1.." + std::to_string(hg::kNumDatasets);
@@ -114,9 +99,6 @@ std::string invalid_args(const Args& a) {
   }
   if (a.hidden < 8) return "--hidden must be >= 8";
   if (a.epochs < 1) return "--epochs must be >= 1";
-  if (!std::isfinite(a.lr) || a.lr <= 0.0f) {
-    return "--lr must be finite and > 0";
-  }
   return "";
 }
 
@@ -281,7 +263,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--lr") {
       if (!parse_lr(next("--lr"), a.lr)) return not_a_number(argv, i);
     } else if (arg == "--seed") {
-      a.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      if (!parse_seed(next("--seed"), a.seed)) return not_a_number(argv, i);
     } else if (arg == "--no-envelope") {
       a.envelope = false;
     } else if (arg.rfind("--report=", 0) == 0) {

@@ -46,6 +46,7 @@
 #include <string>
 
 #include "ckpt/store.hpp"
+#include "cli_args.hpp"
 #include "graph/datasets.hpp"
 #include "nn/trainer.hpp"
 #include "simt/fault.hpp"
@@ -125,10 +126,18 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (a == "--dataset") {
+    // A numeric flag's value through one of the strict cli_args.hpp
+    // parsers; false (after one error line for a bad value) sends the
+    // caller to usage().
+    const auto number = [&](auto parse, auto& out) {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      dataset = std::atoi(v);
+      if (v == nullptr) return false;
+      if (parse(v, out)) return true;
+      std::fprintf(stderr, "error: %s: invalid value '%s'\n", a.c_str(), v);
+      return false;
+    };
+    if (a == "--dataset") {
+      if (!number(cli::parse_int, dataset)) return usage(argv[0]);
     } else if (a == "--model") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -154,22 +163,14 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (a == "--epochs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.epochs = std::atoi(v);
+      if (!number(cli::parse_int, cfg.epochs)) return usage(argv[0]);
     } else if (a == "--lr") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.lr = static_cast<float>(std::atof(v));
+      if (!number(cli::parse_lr, cfg.lr)) return usage(argv[0]);
       have_lr = true;
     } else if (a == "--hidden") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.hidden = std::atoi(v);
+      if (!number(cli::parse_int, cfg.hidden)) return usage(argv[0]);
     } else if (a == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(cli::parse_seed, cfg.seed)) return usage(argv[0]);
     } else if (a == "--dtype") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -181,25 +182,23 @@ int main(int argc, char** argv) {
     } else if (a == "--guard") {
       cfg.guard.enabled = true;
     } else if (a == "--guard-retry") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.guard.retry_budget = std::atoi(v);
+      if (!number(cli::parse_int, cfg.guard.retry_budget)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--guard-interval") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.guard.checkpoint_interval = std::atoi(v);
+      if (!number(cli::parse_int, cfg.guard.checkpoint_interval)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--guard-ring") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.guard.checkpoint_ring = std::atoi(v);
+      if (!number(cli::parse_int, cfg.guard.checkpoint_ring)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--guard-nan-streak") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.guard.nan_streak = std::atoi(v);
+      if (!number(cli::parse_int, cfg.guard.nan_streak)) return usage(argv[0]);
     } else if (a == "--guard-overflow-streak") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.guard.overflow_streak = std::atoi(v);
+      if (!number(cli::parse_int, cfg.guard.overflow_streak)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--profile") {
       cfg.profile_first_epoch = true;
     } else if (a.rfind("--profile=", 0) == 0) {
@@ -218,9 +217,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       cfg.checkpoint_dir = v;
     } else if (a == "--ckpt-every") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cfg.checkpoint_every = std::atoi(v);
+      if (!number(cli::parse_int, cfg.checkpoint_every)) return usage(argv[0]);
       if (cfg.checkpoint_every < 1) {
         std::fprintf(stderr, "error: --ckpt-every must be >= 1\n");
         return usage(argv[0]);

@@ -55,28 +55,46 @@ std::span<const std::string_view> bf16_promoted_ops();   // precision-only
 
 class GradScaler {
  public:
+  // The loss-scale trajectory: everything update() changes. A checkpoint
+  // carries it whole, and restore() reinstates it exactly.
+  struct Trajectory {
+    float scale = 1.0f;
+    int clean_steps = 0;
+    int skipped = 0;
+    int stepped = 0;
+    // Post-update scale per step, in order — the trajectory the per-epoch
+    // amp.loss_scale gauge snapshots, available without the registry.
+    std::vector<float> history;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(scale, clean_steps, skipped, stepped, history);
+    }
+  };
+
   // Defaults match torch.cuda.amp's growth policy with this repo's
   // historical clamps: scale floor 1.0 (torch itself allows lower — pass a
   // smaller min_scale to match), cap 65536.
   explicit GradScaler(float init_scale = 1024.0f, float growth = 2.0f,
                       float backoff = 0.5f, int growth_interval = 200,
                       float min_scale = 1.0f, float max_scale = 65536.0f)
-      : scale_(init_scale),
-        growth_(growth),
+      : growth_(growth),
         backoff_(backoff),
         growth_interval_(growth_interval),
         min_scale_(min_scale),
-        max_scale_(max_scale) {}
+        max_scale_(max_scale) {
+    t_.scale = init_scale;
+  }
 
-  float scale() const noexcept { return scale_; }
+  float scale() const noexcept { return t_.scale; }
   float min_scale() const noexcept { return min_scale_; }
   float max_scale() const noexcept { return max_scale_; }
 
   // Force the scale (clamped to [min_scale, max_scale]) without touching
   // the clean-step streak bookkeeping — the TrainGuard rollback path.
   void set_scale(float s) {
-    scale_ = std::min(max_scale_, std::max(min_scale_, s));
-    clean_steps_ = 0;
+    t_.scale = std::min(max_scale_, std::max(min_scale_, s));
+    t_.clean_steps = 0;
   }
 
   // Call with whether any unscaled master gradient was non-finite.
@@ -84,62 +102,48 @@ class GradScaler {
   bool update(bool found_nonfinite) {
     bool step = true;
     if (found_nonfinite) {
-      scale_ = std::max(min_scale_, scale_ * backoff_);
-      clean_steps_ = 0;
-      ++skipped_;
+      t_.scale = std::max(min_scale_, t_.scale * backoff_);
+      t_.clean_steps = 0;
+      ++t_.skipped;
       step = false;
     } else {
-      if (++clean_steps_ >= growth_interval_) {
-        scale_ = std::min(max_scale_, scale_ * growth_);
-        clean_steps_ = 0;
+      if (++t_.clean_steps >= growth_interval_) {
+        t_.scale = std::min(max_scale_, t_.scale * growth_);
+        t_.clean_steps = 0;
       }
-      ++stepped_;
+      ++t_.stepped;
     }
-    history_.push_back(scale_);
+    t_.history.push_back(t_.scale);
     // Loss-scale trajectory and skip count into the metrics registry (the
     // Fig. 1 diagnostic: a scale pinned at the floor with a climbing skip
     // counter is the signature of unrecoverable forward overflow).
     if (obs::registry().enabled()) {
       obs::registry().set_gauge("amp.loss_scale",
-                                static_cast<double>(scale_));
+                                static_cast<double>(t_.scale));
       obs::registry().add_counter(step ? "amp.steps" : "amp.skipped_steps");
     }
     return step;
   }
 
-  int skipped_steps() const noexcept { return skipped_; }
-  int taken_steps() const noexcept { return stepped_; }
-  int clean_steps() const noexcept { return clean_steps_; }
-
-  // Post-update scale per step, in order — the trajectory the per-epoch
-  // amp.loss_scale gauge snapshots, available without the registry.
+  int skipped_steps() const noexcept { return t_.skipped; }
+  int taken_steps() const noexcept { return t_.stepped; }
+  int clean_steps() const noexcept { return t_.clean_steps; }
   const std::vector<float>& scale_history() const noexcept {
-    return history_;
+    return t_.history;
   }
 
-  // Checkpoint restore: reinstates the exact mid-run trajectory — scale,
-  // growth streak, skip/step counters, recorded history — with no clamping
-  // or streak reset (set_scale is the rollback path; this is not).
-  void restore_state(float scale, int clean_steps, int skipped, int stepped,
-                     std::vector<float> history) {
-    scale_ = scale;
-    clean_steps_ = clean_steps;
-    skipped_ = skipped;
-    stepped_ = stepped;
-    history_ = std::move(history);
-  }
+  const Trajectory& trajectory() const noexcept { return t_; }
+  // Checkpoint restore: reinstates the exact mid-run trajectory with no
+  // clamping or streak reset (set_scale is the rollback path; this is not).
+  void restore(Trajectory t) { t_ = std::move(t); }
 
  private:
-  float scale_;
   float growth_;
   float backoff_;
   int growth_interval_;
   float min_scale_;
   float max_scale_;
-  int clean_steps_ = 0;
-  int skipped_ = 0;
-  int stepped_ = 0;
-  std::vector<float> history_;
+  Trajectory t_;
 };
 
 }  // namespace hg::amp

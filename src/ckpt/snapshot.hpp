@@ -1,7 +1,7 @@
 // The single snapshot struct behind both recovery mechanisms: TrainGuard's
 // in-memory rollback ring and the durable on-disk Store (store.hpp) carry
-// the same ckpt::ModelState / ckpt::TrainState, serialized by the same
-// functions — one format, not two.
+// the same ckpt::ModelState / ckpt::TrainState, archived through the same
+// field lists (serial.hpp) — one format, not two.
 //
 // TrainState captures everything the training loop needs to continue
 // bit-exactly from the top of an epoch: master weights + Adam moments +
@@ -11,13 +11,23 @@
 // so a resumed run's outputs, metrics JSON and trace JSON are byte-
 // identical to the uninterrupted run at every HALFGNN_THREADS and on both
 // HALFGNN_SIMD paths.
+//
+// Each piece is its owner's own type: the trajectory is amp's, the RNG
+// state util's, the ledger and memory meter tensor's. ckpt depends on
+// those libraries, never the reverse; the guard state and the partial
+// result are defined here because their owners (nn::TrainGuard,
+// nn::TrainResult) live above ckpt and embed them.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "ckpt/serial.hpp"
+#include "amp/amp.hpp"
+#include "tensor/ledger.hpp"
+#include "util/rng.hpp"
 
 namespace hg::ckpt {
 
@@ -32,71 +42,57 @@ struct ModelState {
   int adam_t = 0;
   float scale = 1.0f;  // GradScaler scale at snapshot time
   std::vector<std::vector<float>> master, m, v;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(epoch, adam_t, scale, master, m, v);
+  }
 };
 
-// Full GradScaler trajectory: restore must preserve the growth streak, the
-// skip/step counters and the recorded scale history exactly.
-struct ScalerState {
-  float scale = 1.0f;
-  int clean_steps = 0;
-  int skipped = 0;
-  int stepped = 0;
-  std::vector<float> history;
-};
-
-struct RngState {
-  std::uint64_t s[4] = {};
-  double cached = 0;
-  bool has_cached = false;
-};
-
-struct GuardSiteState {
-  std::string site;
-  int level = 0;
-  int streak = 0;
-};
-
+// nn::TrainGuard's whole state; the guard keeps it in this one struct.
 struct GuardState {
-  std::vector<GuardSiteState> sites;
-  std::vector<ModelState> ring;  // oldest first
+  struct Site {
+    int level = 0;   // fallback-chain level (0 = the mode's native kernel)
+    int streak = 0;  // consecutive non-finite outputs
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(level, streak);
+    }
+  };
+  std::map<std::string, Site> sites;
+  std::deque<ModelState> ring;  // rollback snapshots, oldest first
   int nan_streak = 0;
   bool last_loss_finite = true;
   int retries = 0;
   int rollbacks = 0;
   int fallbacks = 0;
   int checkpoints = 0;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(sites, ring, nan_streak, last_loss_finite, retries, rollbacks,
+       fallbacks, checkpoints);
+  }
 };
 
-// CostLedger / MemoryMeter images (epoch 0 fills both; a resume from a
-// later epoch must restore rather than re-measure them).
-struct LedgerState {
-  double dispatch_us_per_kernel = 0;
-  double dense_ms = 0;
-  double sparse_ms = 0;
-  double convert_ms = 0;
-  std::uint64_t sparse_kernels = 0;
-  std::uint64_t dense_kernels = 0;
-  std::uint64_t conversions = 0;
-  std::uint64_t converted_bytes = 0;
-};
-
-struct MemoryState {
-  std::uint64_t graph_bytes = 0;
-  std::uint64_t state_bytes = 0;
-  std::uint64_t param_bytes = 0;
-  std::uint64_t workspace_bytes = 0;
-  std::uint64_t framework_overhead = 0;
-};
-
-// The partial TrainResult accumulated before the snapshot epoch.
+// The part of nn::TrainResult (which extends this struct) accumulated
+// before the snapshot epoch. The meter and ledger are measured on epoch 0
+// only, so a resume from a later epoch must carry them or it would report
+// zeros.
 struct ResultState {
-  std::vector<double> losses;
+  std::vector<double> losses;  // per-epoch train loss (NaN stays NaN)
   std::vector<double> test_accs;
   double best_test_acc = 0;
-  int nan_loss_epochs = 0;
-  int first_nan_epoch = -1;
-  MemoryState memory;
-  LedgerState ledger;
+  int nan_loss_epochs = 0;   // epochs whose loss was NaN (Fig. 1c mechanism)
+  int first_nan_epoch = -1;  // epoch index of the first NaN loss; -1 = none
+  MemoryMeter memory;
+  CostLedger epoch_ledger;  // one epoch's modeled cost, if profiled
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(losses, test_accs, best_test_acc, nan_loss_epochs, first_nan_epoch,
+       memory, epoch_ledger);
+  }
 };
 
 struct TrainState {
@@ -106,20 +102,20 @@ struct TrainState {
   std::string fingerprint;
   int epoch = 0;  // the epoch about to run when the snapshot was taken
   ModelState model;
-  ScalerState scaler;
-  RngState rng;
+  amp::GradScaler::Trajectory scaler;
+  Rng::State rng;
   GuardState guard;
   ResultState result;
   // Opaque obs blobs (Registry::save_state / Tracer::save_state); empty
   // when the corresponding sink was disabled.
   std::string registry_blob;
   std::string tracer_blob;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(fingerprint, epoch, model, scaler, rng, guard, result, registry_blob,
+       tracer_blob);
+  }
 };
-
-void write_model_state(Writer& w, const ModelState& st);
-ModelState read_model_state(Reader& r);
-
-void write_train_state(Writer& w, const TrainState& st);
-TrainState read_train_state(Reader& r);
 
 }  // namespace hg::ckpt

@@ -1,11 +1,14 @@
 #include "ckpt/store.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 
+#include "ckpt/serial.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
@@ -22,6 +25,7 @@ constexpr char kMagic[4] = {'H', 'G', 'C', 'K'};
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 constexpr const char* kManifestName = "MANIFEST.json";
 constexpr const char* kManifestSchema = "halfgnn-ckpt-v1";
+constexpr int kMaxGeneration = INT_MAX - 1;
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -58,7 +62,9 @@ void write_file_raw(const fs::path& p, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// -1 when the name is not a ckpt data file.
+// The generation in a data file's name; -1 when the name is not a ckpt
+// data file. A generation is a whole number in [0, INT_MAX - 1], so the
+// next one always fits an int.
 int parse_generation(const std::string& name) {
   constexpr std::string_view prefix = "ckpt-";
   constexpr std::string_view suffix = ".bin";
@@ -71,14 +77,27 @@ int parse_generation(const std::string& name) {
   for (std::size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
     const char c = name[i];
     if (c < '0' || c > '9') return -1;
+    if (gen > (kMaxGeneration - (c - '0')) / 10) return -1;
     gen = gen * 10 + (c - '0');
   }
   return gen;
 }
 
+// A manifest number that must be a whole number in [0, max]; throws (the
+// manifest is then ignored like a corrupt one) for anything else,
+// including a missing field, NaN or a value no integer type can hold.
+double manifest_number(const obs::Json& entry, const char* key, double max) {
+  const obs::Json* v = entry.find(key);
+  if (v == nullptr || !v->is_number() || !(v->as_double() >= 0) ||
+      v->as_double() > max || v->as_double() != std::floor(v->as_double())) {
+    throw std::runtime_error(std::string("bad manifest ") + key);
+  }
+  return v->as_double();
+}
+
 std::string frame(const TrainState& st) {
   Writer payload;
-  write_train_state(payload, st);
+  payload(st);
   const std::string& body = payload.data();
   Writer head;
   for (const char c : kMagic) head.u8(static_cast<std::uint8_t>(c));
@@ -114,7 +133,7 @@ std::string try_decode(const std::string& bytes, TrainState& out) {
   try {
     Reader body(bytes.data() + kHeaderBytes,
                 static_cast<std::size_t>(payload_size));
-    out = read_train_state(body);
+    body(out);
     if (!body.done()) return "trailing bytes after payload";
   } catch (const std::exception& e) {
     return e.what();
@@ -150,10 +169,13 @@ Store::Store(StoreConfig cfg) : cfg_(std::move(cfg)) {
       if (const obs::Json* entries = doc.find("entries")) {
         for (const obs::Json& e : entries->items()) {
           Entry ent;
-          if (const auto* v = e.find("gen")) ent.gen = static_cast<int>(v->as_double());
-          if (const auto* v = e.find("epoch")) ent.epoch = static_cast<int>(v->as_double());
-          if (const auto* v = e.find("bytes")) ent.bytes = static_cast<std::uint64_t>(v->as_double());
-          if (const auto* v = e.find("crc")) ent.crc = static_cast<std::uint32_t>(v->as_double());
+          ent.gen = static_cast<int>(manifest_number(e, "gen", kMaxGeneration));
+          ent.epoch = static_cast<int>(manifest_number(e, "epoch", INT_MAX));
+          // Doubles hold whole byte counts exactly up to 2^53.
+          ent.bytes =
+              static_cast<std::uint64_t>(manifest_number(e, "bytes", 0x1p53));
+          ent.crc = static_cast<std::uint32_t>(
+              manifest_number(e, "crc", UINT32_MAX));
           entries_.push_back(ent);
         }
       }
@@ -200,6 +222,10 @@ void Store::prune() {
 }
 
 void Store::write(const TrainState& st) {
+  if (next_gen_ > kMaxGeneration) {
+    throw std::runtime_error("ckpt: generation numbers exhausted in '" +
+                             cfg_.dir + "'");
+  }
   const std::string bytes = frame(st);
   const int gen = next_gen_++;
   const fs::path file = fs::path(cfg_.dir) / data_file_name(gen);

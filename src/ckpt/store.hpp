@@ -80,7 +80,8 @@ class Store {
 
   // Serializes `st` and commits it as the next generation. Throws
   // SimulatedCrash if the torn plan is armed for st.epoch (at most once
-  // per Store), std::runtime_error on real I/O failure.
+  // per Store), std::runtime_error on real I/O failure or when the
+  // directory already holds generation INT_MAX - 1.
   void write(const TrainState& st);
 
   // Recovers the newest verifiable snapshot. Publishes ckpt.load.* metrics

@@ -41,21 +41,6 @@ inline const char* mode_name(SystemMode m) {
 // of 8 in all modes so the compared models are identical.
 inline int pad_feat(int f) { return (f + 7) / 8 * 8; }
 
-// Memory accounting for Fig. 6 (see EXPERIMENTS.md for the model).
-struct MemoryMeter {
-  std::uint64_t graph_bytes = 0;
-  std::uint64_t state_bytes = 0;   // saved activations / state tensors
-  std::uint64_t param_bytes = 0;   // master weights + Adam moments
-  std::uint64_t workspace_bytes = 0;
-  std::uint64_t framework_overhead = 0;
-
-  std::uint64_t total() const {
-    return graph_bytes + state_bytes + param_bytes + workspace_bytes +
-           framework_overhead;
-  }
-  void add_state(std::uint64_t bytes) { state_bytes += bytes; }
-};
-
 // Topology context shared by all layers operating on one dataset.
 class GraphCtx {
  public:

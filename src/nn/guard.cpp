@@ -44,7 +44,7 @@ void restore_model_state(const ckpt::ModelState& st,
 }
 
 void TrainGuard::count_retry(const std::string& site) {
-  ++retries_;
+  ++st_.retries;
   if (obs::registry().enabled()) {
     obs::registry().add_counter("guard.retries");
     obs::registry().add_counter("guard.retries." + site);
@@ -60,14 +60,14 @@ void TrainGuard::count_retry(const std::string& site) {
 }
 
 int TrainGuard::level(const std::string& site) const {
-  const auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.level;
+  const auto it = st_.sites.find(site);
+  return it == st_.sites.end() ? 0 : it->second.level;
 }
 
 void TrainGuard::observe_output(const std::string& site, bool nonfinite,
                                 int chain_len,
                                 const std::string& next_kernel) {
-  Site& s = sites_[site];
+  ckpt::GuardState::Site& s = st_.sites[site];
   if (!nonfinite) {
     s.streak = 0;
     return;
@@ -76,7 +76,7 @@ void TrainGuard::observe_output(const std::string& site, bool nonfinite,
   s.streak = 0;
   if (s.level >= chain_len - 1) return;  // already at the end of the chain
   ++s.level;
-  ++fallbacks_;
+  ++st_.fallbacks;
   if (obs::registry().enabled()) {
     obs::registry().add_counter("guard.fallbacks");
     obs::registry().set_gauge("guard.level." + site, s.level);
@@ -102,34 +102,36 @@ void TrainGuard::maybe_checkpoint(int epoch,
       epoch % cfg_.checkpoint_interval != 0) {
     return;
   }
-  if (!last_loss_finite_) return;  // a collapsing state is not worth keeping
-  ring_.push_back(capture_model_state(epoch, adam_t, scaler.scale(), params));
-  while (static_cast<int>(ring_.size()) > std::max(1, cfg_.checkpoint_ring)) {
-    ring_.pop_front();
+  if (!st_.last_loss_finite) return;  // a collapsing state is not worth keeping
+  st_.ring.push_back(
+      capture_model_state(epoch, adam_t, scaler.scale(), params));
+  while (static_cast<int>(st_.ring.size()) >
+         std::max(1, cfg_.checkpoint_ring)) {
+    st_.ring.pop_front();
   }
-  ++checkpoints_;
+  ++st_.checkpoints;
 }
 
 bool TrainGuard::note_loss(double loss) {
   const bool finite = std::isfinite(loss);
-  last_loss_finite_ = finite;
+  st_.last_loss_finite = finite;
   if (finite) {
-    nan_streak_ = 0;
+    st_.nan_streak = 0;
     return false;
   }
-  if (++nan_streak_ < std::max(1, cfg_.nan_streak)) return false;
-  nan_streak_ = 0;
-  return !ring_.empty();
+  if (++st_.nan_streak < std::max(1, cfg_.nan_streak)) return false;
+  st_.nan_streak = 0;
+  return !st_.ring.empty();
 }
 
 void TrainGuard::rollback(const std::vector<Param*>& params,
                           amp::GradScaler& scaler, int& adam_t) {
-  if (ring_.empty()) return;
-  const ckpt::ModelState& cp = ring_.back();
+  if (st_.ring.empty()) return;
+  const ckpt::ModelState& cp = st_.ring.back();
   restore_model_state(cp, params);
   adam_t = cp.adam_t;
   scaler.set_scale(cp.scale * cfg_.rollback_scale_backoff);
-  ++rollbacks_;
+  ++st_.rollbacks;
   if (obs::registry().enabled()) {
     obs::registry().add_counter("guard.rollbacks");
     obs::registry().set_gauge("guard.restored_epoch", cp.epoch);
@@ -149,40 +151,6 @@ void TrainGuard::rollback(const std::vector<Param*>& params,
                      obs::Json::number_to_string(
                          static_cast<double>(scaler.scale())));
   }
-}
-
-ckpt::GuardState TrainGuard::save_state() const {
-  ckpt::GuardState st;
-  st.sites.reserve(sites_.size());
-  for (const auto& kv : sites_) {
-    ckpt::GuardSiteState s;
-    s.site = kv.first;
-    s.level = kv.second.level;
-    s.streak = kv.second.streak;
-    st.sites.push_back(std::move(s));
-  }
-  st.ring.assign(ring_.begin(), ring_.end());
-  st.nan_streak = nan_streak_;
-  st.last_loss_finite = last_loss_finite_;
-  st.retries = retries_;
-  st.rollbacks = rollbacks_;
-  st.fallbacks = fallbacks_;
-  st.checkpoints = checkpoints_;
-  return st;
-}
-
-void TrainGuard::restore_state(const ckpt::GuardState& st) {
-  sites_.clear();
-  for (const auto& s : st.sites) {
-    sites_[s.site] = Site{s.level, s.streak};
-  }
-  ring_.assign(st.ring.begin(), st.ring.end());
-  nan_streak_ = st.nan_streak;
-  last_loss_finite_ = st.last_loss_finite;
-  retries_ = st.retries;
-  rollbacks_ = st.rollbacks;
-  fallbacks_ = st.fallbacks;
-  checkpoints_ = st.checkpoints;
 }
 
 }  // namespace hg::nn

@@ -24,8 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -101,36 +99,25 @@ class TrainGuard {
   void rollback(const std::vector<Param*>& params, amp::GradScaler& scaler,
                 int& adam_t);
 
-  int retries() const noexcept { return retries_; }
-  int rollbacks() const noexcept { return rollbacks_; }
-  int fallbacks() const noexcept { return fallbacks_; }
-  int checkpoints() const noexcept { return checkpoints_; }
+  int retries() const noexcept { return st_.retries; }
+  int rollbacks() const noexcept { return st_.rollbacks; }
+  int fallbacks() const noexcept { return st_.fallbacks; }
+  int checkpoints() const noexcept { return st_.checkpoints; }
 
   // --- durable checkpoint interop -------------------------------------------
-  // Full guard image (site escalation levels, rollback ring, NaN streak,
-  // decision counters) for the durable TrainState; restore_state replaces
-  // everything so a resumed run's guard decisions replay identically.
-  ckpt::GuardState save_state() const;
-  void restore_state(const ckpt::GuardState& st);
+  // The guard's whole state (site escalation levels, rollback ring, NaN
+  // streak, decision counters) is one ckpt::GuardState; restoring it
+  // replaces everything, so a resumed run's guard decisions replay
+  // identically.
+  const ckpt::GuardState& state() const noexcept { return st_; }
+  void restore(ckpt::GuardState st) { st_ = std::move(st); }
 
  private:
-  struct Site {
-    int level = 0;
-    int streak = 0;
-  };
-
   GuardConfig cfg_;
   obs::prof::Profiler* prof_ = nullptr;
-  std::map<std::string, Site> sites_;
-  // In-memory rollback ring, oldest first — the same ckpt::ModelState the
-  // durable Store serializes (one snapshot struct, not two).
-  std::deque<ckpt::ModelState> ring_;
-  int nan_streak_ = 0;
-  bool last_loss_finite_ = true;
-  int retries_ = 0;
-  int rollbacks_ = 0;
-  int fallbacks_ = 0;
-  int checkpoints_ = 0;
+  // The rollback ring holds the same ckpt::ModelState the durable Store
+  // archives (one snapshot struct, not two).
+  ckpt::GuardState st_;
 };
 
 }  // namespace hg::nn

@@ -55,51 +55,6 @@ void fill_memory_model(MemoryMeter& m, SystemMode mode, const Dataset& d,
   }
 }
 
-// TrainResult <-> ckpt::TrainState partial-result conversion. The meter and
-// ledger are measured on epoch 0 only, so a resume from a later epoch must
-// carry them in the snapshot or the resumed run would report zeros.
-ckpt::MemoryState to_state(const MemoryMeter& m) {
-  ckpt::MemoryState s;
-  s.graph_bytes = m.graph_bytes;
-  s.state_bytes = m.state_bytes;
-  s.param_bytes = m.param_bytes;
-  s.workspace_bytes = m.workspace_bytes;
-  s.framework_overhead = m.framework_overhead;
-  return s;
-}
-
-void from_state(const ckpt::MemoryState& s, MemoryMeter& m) {
-  m.graph_bytes = s.graph_bytes;
-  m.state_bytes = s.state_bytes;
-  m.param_bytes = s.param_bytes;
-  m.workspace_bytes = s.workspace_bytes;
-  m.framework_overhead = s.framework_overhead;
-}
-
-ckpt::LedgerState to_state(const CostLedger& l) {
-  ckpt::LedgerState s;
-  s.dispatch_us_per_kernel = l.dispatch_us_per_kernel;
-  s.dense_ms = l.dense_ms;
-  s.sparse_ms = l.sparse_ms;
-  s.convert_ms = l.convert_ms;
-  s.sparse_kernels = l.sparse_kernels;
-  s.dense_kernels = l.dense_kernels;
-  s.conversions = l.conversions;
-  s.converted_bytes = l.converted_bytes;
-  return s;
-}
-
-void from_state(const ckpt::LedgerState& s, CostLedger& l) {
-  l.dispatch_us_per_kernel = s.dispatch_us_per_kernel;
-  l.dense_ms = s.dense_ms;
-  l.sparse_ms = s.sparse_ms;
-  l.convert_ms = s.convert_ms;
-  l.sparse_kernels = s.sparse_kernels;
-  l.dense_kernels = s.dense_kernels;
-  l.conversions = s.conversions;
-  l.converted_bytes = s.converted_bytes;
-}
-
 // Identifies a (model, mode, dataset, hyperparameter) combination; a
 // checkpoint from a different run configuration must not be resumed into
 // this one. lr is fingerprinted by its float bits, not its decimal print.
@@ -208,22 +163,10 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
       }
       restore_model_state(st.model, model->params());
       adam_t = st.model.adam_t;
-      scaler.restore_state(st.scaler.scale, st.scaler.clean_steps,
-                           st.scaler.skipped, st.scaler.stepped,
-                           st.scaler.history);
-      Rng::State rs;
-      for (int i = 0; i < 4; ++i) rs.s[i] = st.rng.s[i];
-      rs.cached = st.rng.cached;
-      rs.has_cached = st.rng.has_cached;
-      rng.set_state(rs);
-      guard.restore_state(st.guard);
-      res.losses = st.result.losses;
-      res.test_accs = st.result.test_accs;
-      res.best_test_acc = st.result.best_test_acc;
-      res.nan_loss_epochs = st.result.nan_loss_epochs;
-      res.first_nan_epoch = st.result.first_nan_epoch;
-      from_state(st.result.memory, res.memory);
-      from_state(st.result.ledger, res.epoch_ledger);
+      scaler.restore(st.scaler);
+      rng.set_state(st.rng);
+      guard.restore(st.guard);
+      static_cast<ckpt::ResultState&>(res) = st.result;
       // Replace the observability state wholesale: the resumed process's
       // trace/metrics continue exactly where the crashed one left off (this
       // also discards the ckpt.load.* counters the load itself published, so
@@ -269,23 +212,10 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
       st.epoch = epoch;
       st.model =
           capture_model_state(epoch, adam_t, scaler.scale(), model->params());
-      st.scaler.scale = scaler.scale();
-      st.scaler.clean_steps = scaler.clean_steps();
-      st.scaler.skipped = scaler.skipped_steps();
-      st.scaler.stepped = scaler.taken_steps();
-      st.scaler.history = scaler.scale_history();
-      const Rng::State rs = rng.state();
-      for (int i = 0; i < 4; ++i) st.rng.s[i] = rs.s[i];
-      st.rng.cached = rs.cached;
-      st.rng.has_cached = rs.has_cached;
-      st.guard = guard.save_state();
-      st.result.losses = res.losses;
-      st.result.test_accs = res.test_accs;
-      st.result.best_test_acc = res.best_test_acc;
-      st.result.nan_loss_epochs = res.nan_loss_epochs;
-      st.result.first_nan_epoch = res.first_nan_epoch;
-      st.result.memory = to_state(res.memory);
-      st.result.ledger = to_state(res.epoch_ledger);
+      st.scaler = scaler.trajectory();
+      st.rng = rng.state();
+      st.guard = guard.state();
+      st.result = res;  // the ckpt::ResultState part
       if (obs::registry().enabled()) {
         st.registry_blob = obs::registry().save_state();
       }

@@ -54,21 +54,16 @@ struct TrainConfig {
 
 TrainConfig default_config(ModelKind kind);
 
-struct TrainResult {
+// The losses, accuracies, NaN bookkeeping, epoch ledger and memory meter
+// come from ckpt::ResultState: the part of the result a checkpoint carries.
+struct TrainResult : ckpt::ResultState {
   double final_test_acc = 0;
-  double best_test_acc = 0;
-  std::vector<double> losses;    // per-epoch train loss (NaN stays NaN)
-  std::vector<double> test_accs;
   int scaler_skipped = 0;   // optimizer steps skipped on non-finite grads
-  int nan_loss_epochs = 0;  // epochs whose loss was NaN (Fig. 1c mechanism)
-  int first_nan_epoch = -1;  // epoch index of the first NaN loss; -1 = none
   // TrainGuard activity (all zero when cfg.guard.enabled is false).
   int guard_retries = 0;
   int guard_rollbacks = 0;
   int guard_fallbacks = 0;
   int guard_checkpoints = 0;
-  CostLedger epoch_ledger;  // one epoch's modeled cost, if profiled
-  MemoryMeter memory;
 };
 
 TrainResult train(ModelKind kind, SystemMode mode, const Dataset& data,

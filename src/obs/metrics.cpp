@@ -232,93 +232,17 @@ bool Registry::write_json(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-namespace {
-
-void write_map(ckpt::Writer& w, const std::map<std::string, double>& m) {
-  w.u64(m.size());
-  for (const auto& kv : m) {
-    w.str(kv.first);
-    w.f64(kv.second);
-  }
-}
-
-std::map<std::string, double> read_map(ckpt::Reader& r) {
-  std::map<std::string, double> m;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string k = r.str();
-    m[std::move(k)] = r.f64();
-  }
-  return m;
-}
-
-}  // namespace
-
 std::string Registry::save_state() const {
   std::lock_guard<std::mutex> lk(mu_);
   ckpt::Writer w;
-  write_map(w, counters_);
-  write_map(w, gauges_);
-  w.u64(histograms_.size());
-  for (const auto& kv : histograms_) {
-    w.str(kv.first);
-    const Histogram& h = kv.second;
-    w.u64(h.count);
-    w.f64(h.sum);
-    w.f64(h.min);
-    w.f64(h.max);
-    for (const std::uint64_t b : h.bucket) w.u64(b);
-  }
-  w.u64(kernels_.size());
-  for (const auto& kv : kernels_) {
-    w.str(kv.first);
-    w.u64(kv.second.launches);
-    write_map(w, kv.second.sums);
-  }
-  w.u64(snapshots_.size());
-  for (const Snapshot& s : snapshots_) {
-    w.i32(s.epoch);
-    write_map(w, s.counters);
-    write_map(w, s.gauges);
-  }
+  const_cast<Registry*>(this)->fields(w);  // the Writer only reads
   return w.take();
 }
 
 void Registry::load_state(const std::string& blob) {
   ckpt::Reader r(blob);
   std::lock_guard<std::mutex> lk(mu_);
-  counters_ = read_map(r);
-  gauges_ = read_map(r);
-  histograms_.clear();
-  const std::uint64_t nh = r.u64();
-  for (std::uint64_t i = 0; i < nh; ++i) {
-    std::string name = r.str();
-    Histogram h;
-    h.count = r.u64();
-    h.sum = r.f64();
-    h.min = r.f64();
-    h.max = r.f64();
-    for (std::uint64_t& b : h.bucket) b = r.u64();
-    histograms_[std::move(name)] = h;
-  }
-  kernels_.clear();
-  const std::uint64_t nk = r.u64();
-  for (std::uint64_t i = 0; i < nk; ++i) {
-    std::string name = r.str();
-    KernelEntry e;
-    e.launches = r.u64();
-    e.sums = read_map(r);
-    kernels_[std::move(name)] = std::move(e);
-  }
-  snapshots_.clear();
-  const std::uint64_t ns = r.u64();
-  for (std::uint64_t i = 0; i < ns; ++i) {
-    Snapshot s;
-    s.epoch = r.i32();
-    s.counters = read_map(r);
-    s.gauges = read_map(r);
-    snapshots_.push_back(std::move(s));
-  }
+  fields(r);
 }
 
 }  // namespace hg::obs

@@ -61,6 +61,11 @@ class Registry {
   struct KernelEntry {
     std::uint64_t launches = 0;
     std::map<std::string, double> sums;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(launches, sums);
+    }
   };
   // Copy (for tests / reports); keyed by kernel name.
   std::map<std::string, KernelEntry> kernels() const;
@@ -74,11 +79,10 @@ class Registry {
   bool write_json(const std::string& path) const;
 
   // --- checkpoint state ------------------------------------------------------
-  // Full registry image (counters, gauges, histograms, kernel aggregates,
-  // epoch snapshots) as an opaque ckpt byte stream; the enabled flag is
-  // process configuration and is not captured. load_state() replaces
-  // everything reset() would clear, so a resumed run's metrics JSON is
-  // byte-identical to the uninterrupted run's.
+  // Full registry image (fields() below) as an opaque ckpt byte stream;
+  // the enabled flag is process configuration and is not captured.
+  // load_state() replaces everything reset() would clear, so a resumed
+  // run's metrics JSON is byte-identical to the uninterrupted run's.
   std::string save_state() const;
   void load_state(const std::string& blob);
 
@@ -91,13 +95,28 @@ class Registry {
     // Decade buckets: le 1e-6, 1e-5, ..., 1e9, +inf overflow.
     static constexpr int kBuckets = 16;
     std::uint64_t bucket[kBuckets + 1] = {};
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(count, sum, min, max, bucket);
+    }
   };
   static double quantile_of(const Histogram& h, double q);
   struct Snapshot {
     int epoch = 0;
     std::map<std::string, double> counters;
     std::map<std::string, double> gauges;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(epoch, counters, gauges);
+    }
   };
+  // The checkpoint image: everything reset() clears.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(counters_, gauges_, histograms_, kernels_, snapshots_);
+  }
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};

@@ -104,99 +104,17 @@ std::uint64_t Tracer::top_open_token() const {
   return stack_.empty() ? 0 : stack_.back().token;
 }
 
-namespace {
-
-void write_trace_args(ckpt::Writer& w, const std::vector<TraceArg>& args) {
-  w.u64(args.size());
-  for (const TraceArg& a : args) {
-    w.str(a.key);
-    w.b(a.is_num);
-    w.f64(a.num);
-    w.str(a.str);
-  }
-}
-
-std::vector<TraceArg> read_trace_args(ckpt::Reader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<TraceArg> args;
-  args.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    const bool is_num = r.b();
-    const double num = r.f64();
-    std::string str = r.str();
-    if (is_num) {
-      args.emplace_back(std::move(key), num);
-    } else {
-      args.emplace_back(std::move(key), std::move(str));
-    }
-  }
-  return args;
-}
-
-}  // namespace
-
 std::string Tracer::save_state() const {
   std::lock_guard<std::mutex> lk(mu_);
   ckpt::Writer w;
-  w.f64(clock_ms_);
-  w.u64(next_token_);
-  w.u64(next_seq_);
-  w.u64(stack_.size());
-  for (const OpenSpan& s : stack_) {
-    w.u64(s.token);
-    w.str(s.name);
-    w.str(s.cat);
-    w.f64(s.start_ms);
-    w.u64(s.seq);
-    write_trace_args(w, s.args);
-  }
-  w.u64(done_.size());
-  for (const Event& e : done_) {
-    w.str(e.name);
-    w.str(e.cat);
-    w.f64(e.ts_ms);
-    w.f64(e.dur_ms);
-    w.b(e.instant);
-    w.u64(e.seq);
-    write_trace_args(w, e.args);
-  }
+  const_cast<Tracer*>(this)->fields(w);  // the Writer only reads
   return w.take();
 }
 
 void Tracer::load_state(const std::string& blob) {
   ckpt::Reader r(blob);
   std::lock_guard<std::mutex> lk(mu_);
-  clock_ms_ = r.f64();
-  next_token_ = r.u64();
-  next_seq_ = r.u64();
-  stack_.clear();
-  const std::uint64_t open = r.u64();
-  stack_.reserve(static_cast<std::size_t>(open));
-  for (std::uint64_t i = 0; i < open; ++i) {
-    OpenSpan s;
-    s.token = r.u64();
-    s.name = r.str();
-    s.cat = r.str();
-    s.start_ms = r.f64();
-    s.seq = r.u64();
-    s.args = read_trace_args(r);
-    stack_.push_back(std::move(s));
-  }
-  done_.clear();
-  const std::uint64_t closed = r.u64();
-  done_.reserve(static_cast<std::size_t>(closed));
-  for (std::uint64_t i = 0; i < closed; ++i) {
-    Event e;
-    e.name = r.str();
-    e.cat = r.str();
-    e.ts_ms = r.f64();
-    e.dur_ms = r.f64();
-    e.instant = r.b();
-    e.seq = r.u64();
-    e.args = read_trace_args(r);
-    done_.push_back(std::move(e));
-  }
+  fields(r);
 }
 
 Json Tracer::chrome_trace_json() const {

@@ -28,6 +28,7 @@ namespace hg::obs {
 
 // One span/instant annotation. Numbers stay numbers in the JSON output.
 struct TraceArg {
+  TraceArg() = default;
   TraceArg(std::string k, double v)
       : key(std::move(k)), is_num(true), num(v) {}
   TraceArg(std::string k, std::int64_t v)
@@ -44,6 +45,11 @@ struct TraceArg {
   bool is_num = false;
   double num = 0;
   std::string str;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(key, is_num, num, str);
+  }
 };
 
 class Tracer {
@@ -83,9 +89,10 @@ class Tracer {
   std::uint64_t top_open_token() const;
 
   // --- checkpoint state ------------------------------------------------------
-  // Full tracer image (clock, token/seq allocators, open-span stack,
-  // completed events) as an opaque ckpt byte stream. The enabled flag is
-  // process configuration and is deliberately not captured. load_state()
+  // Full tracer image (fields() below: clock, token/seq allocators,
+  // open-span stack, completed events) as an opaque ckpt byte stream. The
+  // enabled flag is process configuration and is deliberately not
+  // captured. load_state()
   // replaces everything reset() would clear, so restoring on a fresh
   // process reproduces the exact trace a continuous run would emit.
   std::string save_state() const;
@@ -111,6 +118,11 @@ class Tracer {
     bool instant = false;
     std::uint64_t seq = 0;
     std::vector<TraceArg> args;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(name, cat, ts_ms, dur_ms, instant, seq, args);
+    }
   };
   struct OpenSpan {
     std::uint64_t token = 0;
@@ -119,7 +131,17 @@ class Tracer {
     double start_ms = 0;
     std::uint64_t seq = 0;
     std::vector<TraceArg> args;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(token, name, cat, start_ms, seq, args);
+    }
   };
+  // The checkpoint image: everything reset() clears.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(clock_ms_, next_token_, next_seq_, stack_, done_);
+  }
 
   void close_top_locked();
 

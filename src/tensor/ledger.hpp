@@ -1,4 +1,5 @@
-// CostLedger: accumulates the modeled execution time of a training run.
+// CostLedger: accumulates the modeled execution time of a training run;
+// MemoryMeter: the modeled memory of one (Fig. 6).
 //
 // Sparse kernels contribute their SIMT-simulated KernelStats; dense ops
 // (GEMM, elementwise, conversions) contribute an analytic roofline estimate
@@ -133,6 +134,13 @@ struct CostLedger {
     }
   }
 
+  // The charges a checkpoint carries (dense_cost is configuration).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(dispatch_us_per_kernel, dense_ms, sparse_ms, convert_ms, sparse_kernels,
+       dense_kernels, conversions, converted_bytes);
+  }
+
   CostLedger& operator+=(const CostLedger& o) {
     dense_ms += o.dense_ms;
     sparse_ms += o.sparse_ms;
@@ -142,6 +150,27 @@ struct CostLedger {
     conversions += o.conversions;
     converted_bytes += o.converted_bytes;
     return *this;
+  }
+};
+
+// Memory accounting for Fig. 6 (see EXPERIMENTS.md for the model).
+struct MemoryMeter {
+  std::uint64_t graph_bytes = 0;
+  std::uint64_t state_bytes = 0;   // saved activations / state tensors
+  std::uint64_t param_bytes = 0;   // master weights + Adam moments
+  std::uint64_t workspace_bytes = 0;
+  std::uint64_t framework_overhead = 0;
+
+  std::uint64_t total() const {
+    return graph_bytes + state_bytes + param_bytes + workspace_bytes +
+           framework_overhead;
+  }
+  void add_state(std::uint64_t bytes) { state_bytes += bytes; }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(graph_bytes, state_bytes, param_bytes, workspace_bytes,
+       framework_overhead);
   }
 };
 

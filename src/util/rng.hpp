@@ -12,10 +12,24 @@ namespace hg {
 
 class Rng {
  public:
+  // Full generator image (xoshiro state + the Box-Muller cache), so a
+  // checkpoint restore continues the exact same stream — including a
+  // pending cached normal — rather than reseeding.
+  struct State {
+    std::uint64_t s[4] = {};
+    double cached = 0;
+    bool has_cached = false;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(s, cached, has_cached);
+    }
+  };
+
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) noexcept {
     // SplitMix64 seeding, as recommended by the xoshiro authors.
     std::uint64_t z = seed;
-    for (auto& si : s_) {
+    for (auto& si : st_.s) {
       z += 0x9E3779B97F4A7C15ull;
       std::uint64_t w = z;
       w = (w ^ (w >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -25,14 +39,15 @@ class Rng {
   }
 
   std::uint64_t next_u64() noexcept {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    std::uint64_t* s = st_.s;
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
     return result;
   }
 
@@ -54,48 +69,28 @@ class Rng {
 
   // Standard normal via Box-Muller (cached second value).
   double next_normal() noexcept {
-    if (has_cached_) {
-      has_cached_ = false;
-      return cached_;
+    if (st_.has_cached) {
+      st_.has_cached = false;
+      return st_.cached;
     }
     double u1 = next_double();
     while (u1 <= 1e-300) u1 = next_double();
     const double u2 = next_double();
     const double r = std::sqrt(-2.0 * std::log(u1));
     const double theta = 2.0 * 3.14159265358979323846 * u2;
-    cached_ = r * std::sin(theta);
-    has_cached_ = true;
+    st_.cached = r * std::sin(theta);
+    st_.has_cached = true;
     return r * std::cos(theta);
   }
 
-  // Full generator image (xoshiro state + the Box-Muller cache), so a
-  // checkpoint restore continues the exact same stream — including a
-  // pending cached normal — rather than reseeding.
-  struct State {
-    std::uint64_t s[4] = {};
-    double cached = 0;
-    bool has_cached = false;
-  };
-  State state() const noexcept {
-    State st;
-    for (int i = 0; i < 4; ++i) st.s[i] = s_[i];
-    st.cached = cached_;
-    st.has_cached = has_cached_;
-    return st;
-  }
-  void set_state(const State& st) noexcept {
-    for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-    cached_ = st.cached;
-    has_cached_ = st.has_cached;
-  }
+  const State& state() const noexcept { return st_; }
+  void set_state(const State& st) noexcept { st_ = st; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
-  std::uint64_t s_[4];
-  double cached_ = 0;
-  bool has_cached_ = false;
+  State st_;
 };
 
 }  // namespace hg

@@ -112,13 +112,13 @@ TEST(GradScaler, RestoreStateRoundTripsExactlyUnlikeSetScale) {
   a.update(false);  // mid-interval: clean streak 1 of 3
   ASSERT_EQ(a.clean_steps(), 1);
 
-  // A scaler rebuilt from the captured fields must continue bit-identically
-  // — including the mid-interval streak and the history tail, which the
-  // clamping/streak-resetting set_scale() path would destroy.
+  // A scaler rebuilt from the captured trajectory must continue
+  // bit-identically — including the mid-interval streak and the history
+  // tail, which the clamping/streak-resetting set_scale() path would
+  // destroy.
   GradScaler b(/*init_scale=*/8.0f, /*growth=*/2.0f, /*backoff=*/0.5f,
                /*growth_interval=*/3);
-  b.restore_state(a.scale(), a.clean_steps(), a.skipped_steps(),
-                  a.taken_steps(), a.scale_history());
+  b.restore(a.trajectory());
   EXPECT_EQ(b.scale(), a.scale());
   EXPECT_EQ(b.clean_steps(), a.clean_steps());
   EXPECT_EQ(b.skipped_steps(), a.skipped_steps());

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 #include "simt/executor.hpp"
 #include "simt/fault.hpp"
@@ -27,34 +32,64 @@ namespace {
 
 // --- serializer --------------------------------------------------------------
 
+struct Nested {
+  int a = 0;
+  std::vector<float> v;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(a, v);
+  }
+};
+
 TEST(CkptSerial, RoundTripsEveryFieldType) {
   ckpt::Writer w;
   w.u8(0xAB);
   w.u32(0xDEADBEEFu);
-  w.u64(0x0123456789ABCDEFull);
-  w.i32(-42);
-  w.i64(-9000000000ll);
-  w.b(true);
-  w.b(false);
-  w.f32(-0.15625f);
-  w.f64(3.141592653589793);
-  w.str("hello\0world");
-  w.floats({1.0f, -2.0f, 0.5f});
-  w.doubles({});
+  std::uint64_t words[3] = {1, 0x0123456789ABCDEFull, ~std::uint64_t{0}};
+  // A signed 64-bit value travels as its two's-complement u64.
+  w(std::uint64_t{0x0123456789ABCDEFull}, -42,
+    static_cast<std::uint64_t>(std::int64_t{-9000000000}), true, false,
+    -0.15625f, 3.141592653589793, std::string("hello\0world"),
+    std::vector<float>{1.0f, -2.0f, 0.5f}, std::vector<double>{},
+    std::deque<int>{7, -7}, std::map<std::string, double>{{"b", 2}, {"a", 1}},
+    words, Nested{3, {0.25f}});
+  // Fixed widths: 1 + 4 + 8 + 4 + 8 + 1 + 1 + 4 + 8 + (8 + 5) + (8 + 12) +
+  // 8 + (8 + 8) + (8 + 2 * (8 + 1 + 8)) + 24 + (4 + 8 + 4).
+  EXPECT_EQ(w.data().size(), 178u);
 
   ckpt::Reader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i32(), -42);
-  EXPECT_EQ(r.i64(), -9000000000ll);
-  EXPECT_TRUE(r.b());
-  EXPECT_FALSE(r.b());
-  EXPECT_EQ(r.f32(), -0.15625f);
-  EXPECT_EQ(r.f64(), 3.141592653589793);
-  EXPECT_EQ(r.str(), "hello");
-  EXPECT_EQ(r.floats(), (std::vector<float>{1.0f, -2.0f, 0.5f}));
-  EXPECT_TRUE(r.doubles().empty());
+  std::uint64_t u = 0;
+  int i = 0;
+  std::uint64_t neg = 0;
+  bool t = false;
+  bool f = true;
+  float x = 0;
+  double y = 0;
+  std::string str;
+  std::vector<float> fv;
+  std::vector<double> dv{9.0};
+  std::deque<int> dq;
+  std::map<std::string, double> m{{"stale", 1}};
+  std::uint64_t back[3] = {};
+  Nested n;
+  r(u, i, neg, t, f, x, y, str, fv, dv, dq, m, back, n);
+  EXPECT_EQ(u, 0x0123456789ABCDEFull);
+  EXPECT_EQ(i, -42);
+  EXPECT_EQ(static_cast<std::int64_t>(neg), -9000000000ll);
+  EXPECT_TRUE(t);
+  EXPECT_FALSE(f);
+  EXPECT_EQ(x, -0.15625f);
+  EXPECT_EQ(y, 3.141592653589793);
+  EXPECT_EQ(str, "hello");
+  EXPECT_EQ(fv, (std::vector<float>{1.0f, -2.0f, 0.5f}));
+  EXPECT_TRUE(dv.empty());
+  EXPECT_EQ(dq, (std::deque<int>{7, -7}));
+  EXPECT_EQ(m, (std::map<std::string, double>{{"a", 1}, {"b", 2}}));
+  EXPECT_EQ(back[2], ~std::uint64_t{0});
+  EXPECT_EQ(n.a, 3);
+  EXPECT_EQ(n.v, std::vector<float>{0.25f});
   EXPECT_TRUE(r.done());
 }
 
@@ -66,20 +101,20 @@ TEST(CkptSerial, TruncatedStreamThrows) {
   EXPECT_THROW(r.u64(), std::runtime_error);
 }
 
-// A corrupt length whose byte count wraps 2^64 must still read as a
-// truncated stream, not reach the vector allocation.
+// A corrupt length — one whose byte count wraps 2^64, or the count of a
+// container of structs — must read as a truncated stream, never reach the
+// allocator.
 TEST(CkptSerial, HugeArrayLengthIsATruncatedStream) {
-  const auto expect_truncated = [](std::uint64_t n, bool as_doubles) {
+  // `prefix` writes the fields before the count; 16 payload bytes follow.
+  const auto expect_truncated = [](auto value, std::uint64_t n,
+                                   const auto& prefix) {
     ckpt::Writer w;
-    w.u64(n);
-    for (int i = 0; i < 4; ++i) w.f32(1.0f);  // 16 payload bytes
+    prefix(w);
+    w(n);
+    for (int i = 0; i < 4; ++i) w(1.0f);
     ckpt::Reader r(w.data());
     try {
-      if (as_doubles) {
-        (void)r.doubles();
-      } else {
-        (void)r.floats();
-      }
+      r(value);
       ADD_FAILURE() << "length " << n << " was accepted";
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()).rfind("ckpt: truncated stream", 0), 0u)
@@ -88,8 +123,18 @@ TEST(CkptSerial, HugeArrayLengthIsATruncatedStream) {
       ADD_FAILURE() << "length " << n << " threw " << e.what();
     }
   };
-  expect_truncated((std::uint64_t{1} << 62) + 1, /*as_doubles=*/false);
-  expect_truncated((std::uint64_t{1} << 61) + 1, /*as_doubles=*/true);
+  const auto nothing = [](ckpt::Writer&) {};
+  expect_truncated(std::vector<float>{}, (std::uint64_t{1} << 62) + 1, nothing);
+  expect_truncated(std::vector<double>{}, (std::uint64_t{1} << 61) + 1,
+                   nothing);
+  const std::uint64_t huge = std::uint64_t{1} << 36;
+  // A model's tensor list (after epoch, adam_t, scale), the guard's ring
+  // (after an empty site map) and a trace span's args.
+  expect_truncated(ckpt::ModelState{}, huge,
+                   [](ckpt::Writer& w) { w(0, 0, 1.0f); });
+  expect_truncated(ckpt::GuardState{}, huge,
+                   [](ckpt::Writer& w) { w(std::uint64_t{0}); });
+  expect_truncated(std::vector<obs::TraceArg>{}, huge, nothing);
 }
 
 TEST(CkptSerial, Crc32MatchesTheIeeeCheckValue) {
@@ -117,7 +162,7 @@ ckpt::TrainState sample_state(int epoch) {
   st.rng.s[3] = 44;
   st.rng.cached = -0.75;
   st.rng.has_cached = true;
-  st.guard.sites = {{"spmm", 1, 2}};
+  st.guard.sites = {{"spmm", {1, 2}}};
   st.guard.ring = {st.model};
   st.guard.nan_streak = 1;
   st.guard.last_loss_finite = false;
@@ -126,7 +171,7 @@ ckpt::TrainState sample_state(int epoch) {
   st.result.test_accs = {0.3, 0.4};
   st.result.best_test_acc = 0.4;
   st.result.memory.graph_bytes = 1000;
-  st.result.ledger.sparse_kernels = 123;
+  st.result.epoch_ledger.sparse_kernels = 123;
   st.registry_blob = "reg-bytes";
   st.tracer_blob = "trace-bytes";
   return st;
@@ -135,9 +180,10 @@ ckpt::TrainState sample_state(int epoch) {
 TEST(CkptSerial, TrainStateRoundTrips) {
   const ckpt::TrainState st = sample_state(5);
   ckpt::Writer w;
-  ckpt::write_train_state(w, st);
+  w(st);
   ckpt::Reader r(w.data());
-  const ckpt::TrainState out = ckpt::read_train_state(r);
+  ckpt::TrainState out;
+  r(out);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(out.fingerprint, st.fingerprint);
   EXPECT_EQ(out.epoch, 5);
@@ -148,16 +194,137 @@ TEST(CkptSerial, TrainStateRoundTrips) {
   EXPECT_EQ(out.rng.s[3], 44u);
   EXPECT_TRUE(out.rng.has_cached);
   ASSERT_EQ(out.guard.sites.size(), 1u);
-  EXPECT_EQ(out.guard.sites[0].site, "spmm");
-  EXPECT_EQ(out.guard.sites[0].level, 1);
+  EXPECT_EQ(out.guard.sites.begin()->first, "spmm");
+  EXPECT_EQ(out.guard.sites.begin()->second.level, 1);
   ASSERT_EQ(out.guard.ring.size(), 1u);
   EXPECT_EQ(out.guard.ring[0].master, st.model.master);
   EXPECT_FALSE(out.guard.last_loss_finite);
   EXPECT_EQ(out.result.losses, st.result.losses);
   EXPECT_EQ(out.result.memory.graph_bytes, 1000u);
-  EXPECT_EQ(out.result.ledger.sparse_kernels, 123u);
+  EXPECT_EQ(out.result.epoch_ledger.sparse_kernels, 123u);
   EXPECT_EQ(out.registry_blob, "reg-bytes");
   EXPECT_EQ(out.tracer_blob, "trace-bytes");
+}
+
+// Registry image holding counters, a gauge, a histogram (one sample in the
+// +inf overflow bucket), a kernel entry and an epoch snapshot.
+std::string pinned_registry_blob() {
+  obs::Registry& reg = obs::registry();
+  reg.reset();
+  reg.set_enabled(true);
+  reg.add_counter("amp.steps", 3);
+  reg.set_gauge("amp.loss_scale", 512);
+  reg.observe("ckpt.write_ms", 0.25);
+  reg.observe("ckpt.write_ms", 3e12);
+  reg.publish_kernel("spmm_halfgnn",
+                     {{"bytes_moved", 4096}, {"time_ms", 0.125}});
+  reg.snapshot_epoch(0);
+  std::string blob = reg.save_state();
+  reg.set_enabled(false);
+  reg.reset();
+  return blob;
+}
+
+// Tracer image holding an open span, closed events and both kinds of arg.
+std::string pinned_tracer_blob() {
+  obs::Tracer& t = obs::tracer();
+  t.reset();
+  t.set_enabled(true);
+  const std::uint64_t run = t.open_span("train:GCN/HalfGNN", "run");
+  t.span_arg(run, {"model", "GCN"});
+  t.span_arg(run, {"epochs", std::int64_t{6}});
+  t.instant("dispatch:spmm", "dispatch",
+            {{"kernel", "spmm_halfgnn"}, {"why", "halfgnn"}});
+  obs::trace_complete("gemm", "dense", 0.5,
+                      {{"m", std::int64_t{64}}, {"dtype", "f16"}});
+  std::string blob = t.save_state();
+  t.close_span(run);
+  t.set_enabled(false);
+  t.reset();
+  return blob;
+}
+
+// Every field non-default, the guard's sites and ring non-empty.
+ckpt::TrainState pinned_state() {
+  ckpt::TrainState st;
+  st.fingerprint = "GCN|HalfGNN|pin|e6|lr3c23d70a|h16|s42|mode";
+  st.epoch = 3;
+  st.model.epoch = 3;
+  st.model.adam_t = 5;
+  st.model.scale = 256.0f;
+  st.model.master = {{1.5f, -2.0f}, {0.25f}};
+  st.model.m = {{0.125f, -0.5f}, {1e-3f}};
+  st.model.v = {{1e-4f, 2e-4f}, {3e-4f}};
+  st.scaler.scale = 256.0f;
+  st.scaler.clean_steps = 2;
+  st.scaler.skipped = 1;
+  st.scaler.stepped = 4;
+  st.scaler.history = {1024.0f, 512.0f, 256.0f, 256.0f, 256.0f};
+  st.rng.s[0] = 1;
+  st.rng.s[1] = 2;
+  st.rng.s[2] = 3;
+  st.rng.s[3] = 0xFFFFFFFFFFFFFFFFull;
+  st.rng.cached = -0.5;
+  st.rng.has_cached = true;
+  st.guard.sites = {{"sddmm", {0, 2}}, {"spmm", {1, 0}}};
+  ckpt::ModelState older = st.model;
+  older.epoch = 0;
+  older.adam_t = 0;
+  older.scale = 1024.0f;
+  st.guard.ring = {older, st.model};
+  st.guard.nan_streak = 1;
+  st.guard.last_loss_finite = false;
+  st.guard.retries = 2;
+  st.guard.rollbacks = 1;
+  st.guard.fallbacks = 1;
+  st.guard.checkpoints = 2;
+  st.result.losses = {1.25, 0.75, std::numeric_limits<double>::quiet_NaN()};
+  st.result.test_accs = {0.5, 0.625, 0.25};
+  st.result.best_test_acc = 0.625;
+  st.result.nan_loss_epochs = 1;
+  st.result.first_nan_epoch = 2;
+  st.result.memory.graph_bytes = 1000;
+  st.result.memory.state_bytes = 2000;
+  st.result.memory.param_bytes = 3000;
+  st.result.memory.workspace_bytes = 4000;
+  st.result.memory.framework_overhead = 500;
+  st.result.epoch_ledger.dispatch_us_per_kernel = 10.0;
+  st.result.epoch_ledger.dense_ms = 1.5;
+  st.result.epoch_ledger.sparse_ms = 2.5;
+  st.result.epoch_ledger.convert_ms = 0.5;
+  st.result.epoch_ledger.sparse_kernels = 7;
+  st.result.epoch_ledger.dense_kernels = 9;
+  st.result.epoch_ledger.conversions = 3;
+  st.result.epoch_ledger.converted_bytes = 4096;
+  st.registry_blob = pinned_registry_blob();
+  st.tracer_blob = pinned_tracer_blob();
+  return st;
+}
+
+// The bytes of pinned_state() against the size and CRC-32 the format has
+// produced since it was introduced (kFormatVersion 1). A round trip within
+// one build cannot see a reordered or retyped field; this can.
+TEST(CkptSerial, TrainStateBytesArePinned) {
+  ckpt::Writer w;
+  w(pinned_state());
+  EXPECT_EQ(w.data().size(), 1659u);
+  EXPECT_EQ(ckpt::crc32(w.data()), 0xE214E7CBu);
+
+  ckpt::TrainState back;
+  ckpt::Reader r(w.data());
+  r(back);
+  EXPECT_TRUE(r.done());
+  ckpt::Writer again;
+  again(back);
+  EXPECT_EQ(again.data(), w.data());
+
+  // The obs images decode and re-encode to the same bytes too.
+  obs::registry().load_state(back.registry_blob);
+  EXPECT_EQ(obs::registry().save_state(), back.registry_blob);
+  obs::registry().reset();
+  obs::tracer().load_state(back.tracer_blob);
+  EXPECT_EQ(obs::tracer().save_state(), back.tracer_blob);
+  obs::tracer().reset();
 }
 
 // --- on-disk store -----------------------------------------------------------
@@ -276,6 +443,181 @@ TEST(CkptStore, PrunesToTheConfiguredKeepCount) {
   }
   EXPECT_EQ(files, 2);
   EXPECT_EQ(store.load().state.epoch, 4);
+}
+
+std::string read_all(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_all(const std::filesystem::path& p, const std::string& bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// Little-endian u64 at `off` of `bytes`.
+void put_u64(std::string& bytes, std::size_t off, std::uint64_t v) {
+  ckpt::Writer w;
+  w(v);
+  bytes.replace(off, 8, w.data());
+}
+
+// Rewrites a data file's payload through `mutate` and re-frames it with a
+// matching size and CRC, the way a writer of those bytes would have.
+void reframe(const std::filesystem::path& p,
+             const std::function<void(std::string&)>& mutate) {
+  constexpr std::size_t kHeader = 4 + 4 + 8 + 4;  // magic, version, size, crc
+  const std::string bytes = read_all(p);
+  std::string payload = bytes.substr(kHeader);
+  mutate(payload);
+  ckpt::Writer size_crc;
+  size_crc.u64(payload.size());
+  size_crc.u32(ckpt::crc32(payload));
+  write_all(p, bytes.substr(0, 8) + size_crc.data() + payload);
+}
+
+// Replaces the value of the `nth` (from 0) `"key": <number>` in the
+// store's MANIFEST.json with `text`.
+void set_manifest_number(const std::string& dir, const std::string& key,
+                         int nth, const std::string& text) {
+  const auto path = std::filesystem::path(dir) / "MANIFEST.json";
+  std::string doc = read_all(path);
+  const std::string tag = "\"" + key + "\": ";
+  std::size_t at = doc.find(tag);
+  for (int i = 0; i < nth && at != std::string::npos; ++i) {
+    at = doc.find(tag, at + 1);
+  }
+  ASSERT_NE(at, std::string::npos) << key << " #" << nth;
+  at += tag.size();
+  doc.replace(at, doc.find_first_of(",\n}", at) - at, text);
+  write_all(path, doc);
+}
+
+std::string two_generations(const std::string& tag) {
+  const std::string dir = fresh_dir(tag);
+  ckpt::Store store({dir});
+  store.write(sample_state(1));
+  store.write(sample_state(2));
+  return dir;
+}
+
+// A CRC-valid newest generation whose model.master count is 2^36: rejected
+// as a truncated stream (not std::bad_alloc, not an ASan abort), and load()
+// falls back one generation.
+TEST(CkptStore, InflatedCountInACrcValidGenerationFallsBack) {
+  const std::string dir = two_generations("inflated");
+  // Fingerprint (u64 count + bytes) and epoch, then model.epoch, adam_t and
+  // scale precede the master tensor list's count.
+  const std::size_t master_count =
+      8 + sample_state(2).fingerprint.size() + 4 + 4 + 4 + 4;
+  reframe(newest_data_file(dir), [&](std::string& payload) {
+    put_u64(payload, master_count, std::uint64_t{1} << 36);
+  });
+  obs::prof::Profiler prof(obs::prof::ProfConfig::parse("numerics"));
+  ckpt::Store store({dir});
+  const ckpt::LoadInfo info = store.load(&prof);
+  EXPECT_TRUE(info.found);
+  EXPECT_EQ(info.rejected, 1);
+  EXPECT_EQ(info.state.epoch, 1);
+  ASSERT_EQ(prof.audits().size(), 1u);
+  EXPECT_EQ(prof.audits()[0].event, "ckpt_fallback");
+  EXPECT_EQ(prof.audits()[0].signal.rfind("ckpt: truncated stream", 0), 0u)
+      << prof.audits()[0].signal;
+}
+
+// Generation numbers come from outside the process. A file name whose
+// number does not fit [0, INT_MAX - 1] is not a data file: it neither
+// names the next write nor costs load() a rejected generation.
+TEST(CkptStore, OutOfRangeGenerationFileNameIsNotADataFile) {
+  const std::string dir = two_generations("hugegen");
+  for (const char* name : {"ckpt-99999999999.bin", "ckpt-2147483647.bin"}) {
+    write_all(std::filesystem::path(dir) / name, "not a checkpoint");
+  }
+  ckpt::Store store({dir});
+  EXPECT_EQ(store.next_generation(), 2);
+  const ckpt::LoadInfo info = store.load();
+  EXPECT_TRUE(info.found);
+  EXPECT_EQ(info.rejected, 0);
+  EXPECT_EQ(info.state.epoch, 2);
+}
+
+// A manifest number that is not an in-range whole number makes the store
+// ignore the manifest, like a corrupt one; the directory scan still finds
+// every (good) generation.
+TEST(CkptStore, OutOfRangeManifestNumbersAreIgnored) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"gen", "2147483647"}, {"gen", "1e20"}, {"bytes", "-1"},
+      {"bytes", "0.5"},      {"crc", "-1"}};
+  for (const auto& [key, text] : cases) {
+    const std::string dir = two_generations("badmanifest");
+    set_manifest_number(dir, key, 1, text);
+    ckpt::Store store({dir});
+    EXPECT_EQ(store.next_generation(), 2) << key << " " << text;
+    const ckpt::LoadInfo info = store.load();
+    EXPECT_TRUE(info.found) << key << " " << text;
+    EXPECT_EQ(info.rejected, 0) << key << " " << text;
+    EXPECT_EQ(info.state.epoch, 2) << key << " " << text;
+  }
+}
+
+// Seeded mutation sweep over a store with two generations: the newest
+// payload gets one bit flip, u64 overwrite or truncation and is re-framed
+// with a correct CRC, or one MANIFEST.json number is replaced. Opening the
+// store, load() and one more write() must neither throw nor lose every
+// generation. The case count is fixed.
+TEST(CkptStore, MutatedGenerationsNeverEscapeTheStore) {
+  const ckpt::TrainState newest = pinned_state();
+  const auto check = [](const std::string& dir, const std::string& what) {
+    try {
+      ckpt::Store store({dir});
+      EXPECT_TRUE(store.load().found) << what;
+      store.write(sample_state(3));
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+  const auto fresh = [&newest] {
+    const std::string dir = fresh_dir("sweep");
+    ckpt::Store store({dir});
+    store.write(sample_state(1));
+    store.write(newest);
+    return dir;
+  };
+
+  const std::uint64_t words[] = {std::uint64_t{1} << 31,
+                                 std::uint64_t{1} << 36,
+                                 (std::uint64_t{1} << 62) + 1,
+                                 ~std::uint64_t{0}};
+  Rng rng(20260901);
+  for (int c = 0; c < 48; ++c) {
+    const std::string dir = fresh();
+    std::string what;
+    reframe(newest_data_file(dir), [&](std::string& payload) {
+      const int kind = c % 6;
+      if (kind == 0) {
+        const std::uint64_t bit = rng.next_below(payload.size() * 8);
+        payload[bit / 8] =
+            static_cast<char>(payload[bit / 8] ^ (1 << (bit % 8)));
+        what = "bit flip " + std::to_string(bit);
+      } else if (kind <= 4) {
+        const std::size_t off = rng.next_below(payload.size() - 7);
+        put_u64(payload, off, words[kind - 1]);
+        what = "u64 " + std::to_string(words[kind - 1]) + " at " +
+               std::to_string(off);
+      } else {
+        payload.resize(rng.next_below(payload.size()));
+        what = "truncated to " + std::to_string(payload.size());
+      }
+    });
+    check(dir, what);
+  }
+  for (const char* key : {"gen", "epoch", "bytes", "crc"}) {
+    for (const char* text : {"-1", "0.5", "2147483647", "1e20"}) {
+      const std::string dir = fresh();
+      set_manifest_number(dir, key, 1, text);
+      check(dir, std::string("manifest ") + key + " " + text);
+    }
+  }
 }
 
 // --- resume determinism ------------------------------------------------------
