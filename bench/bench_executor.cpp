@@ -9,11 +9,26 @@
 // determinism sweep the ExecutorDeterminism gtest pins, but on a
 // bench-sized graph.
 //
+// The dense host ops get the same sweep, each run under a DensePoolScope on
+// the pool being measured (tensor/dense_ops.hpp): hg::gemm at the trainer's
+// reddit-sim shapes (X*W 6000x128x64, the weight gradient X^T dY with
+// k = 6000, dY*W^T) and softmax_xent on 6000x48 f16 logits, then one
+// *_min_split row per op at the smallest size the pool splits it (two
+// jobs): gemm 512x64x64, softmax_xent on 200 rows of 41 classes, f16
+// axpby, add_bias_rows and scale_rows over 4096x64, relu_forward,
+// relu_backward and to_dtype (f16 -> f32) over 32768x64. Those rows are the
+// record behind the split sizes in dense_ops.cpp: at 2 threads a warm pool
+// should be no slower there than 1 thread. The pool is kept busy for 0.3 s
+// first and the ops run round-robin; host_ms is the minimum over reps,
+// modeled_ms the cost ledger's charge for one call.
+//
 // Usage: bench_executor [output.json]   (default: BENCH_executor.json in cwd)
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +41,7 @@
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "simt/simt.hpp"
+#include "tensor/dense_ops.hpp"
 
 namespace hg::bench {
 namespace {
@@ -42,11 +58,12 @@ struct KernelRun {
   std::vector<std::byte> bits;  // output bytes of the last rep
 };
 
-template <class T>
-std::vector<std::byte> snapshot(const AlignedVec<T>& v) {
-  std::vector<std::byte> b(v.size() * sizeof(T));
-  if (!b.empty()) std::memcpy(b.data(), v.data(), b.size());
-  return b;
+// The bytes of a contiguous range: a kernel's output vector or a tensor's
+// storage span.
+template <class Range>
+std::vector<std::byte> snapshot(const Range& v) {
+  const auto bytes = std::as_bytes(std::span(v));
+  return {bytes.begin(), bytes.end()};
 }
 
 // Run the Fig. 9 kernel set once per rep on `stream`, keeping the minimum
@@ -111,6 +128,159 @@ std::vector<KernelRun> run_workload(simt::Stream& stream,
   return runs;
 }
 
+// An f16 tensor of uniform random values.
+MTensor random_f16(std::int64_t rows, std::int64_t cols, std::uint64_t seed) {
+  MTensor t = MTensor::f16(rows, cols);
+  const auto v = random_h16(t.numel(), seed);
+  std::copy(v.begin(), v.end(), t.h().begin());
+  return t;
+}
+
+// Inputs of the dense rows: reddit-sim's 6000 vertices, 128 input and 64
+// hidden features, 41 classes padded to 48 logit columns; and the inputs of
+// the *_min_split rows.
+struct DenseInputs {
+  MTensor x = random_f16(6000, 128, 21);
+  MTensor w = random_f16(128, 64, 22);
+  MTensor dy = random_f16(6000, 64, 23);
+  MTensor logits = random_f16(6000, 48, 24);
+  MTensor logits200 = random_f16(200, 48, 30);
+  MTensor a512 = random_f16(512, 64, 25);
+  MTensor w64 = random_f16(64, 64, 26);
+  MTensor e4k = random_f16(4096, 64, 27);
+  MTensor e32k = random_f16(32768, 64, 28);
+  MTensor bias = to_dtype(random_f16(1, 64, 29), Dtype::kF32, nullptr);
+  std::vector<float> row_scale = std::vector<float>(4096, 1.0f);
+  std::vector<std::uint8_t> relu_mask;
+  std::vector<int> labels;
+  std::vector<std::uint8_t> mask, all_rows = std::vector<std::uint8_t>(200, 1);
+};
+
+DenseInputs dense_inputs() {
+  DenseInputs in;
+  in.labels.resize(6000);
+  in.mask.resize(6000);
+  for (std::size_t r = 0; r < in.labels.size(); ++r) {
+    in.labels[r] = static_cast<int>(r * 7 % 41);
+    in.mask[r] = r % 5 < 3 ? 1 : 0;
+  }
+  in.relu_mask.resize(in.e32k.numel());
+  for (std::size_t i = 0; i < in.relu_mask.size(); ++i) {
+    in.relu_mask[i] = static_cast<std::uint8_t>(i % 3 != 0);
+  }
+  return in;
+}
+
+// The dense rows on `dev`'s pool: min host ms over reps after a warm-up,
+// the ledger's modeled ms, and the output bits after the last rep. The
+// in-place ops rewrite one tensor call after call, the same number of calls
+// at every thread count.
+std::vector<KernelRun> run_dense(simt::Device& dev, const DenseInputs& in,
+                                 int reps) {
+  const DensePoolScope scope(&dev);
+  MTensor xw = MTensor::f16(6000, 64);
+  MTensor dw = MTensor::f32(128, 64);
+  MTensor dx = MTensor::f16(6000, 128);
+  MTensor small = MTensor::f16(512, 64);
+  MTensor dlogits, dlogits_small, converted;
+  MTensor axpby_y = in.e4k, biased = in.e4k, scaled = in.e4k;
+  MTensor relu_fwd = in.e32k, relu_bwd = in.e32k;
+  std::vector<std::uint8_t> relu_out;
+  double loss = 0, loss_small = 0;
+  struct Op {
+    std::string name;
+    std::function<void(CostLedger*)> run;
+    std::function<std::vector<std::byte>()> bits;
+  };
+  const auto bits_of = [](const MTensor& t) {
+    return t.dtype() == Dtype::kF16 ? snapshot(t.h()) : snapshot(t.f());
+  };
+  const auto with_loss = [](std::vector<std::byte> b, double v) {
+    const auto lb = std::as_bytes(std::span(&v, 1));
+    b.insert(b.end(), lb.begin(), lb.end());
+    return b;
+  };
+  const std::vector<Op> ops{
+      {"gemm_xw_f16",
+       [&](CostLedger* l) { gemm(in.x, false, in.w, false, xw, l); },
+       [&] { return bits_of(xw); }},
+      {"gemm_xtdy_f16",
+       [&](CostLedger* l) { gemm(in.x, true, in.dy, false, dw, l); },
+       [&] { return bits_of(dw); }},
+      {"gemm_dywt_f16",
+       [&](CostLedger* l) { gemm(in.dy, false, in.w, true, dx, l); },
+       [&] { return bits_of(dx); }},
+      {"softmax_xent_f16",
+       [&](CostLedger* l) {
+         loss = softmax_xent(in.logits, in.labels, in.mask, true, 41,
+                             1024.0f, &dlogits, l)
+                    .loss;
+       },
+       [&] { return with_loss(bits_of(dlogits), loss); }},
+      {"gemm_min_split_f16",
+       [&](CostLedger* l) { gemm(in.a512, false, in.w64, false, small, l); },
+       [&] { return bits_of(small); }},
+      {"softmax_xent_min_split_f16",
+       [&](CostLedger* l) {
+         loss_small =
+             softmax_xent(in.logits200, std::span(in.labels).first(200),
+                          in.all_rows, true, 41, 1024.0f, &dlogits_small, l)
+                 .loss;
+       },
+       [&] { return with_loss(bits_of(dlogits_small), loss_small); }},
+      {"axpby_min_split_f16",
+       [&](CostLedger* l) { axpby(in.e4k, 0.5f, axpby_y, -0.25f, l); },
+       [&] { return bits_of(axpby_y); }},
+      {"add_bias_rows_min_split_f16",
+       [&](CostLedger* l) { add_bias_rows(biased, in.bias, l); },
+       [&] { return bits_of(biased); }},
+      {"scale_rows_min_split_f16",
+       [&](CostLedger* l) { scale_rows(scaled, in.row_scale, l); },
+       [&] { return bits_of(scaled); }},
+      {"relu_forward_min_split_f16",
+       [&](CostLedger* l) { relu_forward(relu_fwd, relu_out, l); },
+       [&] {
+         auto b = bits_of(relu_fwd);
+         const auto m = std::as_bytes(std::span(relu_out));
+         b.insert(b.end(), m.begin(), m.end());
+         return b;
+       }},
+      {"relu_backward_min_split_f16",
+       [&](CostLedger* l) { relu_backward(relu_bwd, in.relu_mask, l); },
+       [&] { return bits_of(relu_bwd); }},
+      {"to_dtype_min_split_f16",
+       [&](CostLedger* l) { converted = to_dtype(in.e32k, Dtype::kF32, l); },
+       [&] { return bits_of(converted); }}};
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  // Wake the workers: on a shared host a pool that has been idle runs its
+  // first calls no faster than one thread, so keep it busy for a while.
+  for (const auto t0 = Clock::now(); ms_since(t0) < 300;) {
+    ops[0].run(nullptr);
+  }
+  std::vector<KernelRun> runs(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    runs[i].name = ops[i].name;
+    CostLedger ledger;
+    ops[i].run(&ledger);
+    runs[i].modeled_ms = ledger.total_ms();
+  }
+  // Round-robin reps keep the pool busy between the timed calls.
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto t0 = Clock::now();
+      ops[i].run(nullptr);
+      const double ms = ms_since(t0);
+      runs[i].host_ms = rep == 0 ? ms : std::min(runs[i].host_ms, ms);
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) runs[i].bits = ops[i].bits();
+  return runs;
+}
+
 int run(const std::string& path) {
   // Quick mode trades graph size for ctest latency; the full run uses the
   // Fig. 9 quick dataset (Kron) whose 262k edges give the pool real work.
@@ -142,13 +312,17 @@ int run(const std::string& path) {
   t.report().meta("feat", static_cast<std::int64_t>(feat));
   t.report().meta("hardware_concurrency", static_cast<std::int64_t>(hw));
 
+  const DenseInputs dense = dense_inputs();
+  const int dense_reps = quick_mode() ? 20 : 50;
   std::vector<KernelRun> base;  // threads == 1
   double spmm_speedup_at_4 = 0;
   for (const int threads : thread_counts) {
     simt::Device dev(simt::a100_spec(), threads);
     simt::Stream stream(dev);
-    const auto runs =
-        run_workload(stream, g, n, m, feat, xh, wh, xf, wf, reps);
+    auto runs = run_workload(stream, g, n, m, feat, xh, wh, xf, wf, reps);
+    for (auto& r : run_dense(dev, dense, dense_reps)) {
+      runs.push_back(std::move(r));
+    }
     if (threads == 1) base = runs;
     for (std::size_t k = 0; k < runs.size(); ++k) {
       // Determinism sweep: every thread count must reproduce the

@@ -109,7 +109,8 @@ std::string frame(const TrainState& st) {
   return out;
 }
 
-// Validates one data file end-to-end (magic, version, size, CRC, decode).
+// Validates one data file end-to-end (magic, version, size, CRC, decode,
+// obs images).
 // Returns a reason on failure, empty string on success.
 std::string try_decode(const std::string& bytes, TrainState& out) {
   if (bytes.size() < kHeaderBytes) return "truncated header";
@@ -138,7 +139,23 @@ std::string try_decode(const std::string& bytes, TrainState& out) {
   } catch (const std::exception& e) {
     return e.what();
   }
-  return {};
+  // The obs images are opaque bytes to the payload; the trainer decodes
+  // them only after load() has picked this generation, where a malformed
+  // one would abort the resume. Trial-decode them into scratch objects so
+  // such a generation falls back like a torn one.
+  const auto trial = [](const std::string& blob, auto&& scratch,
+                        const char* name) -> std::string {
+    if (blob.empty()) return {};
+    try {
+      scratch.load_state(blob);
+    } catch (const std::exception& e) {
+      return std::string(name) + " blob: " + e.what();
+    }
+    return {};
+  };
+  std::string why = trial(out.registry_blob, obs::Registry(), "registry");
+  if (why.empty()) why = trial(out.tracer_blob, obs::Tracer(), "tracer");
+  return why;
 }
 
 }  // namespace

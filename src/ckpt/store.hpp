@@ -14,10 +14,10 @@
 // file is self-validating through its own header checksum.
 //
 // load() walks generations newest → oldest and returns the first snapshot
-// whose size and CRC check out. A torn or corrupted generation is counted,
-// reported through `ckpt.load.rejected` plus a guard audit record, and
-// skipped — recovery falls back to the previous good generation instead of
-// failing the run.
+// whose size and CRC check out and whose payload, obs images included,
+// decodes. A torn or corrupted generation is counted, reported through
+// `ckpt.load.rejected` plus a guard audit record, and skipped — recovery
+// falls back to the previous good generation instead of failing the run.
 //
 // Fault hook: a `torncrash:epoch=N,at=BYTES` plan (from HALFGNN_FAULTS)
 // makes write() simulate process death mid-checkpoint — it leaves a file

@@ -155,6 +155,20 @@ inline float ordered_fadd(float a, float b) noexcept {
   return a + b;
 #endif
 }
+// The double add, pinned the same way.
+inline double ordered_dadd(double a, double b) noexcept {
+#if defined(__AVX__)
+  // NOLINTNEXTLINE(cppcoreguidelines-init-variables): asm output-only operand
+  double r;
+  asm("vaddsd %2, %1, %0" : "=x"(r) : "x"(a), "x"(b));
+  return r;
+#elif defined(__SSE2__) || defined(__x86_64__)
+  asm("addsd %1, %0" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return a + b;
+#endif
+}
 inline float ordered_fmul(float a, float b) noexcept {
 #if defined(__AVX__)
   // NOLINTNEXTLINE(cppcoreguidelines-init-variables): asm output-only operand

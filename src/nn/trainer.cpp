@@ -99,6 +99,12 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   }
   auto model = make_model(kind, d.feat_dim, cfg.hidden, out_dim, rng);
 
+  // The dense ops run on the stream's worker pool for the whole run, the
+  // feature cast and the PTQ eval included (tensor/dense_ops.hpp).
+  simt::Stream& stream =
+      cfg.stream != nullptr ? *cfg.stream : simt::default_stream();
+  const DensePoolScope pool_scope(&stream.device());
+
   // Input features, cast once to the working dtype (a one-time cost, not
   // part of the per-epoch ledger).
   MTensor x_master = MTensor::f32(d.num_vertices(), d.feat_dim);
@@ -118,8 +124,6 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   // hgprof numerics telemetry: the profiler lives on the stream's device and
   // samples activations/gradients read-only, so arming it never perturbs the
   // run. Every guard decision below also lands in its audit log.
-  simt::Stream& stream =
-      cfg.stream != nullptr ? *cfg.stream : simt::default_stream();
   obs::prof::Profiler& prof = stream.device().profiler();
   const bool prof_numerics = prof.active() && prof.config().numerics();
   if (use_guard) guard.set_profiler(&prof);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 
 #include "ckpt/serial.hpp"
 
@@ -243,6 +244,7 @@ void Registry::load_state(const std::string& blob) {
   ckpt::Reader r(blob);
   std::lock_guard<std::mutex> lk(mu_);
   fields(r);
+  if (!r.done()) throw std::runtime_error("ckpt: trailing bytes after image");
 }
 
 }  // namespace hg::obs

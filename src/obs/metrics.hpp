@@ -82,7 +82,9 @@ class Registry {
   // Full registry image (fields() below) as an opaque ckpt byte stream;
   // the enabled flag is process configuration and is not captured.
   // load_state() replaces everything reset() would clear, so a resumed
-  // run's metrics JSON is byte-identical to the uninterrupted run's.
+  // run's metrics JSON is byte-identical to the uninterrupted run's. It
+  // throws std::runtime_error on a malformed image, one with bytes left
+  // over included.
   std::string save_state() const;
   void load_state(const std::string& blob);
 

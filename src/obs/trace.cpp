@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 
 #include "ckpt/serial.hpp"
 #include "obs/metrics.hpp"
@@ -115,6 +116,7 @@ void Tracer::load_state(const std::string& blob) {
   ckpt::Reader r(blob);
   std::lock_guard<std::mutex> lk(mu_);
   fields(r);
+  if (!r.done()) throw std::runtime_error("ckpt: trailing bytes after image");
 }
 
 Json Tracer::chrome_trace_json() const {

@@ -92,9 +92,10 @@ class Tracer {
   // Full tracer image (fields() below: clock, token/seq allocators,
   // open-span stack, completed events) as an opaque ckpt byte stream. The
   // enabled flag is process configuration and is deliberately not
-  // captured. load_state()
-  // replaces everything reset() would clear, so restoring on a fresh
-  // process reproduces the exact trace a continuous run would emit.
+  // captured. load_state() replaces everything reset() would clear, so
+  // restoring on a fresh process reproduces the exact trace a continuous
+  // run would emit. It throws std::runtime_error on a malformed image, one
+  // with bytes left over included.
   std::string save_state() const;
   void load_state(const std::string& blob);
 

@@ -337,6 +337,11 @@ void Device::run_jobs(int jobs, const std::function<void(int)>& fn) {
   if (err) std::rethrow_exception(err);
 }
 
+void Device::run_host_jobs(int jobs, const std::function<void(int)>& fn) {
+  std::lock_guard<std::mutex> guard(launch_mu_);
+  run_jobs(jobs, fn);
+}
+
 Device& default_device() {
   static Device dev(a100_spec());
   return dev;

@@ -146,6 +146,12 @@ class Device {
   // The caller must hold the launch mutex (Stream does).
   void run_jobs(int jobs, const std::function<void(int)>& fn);
 
+  // run_jobs for host work outside a launch (the dense ops of
+  // tensor/dense_ops.cpp): takes the launch mutex itself, so host jobs never
+  // overlap a launch on the same pool. Must not be called with the launch
+  // mutex held, i.e. never from a kernel body or another job.
+  void run_host_jobs(int jobs, const std::function<void(int)>& fn);
+
   // Reusable per-shard staging arena (bytes survive across launches so
   // repeated conflict launches do not re-fault pages).
   std::span<std::byte> scratch(int slot, std::size_t bytes);

@@ -8,6 +8,12 @@
 // CostLedger. Numerics follow the device semantics: f16 GEMM multiplies in
 // half and accumulates in float (tensor-core style), elementwise f16 ops
 // round after every operation.
+//
+// Host parallelism: while a DensePoolScope is open on the calling thread,
+// gemm, softmax_xent, to_dtype and the row-wise elementwise ops split their
+// rows (or elements) over that device's worker pool. Every output bit is
+// independent of the split, so results match the serial run at any
+// HALFGNN_THREADS (DESIGN.md Sec. 8).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +24,29 @@
 #include "tensor/tensor.hpp"
 
 namespace hg {
+
+namespace simt {
+class Device;
+}  // namespace simt
+
+// Ambient worker pool of the dense ops on this thread. The dense ops take
+// no Device (their signatures are fixed), so a caller that owns one opens
+// this scope around its run: ops large enough to pay for a pool round trip
+// then run their row ranges through Device::run_host_jobs, which takes the
+// device's launch mutex. Kernels never call dense ops (hg_kernels does not
+// link hg_tensor), so the mutex is never already held on entry. A null
+// device, a one-thread device or no open scope keeps every op serial on the
+// calling thread. Scopes nest; closing one restores the previous pool.
+class DensePoolScope {
+ public:
+  explicit DensePoolScope(simt::Device* dev) noexcept;
+  ~DensePoolScope();
+  DensePoolScope(const DensePoolScope&) = delete;
+  DensePoolScope& operator=(const DensePoolScope&) = delete;
+
+ private:
+  simt::Device* prev_;
+};
 
 // out = convert(in) to `dt`; charges the conversion to the ledger (this is
 // the Sec. 3.1.2 churn being metered).
@@ -60,7 +89,9 @@ struct LossResult {
 // participate (feature padding adds dead logit columns). dlogits gets the
 // gradient scaled by `grad_scale` (the GradScaler factor), in the logits'
 // dtype. When logits are f16 the round trip through float is charged as
-// two tensor conversions.
+// two tensor conversions. Each row is one pass: one read of the logits,
+// one exp per logit serving both the sum and the gradient, one write of
+// the gradient with the mean-reduction factor applied.
 LossResult softmax_xent(const MTensor& logits, std::span<const int> labels,
                         std::span<const std::uint8_t> mask, bool use_masked,
                         int valid_classes, float grad_scale,

@@ -172,8 +172,9 @@ ckpt::TrainState sample_state(int epoch) {
   st.result.best_test_acc = 0.4;
   st.result.memory.graph_bytes = 1000;
   st.result.epoch_ledger.sparse_kernels = 123;
-  st.registry_blob = "reg-bytes";
-  st.tracer_blob = "trace-bytes";
+  // Valid (empty) obs images: Store::load decodes them.
+  st.registry_blob = obs::Registry().save_state();
+  st.tracer_blob = obs::Tracer().save_state();
   return st;
 }
 
@@ -202,8 +203,8 @@ TEST(CkptSerial, TrainStateRoundTrips) {
   EXPECT_EQ(out.result.losses, st.result.losses);
   EXPECT_EQ(out.result.memory.graph_bytes, 1000u);
   EXPECT_EQ(out.result.epoch_ledger.sparse_kernels, 123u);
-  EXPECT_EQ(out.registry_blob, "reg-bytes");
-  EXPECT_EQ(out.tracer_blob, "trace-bytes");
+  EXPECT_EQ(out.registry_blob, st.registry_blob);
+  EXPECT_EQ(out.tracer_blob, st.tracer_blob);
 }
 
 // Registry image holding counters, a gauge, a histogram (one sample in the
@@ -525,6 +526,41 @@ TEST(CkptStore, InflatedCountInACrcValidGenerationFallsBack) {
       << prof.audits()[0].signal;
 }
 
+// A CRC-valid newest generation whose payload decodes but whose obs image
+// does not: the tracer blob's open-span count is 2^40, or the registry blob
+// has a byte left over. Either would abort the resume when the trainer
+// restored the blob, so load() must reject the generation, name the blob in
+// the audit record and fall back one generation.
+TEST(CkptStore, MalformedObsBlobFallsBack) {
+  for (const bool tracer : {true, false}) {
+    const std::string dir = fresh_dir("obsblob");
+    ckpt::TrainState bad = pinned_state();
+    if (tracer) {
+      // clock (f64), next token and next seq (u64), then the stack's count.
+      put_u64(bad.tracer_blob, 24, std::uint64_t{1} << 40);
+    } else {
+      bad.registry_blob += '\0';
+    }
+    {
+      ckpt::Store store({dir});
+      store.write(pinned_state());
+      store.write(bad);
+    }
+    obs::prof::Profiler prof(obs::prof::ProfConfig::parse("numerics"));
+    ckpt::Store store({dir});
+    const ckpt::LoadInfo info = store.load(&prof);
+    EXPECT_TRUE(info.found);
+    EXPECT_EQ(info.rejected, 1);
+    EXPECT_EQ(info.generation, 0);
+    ASSERT_EQ(prof.audits().size(), 1u);
+    EXPECT_EQ(prof.audits()[0].event, "ckpt_fallback");
+    const std::string want = tracer ? "tracer blob: ckpt: truncated stream"
+                                    : "registry blob: ckpt: trailing bytes";
+    EXPECT_EQ(prof.audits()[0].signal.rfind(want, 0), 0u)
+        << prof.audits()[0].signal;
+  }
+}
+
 // Generation numbers come from outside the process. A file name whose
 // number does not fit [0, INT_MAX - 1] is not a data file: it neither
 // names the next write nor costs load() a rejected generation.
@@ -570,7 +606,11 @@ TEST(CkptStore, MutatedGenerationsNeverEscapeTheStore) {
   const auto check = [](const std::string& dir, const std::string& what) {
     try {
       ckpt::Store store({dir});
-      EXPECT_TRUE(store.load().found) << what;
+      const ckpt::LoadInfo info = store.load();
+      EXPECT_TRUE(info.found) << what;
+      // What the store hands the trainer restores without throwing.
+      obs::Registry().load_state(info.state.registry_blob);
+      obs::Tracer().load_state(info.state.tracer_blob);
       store.write(sample_state(3));
     } catch (const std::exception& e) {
       ADD_FAILURE() << what << ": " << e.what();
