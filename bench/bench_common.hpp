@@ -3,7 +3,8 @@
 // Environment knobs:
 //   HALFGNN_QUICK=1          — restrict dataset sweeps to a small subset and
 //                              cut training epochs (for smoke runs).
-//   HALFGNN_EPOCHS=<n>       — override training epoch counts.
+//   HALFGNN_EPOCHS=<n>       — override training epoch counts (a whole
+//                              number >= 1; anything else throws).
 //   HALFGNN_REPORT_DIR=<dir> — also write each bench's results as
 //                              <dir>/BENCH_<name>.json (halfgnn-bench-v1).
 #pragma once
@@ -20,6 +21,7 @@
 #include "kernels/api.hpp"
 #include "obs/report.hpp"
 #include "tensor/tensor.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace hg::bench {
@@ -30,9 +32,8 @@ inline bool quick_mode() {
 }
 
 inline int epochs_override(int dflt) {
-  if (const char* e = std::getenv("HALFGNN_EPOCHS")) {
-    const int v = std::atoi(e);
-    if (v > 0) return v;
+  if (const char* e = std::getenv("HALFGNN_EPOCHS"); e != nullptr && *e) {
+    return util::require<int>(e, "HALFGNN_EPOCHS: ", 1);
   }
   return quick_mode() ? std::max(5, dflt / 10) : dflt;
 }

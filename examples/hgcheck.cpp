@@ -36,14 +36,10 @@
 
 #include "check/check.hpp"
 #include "check/lint.hpp"
-#include "cli_args.hpp"
 #include "graph/datasets.hpp"
+#include "util/parse.hpp"
 
 namespace {
-
-using hg::cli::parse_int;
-using hg::cli::parse_lr;
-using hg::cli::parse_seed;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -58,8 +54,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// A numeric flag whose value does not parse (cli_args.hpp) or is out of
-// its range: argv[i - 1] is the flag.
+// A numeric flag's value by util::flag_value's rules for its type; false
+// when it does not parse.
+template <class T>
+bool number(const char* s, T& out) {
+  const std::optional<T> v = hg::util::flag_value<T>(s);
+  if (v) out = *v;
+  return v.has_value();
+}
+
+// A numeric flag whose value does not parse or is out of its range:
+// argv[i - 1] is the flag.
 int not_a_number(char** argv, int i) {
   std::fprintf(stderr, "hgcheck: %s: invalid value '%s'\n", argv[i - 1],
                argv[i]);
@@ -100,16 +105,6 @@ std::string invalid_args(const Args& a) {
   if (a.hidden < 8) return "--hidden must be >= 8";
   if (a.epochs < 1) return "--epochs must be >= 1";
   return "";
-}
-
-bool parse_dtype(const std::string& s, std::optional<hg::Dtype>& out) {
-  for (const hg::Dtype dt : hg::all_dtypes()) {
-    if (s == hg::dtype_name(dt)) {
-      out = dt;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<std::string> load_allowlist(const std::string& path) {
@@ -241,29 +236,26 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--model") {
-      const std::string m = next("--model");
-      if (m == "gcn") a.model = hg::nn::ModelKind::kGcn;
-      else if (m == "gat") a.model = hg::nn::ModelKind::kGat;
-      else if (m == "gin") a.model = hg::nn::ModelKind::kGin;
-      else return usage(argv[0]);
+      const auto* m = hg::util::find(hg::nn::kModelFlags, next("--model"));
+      if (m == nullptr) return usage(argv[0]);
+      a.model = m->value;
     } else if (arg == "--dataset") {
-      if (!parse_int(next("--dataset"), a.dataset)) return not_a_number(argv, i);
+      if (!number(next("--dataset"), a.dataset)) return not_a_number(argv, i);
     } else if (arg == "--mode") {
-      const std::string m = next("--mode");
-      if (m == "float") a.mode = hg::nn::SystemMode::kDglFloat;
-      else if (m == "half") a.mode = hg::nn::SystemMode::kDglHalf;
-      else if (m == "halfgnn") a.mode = hg::nn::SystemMode::kHalfGnn;
-      else return usage(argv[0]);
+      const auto* m = hg::util::find(hg::nn::kModeFlags, next("--mode"));
+      if (m == nullptr) return usage(argv[0]);
+      a.mode = m->value;
     } else if (arg == "--dtype") {
-      if (!parse_dtype(next("--dtype"), a.dtype)) return usage(argv[0]);
+      a.dtype = hg::dtype_from_name(next("--dtype"));
+      if (!a.dtype.has_value()) return usage(argv[0]);
     } else if (arg == "--epochs") {
-      if (!parse_int(next("--epochs"), a.epochs)) return not_a_number(argv, i);
+      if (!number(next("--epochs"), a.epochs)) return not_a_number(argv, i);
     } else if (arg == "--hidden") {
-      if (!parse_int(next("--hidden"), a.hidden)) return not_a_number(argv, i);
+      if (!number(next("--hidden"), a.hidden)) return not_a_number(argv, i);
     } else if (arg == "--lr") {
-      if (!parse_lr(next("--lr"), a.lr)) return not_a_number(argv, i);
+      if (!number(next("--lr"), a.lr)) return not_a_number(argv, i);
     } else if (arg == "--seed") {
-      if (!parse_seed(next("--seed"), a.seed)) return not_a_number(argv, i);
+      if (!number(next("--seed"), a.seed)) return not_a_number(argv, i);
     } else if (arg == "--no-envelope") {
       a.envelope = false;
     } else if (arg.rfind("--report=", 0) == 0) {

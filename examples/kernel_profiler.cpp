@@ -4,7 +4,6 @@
 //   usage: kernel_profiler [dataset 1..16] [feat]
 //   e.g.   ./build/examples/kernel_profiler 15 64
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "graph/datasets.hpp"
@@ -12,6 +11,7 @@
 #include "kernels/spmm_cusparse_like.hpp"
 #include "kernels/spmm_halfgnn.hpp"
 #include "kernels/spmm_vertex.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   using namespace hg;
   using namespace hg::kernels;
 
-  const int ds = argc > 1 ? std::atoi(argv[1]) : 15;
-  const int feat = argc > 2 ? std::atoi(argv[2]) : 64;
+  const int ds = argc > 1 ? util::to_int<int>(argv[1]).value_or(0) : 15;
+  const int feat = argc > 2 ? util::to_int<int>(argv[2]).value_or(0) : 64;
   if (ds < 1 || ds > kNumDatasets || feat < 8 || feat % 8 != 0) {
     std::fprintf(stderr, "usage: %s [dataset 1..16] [feat multiple of 8]\n",
                  argv[0]);

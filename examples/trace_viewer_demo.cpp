@@ -11,32 +11,30 @@
 // Usage: trace_viewer_demo [mode] [epochs]
 //   mode: halfgnn (default) | dgl-float | dgl-half
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "graph/datasets.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace hg;
 
-  nn::SystemMode mode = nn::SystemMode::kHalfGnn;
-  if (argc > 1) {
-    if (std::strcmp(argv[1], "dgl-float") == 0) {
-      mode = nn::SystemMode::kDglFloat;
-    } else if (std::strcmp(argv[1], "dgl-half") == 0) {
-      mode = nn::SystemMode::kDglHalf;
-    } else if (std::strcmp(argv[1], "halfgnn") != 0) {
-      std::fprintf(stderr,
-                   "unknown mode '%s'\n"
-                   "usage: %s [halfgnn|dgl-float|dgl-half] [epochs]\n",
-                   argv[1], argv[0]);
-      return 2;
-    }
+  constexpr util::Token<nn::SystemMode> kModes[] = {
+      {"halfgnn", nn::SystemMode::kHalfGnn},
+      {"dgl-float", nn::SystemMode::kDglFloat},
+      {"dgl-half", nn::SystemMode::kDglHalf}};
+  const auto* mode = util::find(kModes, argc > 1 ? argv[1] : "halfgnn");
+  const std::optional<int> epochs =
+      argc > 2 ? util::to_int<int>(argv[2], 1) : 20;
+  if (mode == nullptr || !epochs) {
+    std::fprintf(stderr, "usage: %s [%s] [epochs]\n", argv[0],
+                 util::alternatives(kModes).c_str());
+    return 2;
   }
-  const int epochs = argc > 2 ? std::atoi(argv[2]) : 20;
 
   obs::tracer().reset();
   obs::tracer().set_enabled(true);
@@ -45,11 +43,12 @@ int main(int argc, char** argv) {
 
   Dataset d = make_dataset(DatasetId::kCora);
   nn::TrainConfig cfg = nn::default_config(nn::ModelKind::kGcn);
-  cfg.epochs = epochs;
+  cfg.epochs = *epochs;
   cfg.trace = true;  // every epoch runs under the cost model
   cfg.profile_first_epoch = true;
 
-  const nn::TrainResult res = nn::train(nn::ModelKind::kGcn, mode, d, cfg);
+  const nn::TrainResult res =
+      nn::train(nn::ModelKind::kGcn, mode->value, d, cfg);
 
   const bool t_ok = obs::tracer().write_chrome_trace("trace.json");
   const bool m_ok = obs::registry().write_json("metrics.json");
@@ -59,7 +58,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("trained GCN/%s on %s for %d epochs: final test acc %.4f\n",
-              nn::mode_name(mode), d.name.c_str(), epochs, res.final_test_acc);
+              nn::mode_name(mode->value), d.name.c_str(), *epochs,
+              res.final_test_acc);
   std::printf("modeled timeline: %.3f ms, %zu trace events\n",
               obs::tracer().now_ms(), obs::tracer().event_count());
   std::printf("wrote trace.json    — load it in chrome://tracing or "

@@ -42,17 +42,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "ckpt/store.hpp"
-#include "cli_args.hpp"
 #include "graph/datasets.hpp"
 #include "nn/trainer.hpp"
 #include "simt/fault.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 #include "simt/executor.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -99,18 +102,12 @@ int main(int argc, char** argv) {
   // touches it (its constructor would throw from a static initializer): a
   // malformed value gets a one-line error, plus the grammar for faults.
   try {
-    simt::FaultConfig::from_env();
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
-                 simt::FaultConfig::grammar_help().c_str());
-    return 2;
-  }
-  try {
-    simt::SanitizerConfig::from_env();
-    obs::prof::ProfConfig::from_env();
-    simt::Device::watchdog_ms_from_env();
+    simt::Device::check_env();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    if (std::string_view(e.what()).starts_with(simt::FaultConfig::kEnv)) {
+      std::fprintf(stderr, "\n%s", simt::FaultConfig::grammar_help().c_str());
+    }
     return 2;
   }
 
@@ -126,51 +123,44 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    // A numeric flag's value through one of the strict cli_args.hpp
-    // parsers; false (after one error line for a bad value) sends the
-    // caller to usage().
-    const auto number = [&](auto parse, auto& out) {
+    // A numeric flag's value by util::flag_value's rules for its type;
+    // false (after one error line for a bad value) sends the caller to
+    // usage().
+    const auto number = [&](auto& out) {
       const char* v = next();
       if (v == nullptr) return false;
-      if (parse(v, out)) return true;
+      using T = std::remove_reference_t<decltype(out)>;
+      if (const std::optional<T> got = util::flag_value<T>(v)) {
+        out = *got;
+        return true;
+      }
       std::fprintf(stderr, "error: %s: invalid value '%s'\n", a.c_str(), v);
       return false;
     };
+    // A --model / --mode value: the row of `flags` it spells, or nullptr.
+    const auto word = [&](const auto& flags) {
+      const char* v = next();
+      return v == nullptr ? nullptr : util::find(flags, v);
+    };
     if (a == "--dataset") {
-      if (!number(cli::parse_int, dataset)) return usage(argv[0]);
+      if (!number(dataset)) return usage(argv[0]);
     } else if (a == "--model") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (std::strcmp(v, "gcn") == 0) {
-        model = nn::ModelKind::kGcn;
-      } else if (std::strcmp(v, "gat") == 0) {
-        model = nn::ModelKind::kGat;
-      } else if (std::strcmp(v, "gin") == 0) {
-        model = nn::ModelKind::kGin;
-      } else {
-        return usage(argv[0]);
-      }
+      const auto* m = word(nn::kModelFlags);
+      if (m == nullptr) return usage(argv[0]);
+      model = m->value;
     } else if (a == "--mode") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (std::strcmp(v, "float") == 0) {
-        mode = nn::SystemMode::kDglFloat;
-      } else if (std::strcmp(v, "half") == 0) {
-        mode = nn::SystemMode::kDglHalf;
-      } else if (std::strcmp(v, "halfgnn") == 0) {
-        mode = nn::SystemMode::kHalfGnn;
-      } else {
-        return usage(argv[0]);
-      }
+      const auto* m = word(nn::kModeFlags);
+      if (m == nullptr) return usage(argv[0]);
+      mode = m->value;
     } else if (a == "--epochs") {
-      if (!number(cli::parse_int, cfg.epochs)) return usage(argv[0]);
+      if (!number(cfg.epochs)) return usage(argv[0]);
     } else if (a == "--lr") {
-      if (!number(cli::parse_lr, cfg.lr)) return usage(argv[0]);
+      if (!number(cfg.lr)) return usage(argv[0]);
       have_lr = true;
     } else if (a == "--hidden") {
-      if (!number(cli::parse_int, cfg.hidden)) return usage(argv[0]);
+      if (!number(cfg.hidden)) return usage(argv[0]);
     } else if (a == "--seed") {
-      if (!number(cli::parse_seed, cfg.seed)) return usage(argv[0]);
+      if (!number(cfg.seed)) return usage(argv[0]);
     } else if (a == "--dtype") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -182,23 +172,15 @@ int main(int argc, char** argv) {
     } else if (a == "--guard") {
       cfg.guard.enabled = true;
     } else if (a == "--guard-retry") {
-      if (!number(cli::parse_int, cfg.guard.retry_budget)) {
-        return usage(argv[0]);
-      }
+      if (!number(cfg.guard.retry_budget)) return usage(argv[0]);
     } else if (a == "--guard-interval") {
-      if (!number(cli::parse_int, cfg.guard.checkpoint_interval)) {
-        return usage(argv[0]);
-      }
+      if (!number(cfg.guard.checkpoint_interval)) return usage(argv[0]);
     } else if (a == "--guard-ring") {
-      if (!number(cli::parse_int, cfg.guard.checkpoint_ring)) {
-        return usage(argv[0]);
-      }
+      if (!number(cfg.guard.checkpoint_ring)) return usage(argv[0]);
     } else if (a == "--guard-nan-streak") {
-      if (!number(cli::parse_int, cfg.guard.nan_streak)) return usage(argv[0]);
+      if (!number(cfg.guard.nan_streak)) return usage(argv[0]);
     } else if (a == "--guard-overflow-streak") {
-      if (!number(cli::parse_int, cfg.guard.overflow_streak)) {
-        return usage(argv[0]);
-      }
+      if (!number(cfg.guard.overflow_streak)) return usage(argv[0]);
     } else if (a == "--profile") {
       cfg.profile_first_epoch = true;
     } else if (a.rfind("--profile=", 0) == 0) {
@@ -217,7 +199,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       cfg.checkpoint_dir = v;
     } else if (a == "--ckpt-every") {
-      if (!number(cli::parse_int, cfg.checkpoint_every)) return usage(argv[0]);
+      if (!number(cfg.checkpoint_every)) return usage(argv[0]);
       if (cfg.checkpoint_every < 1) {
         std::fprintf(stderr, "error: --ckpt-every must be >= 1\n");
         return usage(argv[0]);

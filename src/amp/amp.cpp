@@ -1,68 +1,7 @@
 #include "amp/amp.hpp"
 
-#include <array>
-
 namespace hg::amp {
 
-namespace {
-// torch.amp's "ops that autocast to float32" list, restricted to the ones
-// a GNN actually hits (Sec. 3.1.2 "General Trend").
-constexpr std::array<std::string_view, 8> kPromoted = {
-    "exp",         "softmax", "log_softmax", "log",
-    "cross_entropy", "sum",   "mean",        "norm",
-};
-
-// Shadow-API coverage (Sec. 5.3): promoted ops whose GNN call sites
-// guarantee half range. exp is the paper's flagship case (input <= 0 after
-// the edge-softmax max subtraction); the row-sum of exp values and the
-// division are bounded by the neighborhood size times 1.
-constexpr std::array<std::string_view, 3> kShadow = {
-    "exp", "edge_softmax_sum", "edge_softmax_div"};
-}  // namespace
-
-bool autocast_promotes_to_f32(std::string_view op) {
-  for (auto p : kPromoted) {
-    if (p == op) return true;
-  }
-  return false;
-}
-
-bool shadow_half_available(std::string_view op) {
-  for (auto p : kShadow) {
-    if (p == op) return true;
-  }
-  return false;
-}
-
-namespace {
-// bf16's promotions are about precision, not range: the softmax family
-// accumulates many same-sign terms where 8 mantissa bits visibly bite.
-constexpr std::array<std::string_view, 3> kBf16Promoted = {
-    "softmax", "log_softmax", "cross_entropy"};
-}  // namespace
-
-bool autocast_promotes(std::string_view op, Dtype dt) {
-  switch (dt) {
-    case Dtype::kF16:
-      return autocast_promotes_to_f32(op);
-    case Dtype::kBf16:
-      for (auto p : kBf16Promoted) {
-        if (p == op) return true;
-      }
-      return false;
-    default:
-      return false;  // f32 already is f32; i8/b1 dense ops run f32
-  }
-}
-
 bool needs_loss_scaling(Dtype dt) { return dtype_needs_loss_scaling(dt); }
-
-std::span<const std::string_view> autocast_f32_ops() { return kPromoted; }
-
-std::span<const std::string_view> shadow_half_ops() { return kShadow; }
-
-std::span<const std::string_view> bf16_promoted_ops() {
-  return kBf16Promoted;
-}
 
 }  // namespace hg::amp

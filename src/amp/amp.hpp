@@ -1,11 +1,10 @@
 // Mixed-precision machinery (paper Sec. 3, 5.3).
 //
-//  * autocast policy — the list of operations PyTorch AMP promotes to
-//    float32 out of "fear of overflow" (Sec. 3.1.2): exp, softmax, log,
-//    sum, cross-entropy... A naive half-precision GNN (our DGL-half mode)
-//    obeys this list, paying a half->float->half round trip around each
-//    such op. HalfGNN replaces the promotions whose inputs provably stay in
-//    range with shadow APIs (Sec. 5.3) that execute in half.
+//  * autocast policy — PyTorch AMP promotes exp, softmax, sum and the like
+//    to float32 out of "fear of overflow" (Sec. 3.1.2). Which sparse ops
+//    DGL-half promotes, paying a half->float->half round trip each, is the
+//    kernel table's `promoted` entries (nn/kernel_table.cpp); HalfGNN runs
+//    them in half through shadow APIs (Sec. 5.3).
 //
 //  * GradScaler — dynamic loss scaling exactly like torch.cuda.amp: scale
 //    the loss, unscale the master gradients, skip the optimizer step and
@@ -15,8 +14,6 @@
 //    reduction) no — which is why DGL-half still collapses in Fig. 1c.
 #pragma once
 
-#include <span>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -24,34 +21,10 @@
 
 namespace hg::amp {
 
-// Ops PyTorch autocast executes in float32 (the Sec. 3.1.2 list).
-bool autocast_promotes_to_f32(std::string_view op);
-
-// Shadow-API eligibility: ops whose GNN usage guarantees the half range,
-// so HalfGNN runs them in half (Sec. 5.3). The canonical example is
-// exp(e - max) with e - max <= 0.
-bool shadow_half_available(std::string_view op);
-
-// Dtype-aware autocast policy (the precision lattice's view of the same
-// tables). f16 promotes the full Sec. 3.1.2 list — out of fear of
-// *overflow*. bf16 shares f32's exponent so overflow fear vanishes; only
-// the precision-sensitive softmax/cross-entropy reductions stay promoted
-// (8 mantissa bits lose real accuracy there). f32 and the PTQ dtypes
-// (whose dense ops already run f32) promote nothing.
-bool autocast_promotes(std::string_view op, Dtype dt);
-
 // Whether training in `dt` requires dynamic loss scaling. Only f16: its
 // 5-bit exponent underflows small gradients. bf16 explicitly does NOT —
 // the trainer must leave the GradScaler disengaged (scale pinned at 1).
 bool needs_loss_scaling(Dtype dt);
-
-// Table enumeration for the static checker / metadata linter (src/check):
-// the same arrays the predicates above consult, exposed so a static pass
-// can verify every listed op has a transfer function and the docs name the
-// policy. Spans stay valid for the process lifetime.
-std::span<const std::string_view> autocast_f32_ops();    // f16 promotions
-std::span<const std::string_view> shadow_half_ops();     // Sec. 5.3 shadows
-std::span<const std::string_view> bf16_promoted_ops();   // precision-only
 
 class GradScaler {
  public:

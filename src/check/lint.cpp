@@ -1,35 +1,17 @@
 #include "check/lint.hpp"
 
-#include <array>
 #include <fstream>
 #include <sstream>
 
 #include "amp/amp.hpp"
 #include "half/dtype.hpp"
+#include "obs/prof/prof.hpp"
+#include "simt/fault.hpp"
+#include "simt/sanitizer.hpp"
 
 namespace hg::check {
 
 namespace {
-
-constexpr std::array<std::string_view, 3> kProfTokens = {"roofline",
-                                                         "numerics", "all"};
-constexpr std::array<std::string_view, 2> kProfSamples = {"roofline,numerics",
-                                                          "all"};
-constexpr std::array<std::string_view, 5> kSanTokens = {"race", "mem", "init",
-                                                        "sync", "all"};
-constexpr std::array<std::string_view, 2> kSanSamples = {"race,mem,init,sync",
-                                                         "all"};
-constexpr std::array<std::string_view, 5> kFaultTokens = {
-    "bitflip", "launchfail", "overflow", "stuck", "torncrash"};
-constexpr std::array<std::string_view, 2> kFaultSamples = {
-    "bitflip:rate=1e-6,seed=7;launchfail:every=500",
-    "overflow:kernel=spmm;stuck:every=3,kernel=spmm;torncrash:epoch=4,at=128"};
-
-constexpr std::array<GrammarTable, 3> kGrammars = {{
-    {"HALFGNN_PROF", kProfTokens, kProfSamples},
-    {"HALFGNN_SANITIZE", kSanTokens, kSanSamples},
-    {"HALFGNN_FAULTS", kFaultTokens, kFaultSamples},
-}};
 
 void add(std::vector<LintIssue>& out, std::string rule, std::string subject,
          std::string detail) {
@@ -38,7 +20,18 @@ void add(std::vector<LintIssue>& out, std::string rule, std::string subject,
 
 }  // namespace
 
-std::span<const GrammarTable> grammar_tables() { return kGrammars; }
+std::vector<GrammarTable> grammar_tables() {
+  const auto tokens = [](const auto& table) {
+    std::vector<std::string_view> out;
+    for (const auto& row : table) out.push_back(row.token);
+    return out;
+  };
+  return {
+      {obs::prof::ProfConfig::kEnv, tokens(obs::prof::kProfTokens)},
+      {simt::SanitizerConfig::kEnv, tokens(simt::kSanTokens)},
+      {simt::FaultConfig::kEnv, tokens(simt::FaultConfig::kinds())},
+  };
+}
 
 std::vector<LintIssue> lint_registry() {
   std::vector<LintIssue> out;
@@ -68,7 +61,7 @@ std::vector<LintIssue> lint_docs(std::string_view readme_text,
   const auto mentions = [](std::string_view hay, std::string_view needle) {
     return hay.find(needle) != std::string_view::npos;
   };
-  for (const GrammarTable& g : kGrammars) {
+  for (const GrammarTable& g : grammar_tables()) {
     if (!mentions(readme_text, g.env)) {
       add(out, "doc-grammar", std::string(g.env),
           "env var missing from README.md");

@@ -15,7 +15,6 @@
 //                        CI.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,17 +27,14 @@ struct LintIssue {
   std::string detail;
 };
 
-// One user-facing spec grammar: the env var, its token vocabulary, and
-// sample specs the real parser must accept (tests round-trip them through
-// ProfConfig/SanitizerConfig/FaultConfig::parse so this table cannot drift
-// from the parsers either).
+// One user-facing spec grammar: the env var and its token vocabulary, read
+// from the parsers' own tables (ProfConfig, SanitizerConfig, FaultConfig).
 struct GrammarTable {
   std::string_view env;
-  std::span<const std::string_view> tokens;
-  std::span<const std::string_view> samples;
+  std::vector<std::string_view> tokens;
 };
 
-std::span<const GrammarTable> grammar_tables();
+std::vector<GrammarTable> grammar_tables();
 
 // dtype-traits over the dtype trait table.
 std::vector<LintIssue> lint_registry();

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 namespace hg::ckpt {
 
@@ -65,22 +66,15 @@ void write_file_raw(const fs::path& p, const std::string& bytes) {
 // The generation in a data file's name; -1 when the name is not a ckpt
 // data file. A generation is a whole number in [0, INT_MAX - 1], so the
 // next one always fits an int.
-int parse_generation(const std::string& name) {
+int parse_generation(std::string_view name) {
   constexpr std::string_view prefix = "ckpt-";
   constexpr std::string_view suffix = ".bin";
-  if (name.size() <= prefix.size() + suffix.size()) return -1;
-  if (name.compare(0, prefix.size(), prefix) != 0) return -1;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return -1;
-  }
-  int gen = 0;
-  for (std::size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return -1;
-    if (gen > (kMaxGeneration - (c - '0')) / 10) return -1;
-    gen = gen * 10 + (c - '0');
-  }
-  return gen;
+  if (!name.starts_with(prefix) || !name.ends_with(suffix)) return -1;
+  std::string_view digits = name.substr(
+      prefix.size(), name.size() - prefix.size() - suffix.size());
+  // data_file_name pads the number with zeros.
+  while (digits.size() > 1 && digits.front() == '0') digits.remove_prefix(1);
+  return util::to_int<int>(digits, 0, kMaxGeneration).value_or(-1);
 }
 
 // A manifest number that must be a whole number in [0, max]; throws (the

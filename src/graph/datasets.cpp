@@ -176,10 +176,6 @@ std::vector<DatasetId> labeled_dataset_ids() {
           DatasetId::kOgbProduct, DatasetId::kReddit};
 }
 
-std::vector<DatasetId> smoke_dataset_ids() {
-  return {DatasetId::kCora, DatasetId::kReddit, DatasetId::kKron};
-}
-
 std::string dataset_name(DatasetId id) {
   // Cheap: name construction does not require building the graph.
   switch (id) {

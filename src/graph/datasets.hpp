@@ -72,9 +72,6 @@ Dataset make_dataset(DatasetId id);
 std::vector<DatasetId> all_dataset_ids();
 // The 5 labeled ids (G1, G2, G3, G13, G15).
 std::vector<DatasetId> labeled_dataset_ids();
-// A small representative subset for quick test/bench runs:
-// {Cora, Reddit, Kron}.
-std::vector<DatasetId> smoke_dataset_ids();
 
 std::string dataset_name(DatasetId id);
 

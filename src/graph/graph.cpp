@@ -137,16 +137,6 @@ GraphStats compute_stats(const Csr& csr) {
   return s;
 }
 
-vid_t DegreeSummary::rows_maybe_above(vid_t threshold) const noexcept {
-  vid_t n = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const vid_t upper =
-        b >= 31 ? max_degree : static_cast<vid_t>((1u << (b + 1)) - 1);
-    if (upper > threshold) n += log2_buckets[static_cast<std::size_t>(b)];
-  }
-  return n;
-}
-
 DegreeSummary summarize_degrees(const Csr& csr) {
   DegreeSummary s;
   s.num_rows = csr.num_vertices;

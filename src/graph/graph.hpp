@@ -97,11 +97,6 @@ struct DegreeSummary {
   // Exact count of rows at max_degree (the hub multiplicity the
   // NEEDS-SCALING factor reports against).
   vid_t rows_at_max = 0;
-
-  // Conservative count of rows whose degree may exceed `threshold`: every
-  // row in a bucket whose upper edge passes the threshold. Sound for the
-  // checker's "how many rows can trip this reduction" question.
-  vid_t rows_maybe_above(vid_t threshold) const noexcept;
 };
 
 DegreeSummary summarize_degrees(const Csr& csr);

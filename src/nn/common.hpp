@@ -19,6 +19,7 @@
 #include "kernels/api.hpp"
 #include "tensor/ledger.hpp"
 #include "tensor/tensor.hpp"
+#include "util/parse.hpp"
 
 namespace hg::nn {
 
@@ -35,6 +36,12 @@ inline const char* mode_name(SystemMode m) {
   }
   return "?";
 }
+
+// The --mode spellings of the command-line tools.
+inline constexpr util::Token<SystemMode> kModeFlags[] = {
+    {"float", SystemMode::kDglFloat},
+    {"half", SystemMode::kDglHalf},
+    {"halfgnn", SystemMode::kHalfGnn}};
 
 // Feature padding (Sec. 4.1.2 / 5.1.3): HalfGNN requires even SpMM widths
 // and multiple-of-8 SDDMM widths; we pad every layer width to a multiple

@@ -28,6 +28,7 @@
 
 #include "nn/linear.hpp"
 #include "nn/sparse_dispatch.hpp"
+#include "util/parse.hpp"
 
 namespace hg::nn {
 
@@ -254,6 +255,12 @@ inline const char* model_name(ModelKind k) {
   }
   return "?";
 }
+
+// The --model spellings of the command-line tools.
+inline constexpr util::Token<ModelKind> kModelFlags[] = {
+    {"gcn", ModelKind::kGcn},
+    {"gat", ModelKind::kGat},
+    {"gin", ModelKind::kGin}};
 
 // The trainer's view of a two-layer model: the layer code above run by the
 // trainer's backend (nn/exec.hpp).

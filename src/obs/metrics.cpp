@@ -78,12 +78,6 @@ double Registry::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0.0 : it->second;
 }
 
-double Registry::gauge_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 double Registry::quantile_of(const Histogram& h, double q) {
   if (h.count == 0) return std::numeric_limits<double>::quiet_NaN();
   if (q <= 0.0) return h.min;

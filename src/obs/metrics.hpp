@@ -45,7 +45,6 @@ class Registry {
   void observe(const std::string& name, double v);  // histogram sample
 
   double counter_value(const std::string& name) const;
-  double gauge_value(const std::string& name) const;
   // Interpolated quantile estimate (q in [0,1]) from the decade buckets:
   // log-interpolated inside the bucket holding the target rank, clamped to
   // the observed [min, max]. NaN for an unknown/empty histogram. The JSON

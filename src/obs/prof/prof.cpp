@@ -12,16 +12,6 @@ namespace hg::obs::prof {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 int clamp_exp(int e) noexcept {
   return std::clamp(e, ExpHist::kMinExp, ExpHist::kMaxExp);
 }
@@ -33,31 +23,11 @@ int clamp_exp(int e) noexcept {
 // ---------------------------------------------------------------------------
 
 ProfConfig ProfConfig::parse(std::string_view spec) {
-  ProfConfig cfg;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string_view tok = trim(rest.substr(0, comma));
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    if (tok.empty()) continue;
-    if (tok == "roofline") {
-      cfg.analyzers |= kProfRoofline;
-    } else if (tok == "numerics") {
-      cfg.analyzers |= kProfNumerics;
-    } else if (tok == "all") {
-      cfg.analyzers |= kProfAll;
-    } else {
-      throw std::invalid_argument(
-          "HALFGNN_PROF: unknown analyzer '" + std::string(tok) +
-          "' (expected roofline|numerics|all)");
-    }
-  }
-  return cfg;
+  return {util::parse_flags(spec, kProfTokens, kEnv, "analyzer")};
 }
 
 ProfConfig ProfConfig::from_env() {
-  if (const char* e = std::getenv("HALFGNN_PROF")) {
+  if (const char* e = std::getenv(kEnv)) {
     return parse(e);
   }
   return ProfConfig{};

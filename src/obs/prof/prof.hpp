@@ -42,6 +42,7 @@
 #include "obs/json.hpp"
 #include "simt/spec.hpp"
 #include "simt/stats.hpp"
+#include "util/parse.hpp"
 
 namespace hg::obs::prof {
 
@@ -50,7 +51,16 @@ inline constexpr unsigned kProfRoofline = 1u << 0;
 inline constexpr unsigned kProfNumerics = 1u << 1;
 inline constexpr unsigned kProfAll = kProfRoofline | kProfNumerics;
 
+// The grammar's tokens: what the parser, its error text and hgcheck's doc
+// lint read.
+inline constexpr util::Token<unsigned> kProfTokens[] = {
+    {"roofline", kProfRoofline},
+    {"numerics", kProfNumerics},
+    {"all", kProfAll}};
+
 struct ProfConfig {
+  static constexpr char kEnv[] = "HALFGNN_PROF";
+
   unsigned analyzers = 0;
 
   bool active() const noexcept { return analyzers != 0; }

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace hg::simt {
 
@@ -33,8 +36,9 @@ double checked_watchdog_ms(double ms, const char* source) {
 namespace detail {
 
 int env_threads() {
-  if (const char* e = std::getenv("HALFGNN_THREADS")) {
-    const int v = std::atoi(e);
+  if (const char* e = std::getenv("HALFGNN_THREADS"); e != nullptr && *e) {
+    const int v =
+        util::require<int>(e, "HALFGNN_THREADS: ", 0, kMaxEnvThreads);
     if (v > 0) return v;
   }
   const unsigned hc = std::thread::hardware_concurrency();
@@ -162,14 +166,21 @@ void Device::set_watchdog_ms(double ms) {
 double Device::watchdog_ms_from_env() {
   const char* e = std::getenv("HALFGNN_WATCHDOG_MS");
   if (e == nullptr || *e == '\0') return 0;
-  char* end = nullptr;
-  const double ms = std::strtod(e, &end);
-  if (end == e || *end != '\0') {
+  const std::optional<double> ms = util::to_real(e);
+  if (!ms) {
     throw std::invalid_argument(
         "HALFGNN_WATCHDOG_MS: expected a number of milliseconds, got '" +
         std::string(e) + "'");
   }
-  return checked_watchdog_ms(ms, "HALFGNN_WATCHDOG_MS");
+  return checked_watchdog_ms(*ms, "HALFGNN_WATCHDOG_MS");
+}
+
+void Device::check_env() {
+  (void)FaultConfig::from_env();
+  (void)SanitizerConfig::from_env();
+  (void)obs::prof::ProfConfig::from_env();
+  (void)watchdog_ms_from_env();
+  (void)detail::env_threads();
 }
 
 void Device::arm_watchdog() {

@@ -90,7 +90,13 @@ inline constexpr int kConflictShards = 16;
 // Elements per merge-pass job.
 inline constexpr std::size_t kMergeBlockElems = std::size_t{1} << 16;
 
-// HALFGNN_THREADS, default std::thread::hardware_concurrency().
+// The most host threads HALFGNN_THREADS may ask for: a typo must not spawn
+// an unbounded number of OS threads.
+inline constexpr int kMaxEnvThreads = 256;
+
+// HALFGNN_THREADS: a whole number in 0..kMaxEnvThreads; unset, empty or 0
+// is std::thread::hardware_concurrency(). Anything else throws
+// std::invalid_argument naming the variable.
 int env_threads();
 
 // One chunk's private stats accumulator, padded to a cache line so pool
@@ -192,12 +198,19 @@ class Device {
   // its deadline fits steady_clock.
   void set_watchdog_ms(double ms);
   double watchdog_ms() const noexcept { return wd_ms_; }
+
+  // Parses every environment variable the constructor reads
+  // (HALFGNN_FAULTS, _SANITIZE, _PROF, _WATCHDOG_MS, _THREADS), so a CLI
+  // can reject a malformed one before the default device exists. Throws
+  // std::invalid_argument naming the first malformed variable.
+  static void check_env();
+
+ private:
   // HALFGNN_WATCHDOG_MS parsed strictly: unset or empty is 0 (disabled);
   // anything but one number set_watchdog_ms accepts throws
   // std::invalid_argument naming the variable.
   static double watchdog_ms_from_env();
 
- private:
   friend class Stream;
 
   // Arms every per-launch hook for `kernel` — faults, the sanitizer and

@@ -1,62 +1,18 @@
 #include "simt/fault.hpp"
 
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 namespace hg::simt {
 
 namespace {
-
-std::invalid_argument bad(std::string_view clause, const std::string& why) {
-  return std::invalid_argument("HALFGNN_FAULTS: bad clause '" +
-                               std::string(clause) + "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-double parse_num(std::string_view clause, std::string_view v) {
-  char* end = nullptr;
-  const std::string tmp(v);
-  const double d = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0') {
-    throw bad(clause, "expected a number, got '" + tmp + "'");
-  }
-  return d;
-}
-
-// Splits "k1=v1,k2=v2" and dispatches each pair to `take(key, value)`;
-// `take` returns false for unknown keys.
-template <class Take>
-void parse_pairs(std::string_view clause, std::string_view body, Take&& take) {
-  while (!body.empty()) {
-    const auto comma = body.find(',');
-    std::string_view pair = trim(body.substr(0, comma));
-    body = comma == std::string_view::npos ? std::string_view{}
-                                           : body.substr(comma + 1);
-    if (pair.empty()) continue;
-    const auto eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      throw bad(clause, "expected key=value, got '" + std::string(pair) + "'");
-    }
-    const std::string_view key = trim(pair.substr(0, eq));
-    const std::string_view val = trim(pair.substr(eq + 1));
-    if (val.empty()) throw bad(clause, "empty value for '" + std::string(key) + "'");
-    if (!take(key, val)) {
-      throw bad(clause, "unknown key '" + std::string(key) + "'");
-    }
-  }
-}
 
 // Maps a probability onto the u64 hash range: an element faults when
 // mix(...) < threshold. rate >= 1 saturates (every element).
@@ -88,138 +44,150 @@ LaunchHang::LaunchHang(const std::string& kernel, std::uint64_t ordinal,
                   kernel, ordinal),
       deadline_ms_(deadline_ms) {}
 
+namespace detail {
+
+// One clause of a spec: the error prefix naming it, and its key=value body.
+struct FaultClause {
+  // A key a clause kind takes: the field its value is read into, as that
+  // field's type, and the least value it accepts.
+  struct Key {
+    std::string_view token;
+    std::variant<double*, std::uint64_t*, int*, std::string*> out;
+    int lo = 0;
+  };
+
+  std::string where;  // "HALFGNN_FAULTS: bad clause '<clause>': "
+  std::string_view body;
+
+  std::invalid_argument bad(const std::string& why) const {
+    return std::invalid_argument(where + why);
+  }
+
+  // Reads every pair of the body into its key's field; returns whether the
+  // body named `required`.
+  bool read(std::initializer_list<Key> keys,
+            std::string_view required = {}) const {
+    bool seen = false;
+    util::for_each_pair(body, where, [&](std::string_view k,
+                                         std::string_view v) {
+      const Key* key = util::find(keys, k);
+      if (key == nullptr) return false;
+      seen = seen || k == required;
+      std::visit(
+          [&](auto* out) {
+            using T = std::remove_pointer_t<decltype(out)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+              *out = v;
+            } else {
+              *out = util::require<T>(v, where + std::string(k) + ": ",
+                                      static_cast<T>(key->lo));
+            }
+          },
+          key->out);
+      return true;
+    });
+    return seen;
+  }
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::FaultClause;
+
+// One row per clause kind, with the body that parses it.
+constexpr FaultKind kKinds[] = {
+    {"bitflip", "rate=1e-6,seed=7", "[,kernel=<substr>]",
+     "flip one random bit of each loaded/stored half/float element\n"
+     "with probability rate (indices are never corrupted)",
+     [](const FaultClause& c, FaultConfig& cfg) {
+       BitflipFault f;
+       if (!c.read(
+               {{"rate", &f.rate}, {"seed", &f.seed}, {"kernel", &f.kernel}},
+               "rate")) {
+         throw c.bad("bitflip requires rate=");
+       }
+       f.threshold = rate_threshold(f.rate);
+       cfg.bitflips.push_back(std::move(f));
+     }},
+    {"launchfail", "every=500", "[,kernel=<substr>]",
+     "every N-th matching launch throws a retryable LaunchFault\n"
+     "before any output byte is written",
+     [](const FaultClause& c, FaultConfig& cfg) {
+       LaunchfailFault f;
+       if (!c.read({{"every", &f.every, 1}, {"kernel", &f.kernel}}, "every")) {
+         throw c.bad("launchfail requires every=");
+       }
+       cfg.launchfails.push_back(std::move(f));
+     }},
+    {"overflow", "kernel=spmm", "[,cta=12]",
+     "matching kernel's CTA (omitted = all) saturates every store\n"
+     "to +INF",
+     [](const FaultClause& c, FaultConfig& cfg) {
+       OverflowFault f;
+       c.read({{"kernel", &f.kernel}, {"cta", &f.cta, -1}});
+       cfg.overflows.push_back(std::move(f));
+     }},
+    {"stuck", "every=3", "[,kernel=<substr>]",
+     "every N-th matching launch never completes; reaped as a\n"
+     "LaunchHang when HALFGNN_WATCHDOG_MS is set",
+     [](const FaultClause& c, FaultConfig& cfg) {
+       StuckFault f;
+       c.read({{"every", &f.every, 1}, {"kernel", &f.kernel}});
+       cfg.stucks.push_back(std::move(f));
+     }},
+    {"torncrash", "epoch=4", "[,at=128]",
+     "simulated process death during the checkpoint write at that\n"
+     "epoch, persisting only `at` bytes (omitted = full write,\n"
+     "then death)",
+     [](const FaultClause& c, FaultConfig& cfg) {
+       TornCrashFault f;
+       if (!c.read({{"epoch", &f.epoch}, {"at", &f.at}}, "epoch")) {
+         throw c.bad("torncrash requires epoch=");
+       }
+       cfg.torncrashes.push_back(f);
+     }},
+};
+
+}  // namespace
+
 FaultConfig FaultConfig::parse(std::string_view spec) {
   FaultConfig cfg;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const auto semi = rest.find(';');
-    const std::string_view clause = trim(rest.substr(0, semi));
-    rest = semi == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(semi + 1);
-    if (clause.empty()) continue;
+  util::for_each_item(spec, ';', [&](std::string_view clause) {
     const auto colon = clause.find(':');
-    const std::string_view kind = trim(clause.substr(0, colon));
-    const std::string_view body =
+    const std::string_view kind = util::trim(clause.substr(0, colon));
+    const FaultClause c{
+        std::string(kEnv) + ": bad clause '" + std::string(clause) + "': ",
         colon == std::string_view::npos ? std::string_view{}
-                                        : clause.substr(colon + 1);
-    if (kind == "bitflip") {
-      BitflipFault f;
-      bool have_rate = false;
-      parse_pairs(clause, body, [&](std::string_view k, std::string_view v) {
-        if (k == "rate") {
-          f.rate = parse_num(clause, v);
-          have_rate = true;
-        } else if (k == "seed") {
-          f.seed = static_cast<std::uint64_t>(parse_num(clause, v));
-        } else if (k == "kernel") {
-          f.kernel = std::string(v);
-        } else {
-          return false;
-        }
-        return true;
-      });
-      if (!have_rate) throw bad(clause, "bitflip requires rate=");
-      if (f.rate < 0.0 || !std::isfinite(f.rate)) {
-        throw bad(clause, "rate must be a finite value >= 0");
-      }
-      f.threshold = rate_threshold(f.rate);
-      cfg.bitflips.push_back(std::move(f));
-    } else if (kind == "launchfail") {
-      LaunchfailFault f;
-      parse_pairs(clause, body, [&](std::string_view k, std::string_view v) {
-        if (k == "every") {
-          const double e = parse_num(clause, v);
-          if (e < 1.0) throw bad(clause, "every must be >= 1");
-          f.every = static_cast<std::uint64_t>(e);
-        } else if (k == "kernel") {
-          f.kernel = std::string(v);
-        } else {
-          return false;
-        }
-        return true;
-      });
-      if (f.every == 0) throw bad(clause, "launchfail requires every=");
-      cfg.launchfails.push_back(std::move(f));
-    } else if (kind == "overflow") {
-      OverflowFault f;
-      parse_pairs(clause, body, [&](std::string_view k, std::string_view v) {
-        if (k == "kernel") {
-          f.kernel = std::string(v);
-        } else if (k == "cta") {
-          f.cta = static_cast<int>(parse_num(clause, v));
-        } else {
-          return false;
-        }
-        return true;
-      });
-      cfg.overflows.push_back(std::move(f));
-    } else if (kind == "stuck") {
-      StuckFault f;
-      parse_pairs(clause, body, [&](std::string_view k, std::string_view v) {
-        if (k == "every") {
-          const double e = parse_num(clause, v);
-          if (e < 1.0) throw bad(clause, "every must be >= 1");
-          f.every = static_cast<std::uint64_t>(e);
-        } else if (k == "kernel") {
-          f.kernel = std::string(v);
-        } else {
-          return false;
-        }
-        return true;
-      });
-      cfg.stucks.push_back(std::move(f));
-    } else if (kind == "torncrash") {
-      TornCrashFault f;
-      bool have_epoch = false;
-      parse_pairs(clause, body, [&](std::string_view k, std::string_view v) {
-        if (k == "epoch") {
-          const double e = parse_num(clause, v);
-          if (e < 0.0) throw bad(clause, "epoch must be >= 0");
-          f.epoch = static_cast<int>(e);
-          have_epoch = true;
-        } else if (k == "at") {
-          const double a = parse_num(clause, v);
-          if (a < 0.0) throw bad(clause, "at must be >= 0");
-          f.at = static_cast<std::uint64_t>(a);
-        } else {
-          return false;
-        }
-        return true;
-      });
-      if (!have_epoch) throw bad(clause, "torncrash requires epoch=");
-      cfg.torncrashes.push_back(f);
-    } else {
-      throw bad(clause, "unknown fault kind '" + std::string(kind) +
-                            "' (expected "
-                            "bitflip|launchfail|overflow|stuck|torncrash)");
+                                        : clause.substr(colon + 1)};
+    const FaultKind* k = util::find(kKinds, kind);
+    if (k == nullptr) {
+      throw c.bad("unknown fault kind '" + std::string(kind) + "' (expected " +
+                  util::alternatives(kKinds) + ")");
     }
-  }
+    k->parse(c, cfg);
+  });
   return cfg;
 }
 
 std::string FaultConfig::grammar_help() {
-  return
-      "HALFGNN_FAULTS grammar: ';'-separated clauses, each kind:key=val,...\n"
-      "  bitflip:rate=1e-6,seed=7[,kernel=<substr>]\n"
-      "      flip one random bit of each loaded/stored half/float element\n"
-      "      with probability rate (indices are never corrupted)\n"
-      "  launchfail:every=500[,kernel=<substr>]\n"
-      "      every N-th matching launch throws a retryable LaunchFault\n"
-      "      before any output byte is written\n"
-      "  overflow:kernel=spmm[,cta=12]\n"
-      "      matching kernel's CTA (omitted = all) saturates every store\n"
-      "      to +INF\n"
-      "  stuck:every=3[,kernel=<substr>]\n"
-      "      every N-th matching launch never completes; reaped as a\n"
-      "      LaunchHang when HALFGNN_WATCHDOG_MS is set\n"
-      "  torncrash:epoch=4[,at=128]\n"
-      "      simulated process death during the checkpoint write at that\n"
-      "      epoch, persisting only `at` bytes (omitted = full write,\n"
-      "      then death)\n";
+  std::string out = std::string(kEnv) +
+                    " grammar: ';'-separated clauses, each kind:key=val,...\n";
+  for (const FaultKind& k : kKinds) {
+    out += "  " + std::string(k.token) + ":" + std::string(k.sample) +
+           std::string(k.optional) + "\n";
+    util::for_each_item(k.help, '\n', [&](std::string_view line) {
+      out += "      " + std::string(line) + "\n";
+    });
+  }
+  return out;
 }
 
+std::span<const FaultKind> FaultConfig::kinds() { return kKinds; }
+
 FaultConfig FaultConfig::from_env() {
-  if (const char* e = std::getenv("HALFGNN_FAULTS")) {
+  if (const char* e = std::getenv(kEnv)) {
     return parse(e);
   }
   return FaultConfig{};

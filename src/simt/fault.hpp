@@ -1,6 +1,8 @@
 // Deterministic fault injection for the SIMT substrate.
 //
-// HALFGNN_FAULTS grammar — ';'-separated clauses, each `kind:key=val,...`:
+// HALFGNN_FAULTS grammar — ';'-separated clauses, each `kind:key=val,...`.
+// `rate` is a finite real >= 0; `every` (>= 1), `at` and `seed` are whole
+// u64 numbers, `epoch` an int >= 0 and `cta` an int >= -1 (util/parse.hpp):
 //
 //   bitflip:rate=1e-6,seed=7[,kernel=<substr>]
 //       Flip one uniformly-chosen bit of each loaded/stored half/float
@@ -40,6 +42,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -115,7 +118,25 @@ struct TornCrashFault {
   std::uint64_t at = ~std::uint64_t{0};  // bytes persisted; default = all
 };
 
+struct FaultConfig;
+
+namespace detail {
+struct FaultClause;  // fault.cpp: one clause being parsed
+}  // namespace detail
+
+// One clause kind of the grammar: the row grammar_help(), the "expected
+// ..." text, the parser and hgcheck's doc lint all read.
+struct FaultKind {
+  std::string_view token;     // the kind, before the ':'
+  std::string_view sample;    // required keys with example values
+  std::string_view optional;  // optional keys, as grammar_help() shows them
+  std::string_view help;      // '\n'-separated description lines
+  void (*parse)(const detail::FaultClause&, FaultConfig&);
+};
+
 struct FaultConfig {
+  static constexpr char kEnv[] = "HALFGNN_FAULTS";
+
   std::vector<BitflipFault> bitflips;
   std::vector<LaunchfailFault> launchfails;
   std::vector<OverflowFault> overflows;
@@ -136,6 +157,8 @@ struct FaultConfig {
   static FaultConfig from_env();
   // The full supported grammar, for CLI error messages.
   static std::string grammar_help();
+  // The clause kinds, in grammar order.
+  static std::span<const FaultKind> kinds();
 };
 
 namespace detail {

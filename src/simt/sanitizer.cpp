@@ -13,16 +13,6 @@ namespace hg::simt {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 const char* kind_label(SanViolation::Kind k) {
   switch (k) {
     case SanViolation::Kind::kSharedRace:
@@ -48,35 +38,11 @@ const char* kind_label(SanViolation::Kind k) {
 }  // namespace
 
 SanitizerConfig SanitizerConfig::parse(std::string_view spec) {
-  SanitizerConfig cfg;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string_view tok = trim(rest.substr(0, comma));
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    if (tok.empty()) continue;
-    if (tok == "race") {
-      cfg.checks |= kSanRace;
-    } else if (tok == "mem") {
-      cfg.checks |= kSanMem;
-    } else if (tok == "init") {
-      cfg.checks |= kSanInit;
-    } else if (tok == "sync") {
-      cfg.checks |= kSanSync;
-    } else if (tok == "all") {
-      cfg.checks |= kSanAll;
-    } else {
-      throw std::invalid_argument(
-          "HALFGNN_SANITIZE: unknown checker '" + std::string(tok) +
-          "' (expected race|mem|init|sync|all)");
-    }
-  }
-  return cfg;
+  return {util::parse_flags(spec, kSanTokens, kEnv, "checker")};
 }
 
 SanitizerConfig SanitizerConfig::from_env() {
-  if (const char* e = std::getenv("HALFGNN_SANITIZE")) {
+  if (const char* e = std::getenv(kEnv)) {
     return parse(e);
   }
   return SanitizerConfig{};

@@ -36,6 +36,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace hg::simt {
 
 // Checker bits for SanitizerConfig::checks.
@@ -45,7 +47,15 @@ inline constexpr unsigned kSanInit = 1u << 2;
 inline constexpr unsigned kSanSync = 1u << 3;
 inline constexpr unsigned kSanAll = kSanRace | kSanMem | kSanInit | kSanSync;
 
+// The grammar's tokens: what the parser, its error text and hgcheck's doc
+// lint read.
+inline constexpr util::Token<unsigned> kSanTokens[] = {
+    {"race", kSanRace}, {"mem", kSanMem},  {"init", kSanInit},
+    {"sync", kSanSync}, {"all", kSanAll}};
+
 struct SanitizerConfig {
+  static constexpr char kEnv[] = "HALFGNN_SANITIZE";
+
   unsigned checks = 0;
 
   bool active() const noexcept { return checks != 0; }
@@ -183,7 +193,6 @@ class CtaSan {
     in_phase_ = false;
     cur_warp_ = -1;
   }
-  bool in_phase() const noexcept { return in_phase_; }
   int phase() const noexcept { return phase_; }
 
   bool armed(unsigned check) const noexcept {
@@ -286,7 +295,7 @@ class SmemSpan {
   // the per-element proxies so shadow state stays exact.
   T* data() const noexcept { return p_; }
 
-  // Bulk copies. Disarmed they collapse to one memcpy; armed they replay
+  // Bulk copy in. Disarmed it collapses to one memcpy; armed it replays
   // the element-at-a-time proxy accesses in the same order the unfused
   // loops used, so shadow updates and violation provenance are identical.
   void copy_in(std::size_t at, const T* src, std::size_t n) const {
@@ -295,14 +304,6 @@ class SmemSpan {
       return;
     }
     for (std::size_t i = 0; i < n; ++i) (*this)[at + i] = src[i];
-  }
-
-  void copy_out(std::size_t at, T* dst, std::size_t n) const {
-    if (san_ == nullptr) {
-      std::memcpy(dst, p_ + at, n * sizeof(T));
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] = (*this)[at + i];
   }
 
  private:

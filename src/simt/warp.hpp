@@ -509,7 +509,6 @@ class Warp {
 
   double busy_cycles() const noexcept { return issue_ + mem_; }
   double stall_cycles() const noexcept { return stall_; }
-  double total_cycles() const noexcept { return issue_ + mem_ + stall_; }
 
   void align_to(double issue, double mem, double stall) noexcept {
     issue_ = issue;

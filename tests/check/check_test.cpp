@@ -10,8 +10,10 @@
 
 #include <cstdlib>
 #include <limits>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/lint.hpp"
@@ -205,31 +207,36 @@ TEST(CheckLint, RegistryIsClean) {
 }
 
 TEST(CheckLint, GrammarTablesMatchTheRealParsers) {
-  // The lint table's samples must round-trip through the actual spec
-  // parsers, so the table cannot drift from the grammar implementations.
-  for (const GrammarTable& g : grammar_tables()) {
-    for (const std::string_view sample : g.samples) {
-      if (g.env == "HALFGNN_PROF") {
-        EXPECT_NO_THROW((void)obs::prof::ProfConfig::parse(sample));
-      } else if (g.env == "HALFGNN_SANITIZE") {
-        EXPECT_NO_THROW((void)simt::SanitizerConfig::parse(sample));
-      } else if (g.env == "HALFGNN_FAULTS") {
-        EXPECT_NO_THROW((void)simt::FaultConfig::parse(sample));
-      } else {
-        ADD_FAILURE() << "unknown grammar env " << g.env;
-      }
+  // The lint reads the parsers' own tables: every token must parse alone
+  // to its own bits, and every fault kind's sample to one clause of that
+  // kind and nothing else.
+  for (const auto& t : obs::prof::kProfTokens) {
+    EXPECT_EQ(obs::prof::ProfConfig::parse(t.token).analyzers, t.value)
+        << t.token;
+  }
+  for (const auto& t : simt::kSanTokens) {
+    EXPECT_EQ(simt::SanitizerConfig::parse(t.token).checks, t.value)
+        << t.token;
+  }
+  for (const simt::FaultKind& k : simt::FaultConfig::kinds()) {
+    const simt::FaultConfig cfg = simt::FaultConfig::parse(
+        std::string(k.token) + ":" + std::string(k.sample));
+    const std::map<std::string_view, std::size_t> clauses = {
+        {"bitflip", cfg.bitflips.size()},
+        {"launchfail", cfg.launchfails.size()},
+        {"overflow", cfg.overflows.size()},
+        {"stuck", cfg.stucks.size()},
+        {"torncrash", cfg.torncrashes.size()}};
+    EXPECT_TRUE(clauses.contains(k.token)) << k.token;
+    for (const auto& [kind, n] : clauses) {
+      EXPECT_EQ(n, kind == k.token ? 1u : 0u) << k.token << " -> " << kind;
     }
   }
-  // Single tokens parse too (prof/sanitizer grammars are token lists).
-  for (const GrammarTable& g : grammar_tables()) {
-    for (const std::string_view tok : g.tokens) {
-      if (g.env == "HALFGNN_PROF") {
-        EXPECT_NO_THROW((void)obs::prof::ProfConfig::parse(tok));
-      } else if (g.env == "HALFGNN_SANITIZE") {
-        EXPECT_NO_THROW((void)simt::SanitizerConfig::parse(tok));
-      }
-    }
-  }
+  const std::vector<GrammarTable> tables = grammar_tables();
+  ASSERT_EQ(tables.size(), 3u);
+  EXPECT_EQ(tables[0].tokens.size(), std::size(obs::prof::kProfTokens));
+  EXPECT_EQ(tables[1].tokens.size(), std::size(simt::kSanTokens));
+  EXPECT_EQ(tables[2].tokens.size(), simt::FaultConfig::kinds().size());
 }
 
 TEST(CheckLint, DocDriftIsDetected) {

@@ -334,14 +334,5 @@ TEST(GradScaler, SkipsAnInfGradientBehindAReluZeroRow) {
   EXPECT_EQ(scaler.skipped_steps(), 1);
 }
 
-TEST(AutocastPolicy, ListsMatchThePaper) {
-  EXPECT_TRUE(amp::autocast_promotes_to_f32("exp"));
-  EXPECT_TRUE(amp::autocast_promotes_to_f32("sum"));
-  EXPECT_TRUE(amp::autocast_promotes_to_f32("cross_entropy"));
-  EXPECT_FALSE(amp::autocast_promotes_to_f32("add"));
-  EXPECT_TRUE(amp::shadow_half_available("exp"));
-  EXPECT_FALSE(amp::shadow_half_available("cross_entropy"));
-}
-
 }  // namespace
 }  // namespace hg::nn

@@ -98,12 +98,35 @@ TEST(ExecutorFinalize, LaunchedCtasFollowTheUniformModel) {
 // --- thread pool ------------------------------------------------------------
 
 TEST(ExecutorPool, EnvThreadsParsesOverride) {
+  const char* prev = std::getenv("HALFGNN_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
   setenv("HALFGNN_THREADS", "3", 1);
   EXPECT_EQ(detail::env_threads(), 3);
-  setenv("HALFGNN_THREADS", "0", 1);  // invalid: fall back to autodetect
+  setenv("HALFGNN_THREADS", "0", 1);  // 0: autodetect
   EXPECT_GE(detail::env_threads(), 1);
+  setenv("HALFGNN_THREADS", "", 1);
+  EXPECT_GE(detail::env_threads(), 1);
+  setenv("HALFGNN_THREADS", std::to_string(detail::kMaxEnvThreads).c_str(), 1);
+  EXPECT_EQ(detail::env_threads(), detail::kMaxEnvThreads);
+  // Junk, trailing text, a sign and a count past the ceiling are errors,
+  // never a silent fallback or an unbounded pool (only parsed here: no
+  // Device is built at these counts).
+  for (const std::string& bad :
+       {std::string("abc"), std::string("3x"), std::string("-1"),
+        std::string("+3"), std::string("2.5"),
+        std::to_string(detail::kMaxEnvThreads + 1)}) {
+    setenv("HALFGNN_THREADS", bad.c_str(), 1);
+    try {
+      (void)detail::env_threads();
+      ADD_FAILURE() << "accepted HALFGNN_THREADS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("HALFGNN_THREADS: ", 0), 0u)
+          << e.what();
+    }
+  }
   unsetenv("HALFGNN_THREADS");
   EXPECT_GE(detail::env_threads(), 1);
+  if (prev != nullptr) setenv("HALFGNN_THREADS", saved.c_str(), 1);
 }
 
 TEST(ExecutorPool, RunJobsExecutesEveryJobExactlyOnce) {

@@ -75,6 +75,20 @@ TEST(FaultSpec, GrammarHelpNamesEveryKind) {
   }
 }
 
+TEST(FaultSpec, ParsesTheDocumentedSamples) {
+  const FaultConfig a =
+      FaultConfig::parse("bitflip:rate=1e-6,seed=7;launchfail:every=500");
+  EXPECT_EQ(a.bitflips.size(), 1u);
+  EXPECT_EQ(a.launchfails.size(), 1u);
+  const FaultConfig b = FaultConfig::parse(
+      "overflow:kernel=spmm;stuck:every=3,kernel=spmm;torncrash:epoch=4,"
+      "at=128");
+  EXPECT_EQ(b.overflows.size(), 1u);
+  EXPECT_EQ(b.stucks.size(), 1u);
+  ASSERT_EQ(b.torncrashes.size(), 1u);
+  EXPECT_EQ(b.torncrashes[0].at, 128u);
+}
+
 TEST(FaultSpec, EmptyAndWhitespaceSpecsAreInactive) {
   EXPECT_FALSE(FaultConfig::parse("").active());
   EXPECT_FALSE(FaultConfig::parse("  ").active());
@@ -109,6 +123,46 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   EXPECT_THROW(FaultConfig::parse("torncrash:at=64"), std::invalid_argument);
   EXPECT_THROW(FaultConfig::parse("torncrash:epoch=-1"),
                std::invalid_argument);
+  // Every number is read whole as its key's type: no truncation, no wrap
+  // and no out-of-range float-to-int cast. The error names the variable
+  // and the key.
+  using Case = std::pair<const char*, const char*>;  // spec, key it names
+  for (const auto& [spec, key] : std::vector<Case>{
+           {"launchfail:every=nan", "every"},
+           {"launchfail:every=1e30", "every"},
+           {"launchfail:every=2.5", "every"},
+           {"stuck:every=+3", "every"},
+           {"stuck:every=03", "every"},
+           {"bitflip:rate=1e-3,seed=-1", "seed"},
+           {"bitflip:rate=1e-3,seed=2.5", "seed"},
+           {"bitflip:rate=1e-3,seed=18446744073709551616", "seed"},
+           {"bitflip:rate=0x1p-3", "rate"},
+           {"overflow:kernel=spmm,cta=1e10", "cta"},
+           {"overflow:kernel=spmm,cta=2.5", "cta"},
+           {"overflow:kernel=spmm,cta=-2", "cta"},
+           {"torncrash:epoch=1e10", "epoch"},
+           {"torncrash:epoch=2147483648", "epoch"},
+           {"torncrash:epoch=3,at=1e30", "at"}}) {
+    try {
+      (void)FaultConfig::parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("HALFGNN_FAULTS: ", 0), 0u) << what;
+      EXPECT_NE(what.find(std::string("': ") + key + ": "), std::string::npos)
+          << what;
+    }
+  }
+  // 2^53 + 1 has no double: a seed is an integer, never a round trip.
+  EXPECT_EQ(FaultConfig::parse("bitflip:rate=1e-3,seed=9007199254740993")
+                .bitflips[0]
+                .seed,
+            9007199254740993ull);
+  EXPECT_EQ(FaultConfig::parse("bitflip:rate=0,seed=18446744073709551615")
+                .bitflips[0]
+                .seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(FaultConfig::parse("overflow:cta=-1").overflows[0].cta, -1);
 }
 
 TEST(FaultSpec, FromEnvReadsHalfgnnFaults) {

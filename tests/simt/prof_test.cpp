@@ -34,10 +34,18 @@ TEST(ProfConfigTest, ParsesAnalyzerLists) {
   EXPECT_EQ(ProfConfig::parse("numerics").analyzers, kProfNumerics);
   EXPECT_EQ(ProfConfig::parse(" roofline , numerics ").analyzers, kProfAll);
   EXPECT_EQ(ProfConfig::parse("all").analyzers, kProfAll);
+  EXPECT_EQ(ProfConfig::parse("roofline,numerics").analyzers, kProfAll);
   EXPECT_FALSE(ProfConfig::parse("").active());
   EXPECT_TRUE(ProfConfig::parse("numerics").numerics());
   EXPECT_FALSE(ProfConfig::parse("numerics").roofline());
-  EXPECT_THROW((void)ProfConfig::parse("rooflines"), std::invalid_argument);
+  try {
+    (void)ProfConfig::parse("rooflines");
+    ADD_FAILURE() << "accepted rooflines";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "HALFGNN_PROF: unknown analyzer 'rooflines' "
+                 "(expected roofline|numerics|all)");
+  }
 }
 
 // ---------------------------------------------------------------------------

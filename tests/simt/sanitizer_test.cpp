@@ -72,9 +72,17 @@ TEST(SanitizerConfigTest, ParsesCheckerLists) {
   EXPECT_EQ(SanitizerConfig::parse(" init , sync ").checks,
             simt::kSanInit | simt::kSanSync);
   EXPECT_EQ(SanitizerConfig::parse("all").checks, simt::kSanAll);
+  EXPECT_EQ(SanitizerConfig::parse("race,mem,init,sync").checks,
+            simt::kSanAll);
   EXPECT_FALSE(SanitizerConfig::parse("").active());
-  EXPECT_THROW((void)SanitizerConfig::parse("racecheck"),
-               std::invalid_argument);
+  try {
+    (void)SanitizerConfig::parse("race,racecheck");
+    ADD_FAILURE() << "accepted racecheck";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "HALFGNN_SANITIZE: unknown checker 'racecheck' "
+                 "(expected race|mem|init|sync|all)");
+  }
 }
 
 // ---------------------------------------------------------------------------
