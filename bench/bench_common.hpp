@@ -57,25 +57,6 @@ inline std::vector<DatasetId> accuracy_dataset_ids() {
   return labeled_dataset_ids();
 }
 
-// Deterministic random features/labels for performance measurements on
-// unlabeled datasets (the GNNBench-style generated inputs, Sec. 6).
-inline void ensure_features(Dataset& d, std::uint64_t seed = 1234) {
-  if (!d.features.empty()) return;
-  d.labeled = true;  // generated labels/features (GNNBench-style)
-  Rng rng(seed ^ static_cast<std::uint64_t>(d.id));
-  const auto n = static_cast<std::size_t>(d.num_vertices());
-  const auto f = static_cast<std::size_t>(d.feat_dim);
-  d.features.resize(n * f);
-  for (auto& v : d.features) v = rng.next_float() * 2 - 1;
-  d.labels.resize(n);
-  for (auto& l : d.labels) {
-    l = static_cast<int>(rng.next_below(
-        static_cast<std::uint64_t>(d.num_classes)));
-  }
-  d.train_mask.resize(n);
-  for (std::size_t v = 0; v < n; ++v) d.train_mask[v] = (v % 10) < 6;
-}
-
 // Random half/float feature matrices for kernel-level benches.
 inline AlignedVec<half_t> random_h16(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);

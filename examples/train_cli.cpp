@@ -56,7 +56,6 @@
 #include "obs/trace.hpp"
 #include "simt/executor.hpp"
 #include "util/parse.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -73,24 +72,6 @@ int usage(const char* argv0) {
       "          [--ckpt-dir PATH] [--ckpt-every N] [--resume]\n",
       argv0);
   return 2;
-}
-
-// Unlabeled perf datasets get generated features/labels (GNNBench-style).
-void ensure_features(hg::Dataset& d) {
-  if (!d.features.empty()) return;
-  d.labeled = true;
-  hg::Rng rng(1234 ^ static_cast<std::uint64_t>(d.id));
-  const auto n = static_cast<std::size_t>(d.num_vertices());
-  const auto f = static_cast<std::size_t>(d.feat_dim);
-  d.features.resize(n * f);
-  for (auto& v : d.features) v = rng.next_float() * 2 - 1;
-  d.labels.resize(n);
-  for (auto& l : d.labels) {
-    l = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(d.num_classes)));
-  }
-  d.train_mask.resize(n);
-  for (std::size_t v = 0; v < n; ++v) d.train_mask[v] = (v % 10) < 6;
 }
 
 }  // namespace

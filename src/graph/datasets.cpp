@@ -162,6 +162,23 @@ Dataset make_dataset(DatasetId id) {
   throw std::invalid_argument("make_dataset: unknown id");
 }
 
+void ensure_features(Dataset& d) {
+  if (!d.features.empty()) return;
+  d.labeled = true;
+  Rng rng(1234 ^ static_cast<std::uint64_t>(d.id));
+  const auto n = static_cast<std::size_t>(d.num_vertices());
+  const auto f = static_cast<std::size_t>(d.feat_dim);
+  d.features.resize(n * f);
+  for (auto& v : d.features) v = rng.next_float() * 2 - 1;
+  d.labels.resize(n);
+  for (auto& l : d.labels) {
+    l = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(d.num_classes)));
+  }
+  d.train_mask.resize(n);
+  for (std::size_t v = 0; v < n; ++v) d.train_mask[v] = (v % 10) < 6;
+}
+
 std::vector<DatasetId> all_dataset_ids() {
   std::vector<DatasetId> ids;
   ids.reserve(kNumDatasets);

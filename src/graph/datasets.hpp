@@ -68,6 +68,13 @@ struct Dataset {
 // Builds dataset G<n>. Deterministic for a given id (fixed seeds).
 Dataset make_dataset(DatasetId id);
 
+// Gives an unlabeled dataset generated features, labels and a 60/40
+// train/test split for performance runs (GNNBench-style inputs, Sec. 6):
+// uniform [-1, 1) features, then uniform labels, drawn from
+// Rng(1234 ^ id); vertex v trains iff v % 10 < 6. A dataset that already
+// has features is left as it is.
+void ensure_features(Dataset& d);
+
 // All 16 ids in table order.
 std::vector<DatasetId> all_dataset_ids();
 // The 5 labeled ids (G1, G2, G3, G13, G15).

@@ -123,10 +123,6 @@ struct HalfToFloatTable {
   alignas(64) float v[65536];
 };
 extern const HalfToFloatTable kHalfToFloatTable;
-
-inline const float* half_to_float_table() noexcept {
-  return kHalfToFloatTable.v;
-}
 }  // namespace detail
 
 inline float half_bits_to_float_fast(std::uint16_t h) noexcept {

@@ -136,20 +136,12 @@ inline half2 load_half2(const half_t* p) noexcept {
   std::memcpy(static_cast<void*>(&v), static_cast<const void*>(p), sizeof v);
   return v;
 }
-inline void store_half2(half_t* p, half2 v) noexcept {
-  assert(is_aligned_for(p, 4));
-  std::memcpy(static_cast<void*>(p), static_cast<const void*>(&v), sizeof v);
-}
 
 inline half4 load_half4(const half_t* p) noexcept {
   assert(is_aligned_for(p, 8) && "half4 load requires 8-byte alignment");
   half4 v;
   std::memcpy(static_cast<void*>(&v), static_cast<const void*>(p), sizeof v);
   return v;
-}
-inline void store_half4(half_t* p, half4 v) noexcept {
-  assert(is_aligned_for(p, 8));
-  std::memcpy(static_cast<void*>(p), static_cast<const void*>(&v), sizeof v);
 }
 
 inline half8 load_half8(const half_t* p) noexcept {

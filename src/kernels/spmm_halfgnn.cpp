@@ -331,12 +331,16 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
             // accumulator is the same memory: chunk c lane j is feature
             // pair c*32+j, so acc[0] viewed flat IS the half_f-pair row),
             // and the per-edge alu/smem charges it skips are compiled away
-            // in this mode anyway.
+            // in this mode anyway. An interior row's run is the whole row,
+            // and its flush is the identity reset, the discretized scale
+            // and a contiguous store to Y: the run does all three in
+            // registers instead of through the scratch accumulator.
             const vid_t* rows = sm.rows.data() + lbase;
             const vid_t* cols = sm.cols.data() + lbase;
             const half2* w2p = has_w ? sm.w2.data() + lbase : nullptr;
             half2* const aflat = acc[0].data();
             const eid_t n = e1 - e0;
+            const bool disc = is_mean && opts.scale == ScaleMode::kDiscretized;
             unsigned flags = 0;
             if (has_w) flags |= simd::kHasW;
             if (is_mean && opts.scale == ScaleMode::kPre) flags |= simd::kHasPre;
@@ -346,18 +350,29 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
               const vid_t r = rows[i];
               eid_t j = i + 1;
               while (j < n && rows[j] == r) ++j;
-              if (r != cur_row[0]) {
-                flush(0, cur_row[0]);
-                cur_row[0] = r;
-              }
               const half2 pre =
                   (is_mean && opts.scale == ScaleMode::kPre)
                       ? half2::broadcast(half_t(inv_deg(r)))
                       : half2(1.0f, 1.0f);
-              simd::ops().h2_spmm_run(aflat, x2.data(), cols + i,
-                                      w2p != nullptr ? w2p + i : nullptr, pre,
-                                      geo.half_f, static_cast<int>(j - i),
-                                      flags);
+              const half2* wr = w2p != nullptr ? w2p + i : nullptr;
+              const auto len = static_cast<int>(j - i);
+              if (r != first_row[0] && r != last_row[0]) {
+                const half2 iv = disc ? half2::broadcast(half_t(inv_deg(r)))
+                                      : half2(1.0f, 1.0f);
+                simd::ops().h2_spmm_run(
+                    out.data() + static_cast<std::size_t>(r) *
+                                     static_cast<std::size_t>(geo.half_f),
+                    x2.data(), cols + i, wr, pre, iv, geo.half_f, len,
+                    flags | simd::kFromIdentity | (disc ? simd::kHasScale : 0u));
+              } else {
+                if (r != cur_row[0]) {
+                  flush(0, cur_row[0]);
+                  cur_row[0] = r;
+                }
+                simd::ops().h2_spmm_run(aflat, x2.data(), cols + i, wr, pre,
+                                        half2(1.0f, 1.0f), geo.half_f, len,
+                                        flags);
+              }
               i = j;
             }
           } else {
@@ -491,6 +506,8 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
               static_cast<std::size_t>(w.warp_in_cta()) * slots_per_warp;
           const auto macc =
               cta.template scratch<half2>(static_cast<std::size_t>(geo.half_f));
+          const auto part =
+              cta.template scratch<half2>(static_cast<std::size_t>(geo.half_f));
 
           const auto emit = [&](vid_t r) {
             for (int c = 0; c < geo.chunks; ++c) {
@@ -536,12 +553,9 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
               if (sm.brow[q] < 0) continue;
               if (sm.brow[q] != r) break;
               w.smem_access(geo.chunks);
-              for (int fp = 0; fp < geo.half_f; ++fp) {
-                macc[static_cast<std::size_t>(fp)] = simt::combine<half2>(
-                    k, macc[static_cast<std::size_t>(fp)],
-                    sm.bval[q * static_cast<std::size_t>(geo.half_f) +
-                            static_cast<std::size_t>(fp)]);
-              }
+              sm.bval.copy_out(q * static_cast<std::size_t>(geo.half_f),
+                               part.data(), part.size());
+              simt::combine_n(k, macc.data(), part.data(), geo.half_f);
               w.alu(Op::kHalf2, geo.chunks);
             }
             emit(r);

@@ -51,13 +51,11 @@ class Json {
 
   Kind kind() const noexcept { return kind_; }
   bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  bool is_bool() const noexcept { return kind_ == Kind::kBool; }
   bool is_number() const noexcept { return kind_ == Kind::kNumber; }
   bool is_string() const noexcept { return kind_ == Kind::kString; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
 
-  bool as_bool() const { return bool_; }
   double as_double() const { return num_; }
   const std::string& as_string() const { return str_; }
 

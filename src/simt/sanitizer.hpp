@@ -306,6 +306,16 @@ class SmemSpan {
     for (std::size_t i = 0; i < n; ++i) (*this)[at + i] = src[i];
   }
 
+  // Bulk copy out, the counterpart of copy_in: one memcpy disarmed, the
+  // element-at-a-time proxy reads in index order armed.
+  void copy_out(std::size_t at, T* dst, std::size_t n) const {
+    if (san_ == nullptr) {
+      std::memcpy(dst, p_ + at, n * sizeof(T));
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) dst[i] = (*this)[at + i];
+  }
+
  private:
   T* p_ = nullptr;
   std::size_t n_ = 0;

@@ -54,6 +54,10 @@ using Lanes = std::array<T, kLanes>;
 inline constexpr unsigned kHasW = 1u;    // multiply by the broadcast weight
 inline constexpr unsigned kHasPre = 2u;  // multiply by the broadcast prescale
 inline constexpr unsigned kIsMax = 4u;   // max-select instead of add
+// h2_spmm_run only: start from the combine identity instead of acc's
+// contents, and multiply the finished run by the broadcast scale.
+inline constexpr unsigned kFromIdentity = 8u;
+inline constexpr unsigned kHasScale = 16u;
 
 // GEMM micro-kernel geometry and flag bits (gemm_panel).
 inline constexpr std::size_t kGemmRows = 4;  // rows of C per call
@@ -100,19 +104,27 @@ inline void h2_scale(half2* v, half2 s, int n) {
 // disarmed): edge e accumulates the contiguous feature row
 // x[cols[e]*half_f .. +half_f) into acc with exactly the h2_term_accum
 // per-edge math. Equivalent to the unfused sequence
+//   [kFromIdentity: fill acc with the combine identity;]
 //   for e: { memcpy xv <- x + cols[e]*half_f; h2_term_accum(acc, xv,
 //            w2[e], pre, half_f, flags); }
-// and fused so the vector path can keep acc in registers across the run.
-// w2 may be null when (flags & kHasW) == 0.
+//   [kHasScale: h2_scale(acc, scale, half_f);]
+// and fused so the vector path can keep a whole row in registers from its
+// first edge to its store. w2 may be null when (flags & kHasW) == 0.
 inline void h2_spmm_run(half2* acc, const half2* x, const std::int32_t* cols,
-                        const half2* w2, half2 pre, int half_f, int n_edges,
-                        unsigned flags) {
+                        const half2* w2, half2 pre, half2 scale, int half_f,
+                        int n_edges, unsigned flags) {
+  if (flags & kFromIdentity) {
+    std::fill(acc, acc + half_f,
+              (flags & kIsMax) ? half2::broadcast(half_limits::kNegInf)
+                               : half2{});
+  }
   for (int e = 0; e < n_edges; ++e) {
     const half2* xr =
         x + static_cast<std::size_t>(cols[e]) * static_cast<std::size_t>(half_f);
     const half2 w = (flags & kHasW) ? w2[e] : half2(1.0f, 1.0f);
     h2_term_accum(acc, xr, w, pre, half_f, flags);
   }
+  if (flags & kHasScale) h2_scale(acc, scale, half_f);
 }
 
 inline void h2_combine(half2* acc, const half2* x, int n, bool is_max) {
@@ -389,7 +401,7 @@ struct SimdOps {
   void (*cvt_f2h)(const float*, std::uint16_t*, int);
   void (*h2_term_accum)(half2*, const half2*, half2, half2, int, unsigned);
   void (*h2_spmm_run)(half2*, const half2*, const std::int32_t*, const half2*,
-                      half2, int, int, unsigned);
+                      half2, half2, int, int, unsigned);
   void (*h2_scale)(half2*, half2, int);
   void (*h2_combine)(half2*, const half2*, int, bool);
   void (*h2_fma_splat)(half2*, const half2*, half2, int, bool);

@@ -197,37 +197,52 @@ void h2_term_accum_avx2(half2* acc, const half2* x, half2 w, half2 pre, int n,
 
 // Fused spmm row-run. The unfused loop pays, per edge, a dispatch + a
 // 128-byte staging copy + an accumulator load/convert/store round-trip per
-// 8-half group; fusing keeps the accumulator bits AND their float image in
-// registers across every edge of the run, so each edge costs only the
-// semantically required convert chain. NC accumulator chains (8 halves
-// each) run interleaved so the ~18-cycle add->cvtps2ph->cvtph2ps dependency
-// chain of one group overlaps the others'.
-template <int NC>
-void spmm_run_block(half2* acc, const half2* x, const std::int32_t* cols,
-                    const float* wf, __m256 pv, int half_f, int bn, int g0,
-                    unsigned flags) {
+// 8-half group; fusing keeps the accumulator in registers from the run's
+// first edge to its store, so each edge costs only the semantically
+// required convert chain. One pass carries up to kPassGroups groups of 8
+// halves over all of the run's edges, one dependency chain per group, so
+// the ~18-cycle add->cvtps2ph->cvtph2ps chain of each group overlaps the
+// others'. The pass's last group moves through 32-bit masked loads and
+// stores: all four words of a full group, fewer of a ragged one
+// (half_f % 4 != 0), whose missing lanes compute on zeros and are never
+// stored.
+constexpr int kPassGroups = 8;
+
+// An add accumulator is kept only as the float image of its half bits
+// (after an add it is never a signaling NaN, so converting back is exact);
+// a max accumulator keeps the half bits, which its select blends.
+template <int NC, bool kMax>
+void spmm_pass(half2* acc, const half2* x, const std::int32_t* cols,
+               const half2* w2, __m256 pv, __m256 sv, int half_f, int n_edges,
+               __m128i last, unsigned flags) {
   const bool has_w = (flags & kHasW) != 0;
   const bool has_pre = (flags & kHasPre) != 0;
-  const bool is_max = (flags & kIsMax) != 0;
-  __m128i ah[NC];  // accumulator half bits (the stored representation)
-  __m256 af[NC];   // its exact float image, maintained after every update
+  const auto load = [last](const half2* p, int c) {
+    return c == NC - 1 ? _mm_maskload_epi32(reinterpret_cast<const int*>(p),
+                                            last)
+                       : load8h(p);
+  };
+  __m128i ah[NC];  // kMax: the accumulator's half bits
+  __m256 af[NC];   // add: their float image
+#pragma GCC unroll 8
   for (int c = 0; c < NC; ++c) {
-    ah[c] = load8h(acc + g0 + 4 * c);
-    af[c] = cvt8(ah[c]);
-  }
-  for (int e = 0; e < bn; ++e) {
-    const half2* xr =
-        x + static_cast<std::size_t>(cols[e]) * static_cast<std::size_t>(half_f) +
-        g0;
-    __m256 wv = _mm256_setzero_ps();
-    if (has_w) {
-      // Staged (lo, hi) float pair; one 64-bit broadcast rebuilds the
-      // alternating bcast_h2 pattern.
-      wv = _mm256_castpd_ps(
-          _mm256_broadcast_sd(reinterpret_cast<const double*>(wf + 2 * e)));
+    if constexpr (kMax) {
+      ah[c] = (flags & kFromIdentity) != 0
+                  ? _mm_set1_epi16(static_cast<short>(
+                        half_limits::kNegInf.bits()))
+                  : load(acc + 4 * c, c);
+    } else {
+      af[c] = (flags & kFromIdentity) != 0 ? _mm256_setzero_ps()
+                                           : cvt8(load(acc + 4 * c, c));
     }
+  }
+  for (int e = 0; e < n_edges; ++e) {
+    const half2* xr = x + static_cast<std::size_t>(cols[e]) *
+                              static_cast<std::size_t>(half_f);
+    const __m256 wv = has_w ? bcast_h2(w2[e]) : _mm256_setzero_ps();
+#pragma GCC unroll 8
     for (int c = 0; c < NC; ++c) {
-      __m128i th = load8h(xr + 4 * c);
+      __m128i th = load(xr + 4 * c, c);
       __m256 t = cvt8(th);
       if (has_w) {  // term = h2mul(term, w): round after the mul
         th = cvt8b(ordered_mul(t, wv));
@@ -237,64 +252,59 @@ void spmm_run_block(half2* acc, const half2* x, const std::int32_t* cols,
         th = cvt8b(ordered_mul(t, pv));
         t = cvt8(th);
       }
-      if (is_max) {  // h2max = bit-preserving (a < t ? t : a)
+      if constexpr (kMax) {  // h2max = bit-preserving (a < t ? t : a)
         const __m256i lt =
-            _mm256_castps_si256(_mm256_cmp_ps(af[c], t, _CMP_LT_OQ));
+            _mm256_castps_si256(_mm256_cmp_ps(cvt8(ah[c]), t, _CMP_LT_OQ));
         ah[c] = _mm_blendv_epi8(ah[c], th, narrow_mask(lt));
-        af[c] = cvt8(ah[c]);
       } else {  // h2add = half(a_f + t_f)
-        ah[c] = cvt8b(ordered_add(af[c], t));
-        af[c] = cvt8(ah[c]);
+        af[c] = round_h(ordered_add(af[c], t));
       }
     }
   }
-  for (int c = 0; c < NC; ++c) store8h(acc + g0 + 4 * c, ah[c]);
+#pragma GCC unroll 8
+  for (int c = 0; c < NC; ++c) {
+    if constexpr (kMax) {
+      af[c] = cvt8(ah[c]);
+    } else {
+      ah[c] = cvt8b(af[c]);
+    }
+    if (flags & kHasScale) ah[c] = cvt8b(ordered_mul(af[c], sv));  // h2_scale
+    if (c == NC - 1) {
+      _mm_maskstore_epi32(reinterpret_cast<int*>(acc + 4 * c), last, ah[c]);
+    } else {
+      store8h(acc + 4 * c, ah[c]);
+    }
+  }
 }
 
+using SpmmPass = void (*)(half2*, const half2*, const std::int32_t*,
+                          const half2*, __m256, __m256, int, int, __m128i,
+                          unsigned);
+constexpr SpmmPass kSpmmPass[2][kPassGroups] = {
+    {&spmm_pass<1, false>, &spmm_pass<2, false>, &spmm_pass<3, false>,
+     &spmm_pass<4, false>, &spmm_pass<5, false>, &spmm_pass<6, false>,
+     &spmm_pass<7, false>, &spmm_pass<8, false>},
+    {&spmm_pass<1, true>, &spmm_pass<2, true>, &spmm_pass<3, true>,
+     &spmm_pass<4, true>, &spmm_pass<5, true>, &spmm_pass<6, true>,
+     &spmm_pass<7, true>, &spmm_pass<8, true>}};
+
 void h2_spmm_run_avx2(half2* acc, const half2* x, const std::int32_t* cols,
-                      const half2* w2, half2 pre, int half_f, int n_edges,
-                      unsigned flags) {
-  if (half_f % 4 != 0) {  // no 8-half group structure: per-edge vector loop
-    for (int e = 0; e < n_edges; ++e) {
-      const half2* xr = x + static_cast<std::size_t>(cols[e]) *
-                                static_cast<std::size_t>(half_f);
-      const half2 w = (flags & kHasW) ? w2[e] : half2(1.0f, 1.0f);
-      h2_term_accum_avx2(acc, xr, w, pre, half_f, flags);
-    }
-    return;
-  }
+                      const half2* w2, half2 pre, half2 scale, int half_f,
+                      int n_edges, unsigned flags) {
+  // Nothing to do; a pass would also quiet a signaling NaN in acc.
+  if (n_edges == 0 && (flags & (kFromIdentity | kHasScale)) == 0) return;
   const __m256 pv = bcast_h2(pre);
-  constexpr int kBlk = 64;  // edges per weight-staging block
-  alignas(32) float wf[2 * kBlk];
-  for (int b0 = 0; b0 < n_edges; b0 += kBlk) {
-    const int bn = std::min(kBlk, n_edges - b0);
-    if (flags & kHasW) {
-      // Stage the block's weights as (lo, hi) float pairs. Plain vcvtph2ps
-      // (no sNaN patch): the floats only feed multiplies, where the scalar
-      // path's preserved-sNaN operand yields the same quieted product.
-      int i = 0;
-      for (; i + 4 <= bn; i += 4) {
-        _mm256_storeu_ps(wf + 2 * i, cvt8(load8h(w2 + b0 + i)));
-      }
-      for (; i < bn; ++i) {
-        std::uint32_t b = 0;
-        std::memcpy(&b, w2 + b0 + i, sizeof(b));
-        wf[2 * i] = half_bits_to_float_fast(static_cast<std::uint16_t>(b));
-        wf[2 * i + 1] =
-            half_bits_to_float_fast(static_cast<std::uint16_t>(b >> 16));
-      }
-    }
-    const std::int32_t* cb = cols + b0;
-    int g0 = 0;
-    for (; g0 + 16 <= half_f; g0 += 16) {
-      spmm_run_block<4>(acc, x, cb, wf, pv, half_f, bn, g0, flags);
-    }
-    switch ((half_f - g0) / 4) {
-      case 3: spmm_run_block<3>(acc, x, cb, wf, pv, half_f, bn, g0, flags); break;
-      case 2: spmm_run_block<2>(acc, x, cb, wf, pv, half_f, bn, g0, flags); break;
-      case 1: spmm_run_block<1>(acc, x, cb, wf, pv, half_f, bn, g0, flags); break;
-      default: break;
-    }
+  const __m256 sv = bcast_h2(scale);
+  const int groups = (half_f + 3) / 4;
+  const int ragged = half_f % 4;  // words in a partial last group
+  const SpmmPass* pass = kSpmmPass[(flags & kIsMax) != 0 ? 1 : 0];
+  for (int g0 = 0; g0 < groups; g0 += kPassGroups) {
+    const int nc = std::min(kPassGroups, groups - g0);
+    const __m128i last = g0 + nc == groups && ragged != 0
+                             ? expand4((1u << ragged) - 1)
+                             : _mm_set1_epi32(-1);
+    pass[nc - 1](acc + 4 * g0, x + 4 * g0, cols, w2, pv, sv, half_f, n_edges,
+                 last, flags);
   }
 }
 

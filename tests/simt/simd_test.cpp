@@ -228,14 +228,18 @@ TEST_F(SimdAvx2, H2ScaleCombineFmaRmwMatchScalar) {
   }
 }
 
+// Every flag subset (identity start and post-scale included) over kLens,
+// which reaches ragged widths (half_f % 4 != 0) and more than one 8-group
+// pass; some runs are longer than 64 edges.
 TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
   std::mt19937 rng(0x59A3u);
   constexpr int kRows = 37;
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 1344; ++trial) {
     const int half_f =
         kLens[static_cast<std::size_t>(trial) % std::size(kLens)];
-    const int n_edges = static_cast<int>(rng() % 9);
-    const unsigned flags = static_cast<unsigned>(trial) % 8u;
+    const int n_edges = trial % 5 == 0 ? 65 + static_cast<int>(rng() % 70)
+                                       : static_cast<int>(rng() % 9);
+    const unsigned flags = static_cast<unsigned>(trial / 14) % 32u;
     std::vector<half2> x(static_cast<std::size_t>(kRows) *
                          static_cast<std::size_t>(half_f ? half_f : 1));
     for (auto& v : x) v = random_half2(rng);
@@ -244,6 +248,7 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
     std::vector<half2> w2(static_cast<std::size_t>(n_edges));
     for (auto& v : w2) v = random_half2(rng);
     const half2 pre = random_half2(rng);
+    const half2 scale = random_half2(rng);
 
     std::vector<half2> acc0(static_cast<std::size_t>(half_f));
     for (auto& v : acc0) v = random_half2(rng);
@@ -253,11 +258,17 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
 
     const half2* wp = (flags & simd::kHasW) ? w2.data() : nullptr;
     simd::scalar::h2_spmm_run(acc_scalar.data(), x.data(), cols.data(), wp,
-                              pre, half_f, n_edges, flags);
+                              pre, scale, half_f, n_edges, flags);
     simd::ops().h2_spmm_run(acc_avx2.data(), x.data(), cols.data(), wp, pre,
-                            half_f, n_edges, flags);
-    // The documented contract: the fused run equals the per-edge
-    // h2_term_accum sequence over each edge's contiguous feature row.
+                            scale, half_f, n_edges, flags);
+    // The documented contract: identity fill, the per-edge h2_term_accum
+    // sequence over each edge's contiguous feature row, then h2_scale.
+    if (flags & simd::kFromIdentity) {
+      std::fill(acc_unfused.begin(), acc_unfused.end(),
+                combine_identity<half2>((flags & simd::kIsMax)
+                                            ? WarpCombine::kMax
+                                            : WarpCombine::kAdd));
+    }
     for (int e = 0; e < n_edges; ++e) {
       const half2* xr = x.data() + static_cast<std::size_t>(cols[
                             static_cast<std::size_t>(e)]) *
@@ -267,6 +278,9 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
                           : half2(1.0f, 1.0f);
       simd::scalar::h2_term_accum(acc_unfused.data(), xr, w, pre, half_f,
                                   flags);
+    }
+    if (flags & simd::kHasScale) {
+      simd::scalar::h2_scale(acc_unfused.data(), scale, half_f);
     }
     expect_h2_eq(acc_scalar.data(), acc_avx2.data(), half_f, "h2_spmm_run",
                  trial);
@@ -668,26 +682,6 @@ std::vector<std::uint16_t> bits_of(std::span<const half_t> v) {
   return out;
 }
 
-TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
-  KernelFixture f;
-  for (const bool atomic : {false, true}) {
-    kernels::HalfgnnSpmmOpts opts;
-    opts.reduce = kernels::Reduce::kSum;
-    opts.atomic_writes = atomic;
-    Device dev(a100_spec());
-    Stream stream(dev);
-    run_both_paths_and_compare(
-        atomic ? "spmm_halfgnn atomic" : "spmm_halfgnn",
-        [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
-          AlignedVec<half_t> y(f.xh.size());
-          const auto ks = kernels::spmm_halfgnn(stream, profiled, f.g, f.wh,
-                                                f.xh, y, f.feat, opts);
-          out_bits = bits_of(y);
-          return ks;
-        });
-  }
-}
-
 TEST_F(SimdAvx2, SpmmCusparseF16IdenticalAcrossPaths) {
   KernelFixture f;
   Device dev(a100_spec());
@@ -735,6 +729,94 @@ AlignedVec<half_t> make_features(std::size_t n, int feat, std::mt19937& rng,
     }
   }
   return x;
+}
+
+// The fused train path of spmm_halfgnn against its profiled per-access
+// path, on both SIMD paths: ragged (42, 130), padded (48) and multi-chunk
+// (72, 128, 130) widths, every reduce and scale mode, with and without edge
+// weights, both warp segment sizes and the atomic ablation, on exact-size
+// allocations with and without special values. Long rows (65-100 edges)
+// are planted between short ones so that some are interior to a 128-edge
+// warp segment, which the fused path stores straight from registers.
+TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
+  Rng gen_rng(11);
+  Coo raw = erdos_renyi(400, 2500, gen_rng);
+  plant_hubs(raw, 2, 120, gen_rng);
+  for (int i = 0; i < 8; ++i) {
+    const vid_t v = 100 + 37 * i;
+    for (int d = 0; d < 65 + 5 * i; ++d) {
+      raw.row.push_back(v);
+      raw.col.push_back(static_cast<vid_t>(gen_rng.next_below(400)));
+    }
+  }
+  raw.num_vertices += 3;  // isolated vertices: empty rows at the end
+  const Csr csr = coo_to_csr(raw);
+  const Coo coo = csr_to_coo(csr);
+  const kernels::GraphView g = kernels::view(csr, coo);
+  const auto n = static_cast<std::size_t>(csr.num_vertices);
+  const auto m = coo.row.size();
+
+  // Coverage: a row longer than 64 edges lies strictly inside one
+  // 128-edge warp segment.
+  bool long_interior = false;
+  for (vid_t r = 0; r < csr.num_vertices; ++r) {
+    const eid_t b = csr.offsets[static_cast<std::size_t>(r)];
+    const eid_t e = csr.offsets[static_cast<std::size_t>(r) + 1];
+    long_interior |= e - b > 64 && b % 128 != 0 && e % 128 != 0 &&
+                     e < static_cast<eid_t>(m) && b / 128 == (e - 1) / 128;
+  }
+  ASSERT_TRUE(long_interior);
+
+  Device dev(a100_spec());
+  Stream stream(dev);
+  std::mt19937 rng(0x5B33u);
+  struct Mode {
+    kernels::Reduce reduce;
+    kernels::ScaleMode scale;
+    const char* name;
+  };
+  constexpr Mode kModes[] = {
+      {kernels::Reduce::kSum, kernels::ScaleMode::kDiscretized, "sum"},
+      {kernels::Reduce::kMax, kernels::ScaleMode::kDiscretized, "max"},
+      {kernels::Reduce::kMean, kernels::ScaleMode::kDiscretized, "mean"},
+      {kernels::Reduce::kMean, kernels::ScaleMode::kPre, "mean-pre"},
+      {kernels::Reduce::kMean, kernels::ScaleMode::kPost, "mean-post"}};
+  for (const bool specials : {false, true}) {
+    const AlignedVec<half_t> wh = make_features(m, 1, rng, specials);
+    for (const int feat : {42, 48, 64, 72, 128, 130}) {
+      const AlignedVec<half_t> x = make_features(n, feat, rng, specials);
+      for (const int epw : {64, 128}) {
+        for (const Mode& mode : kModes) {
+          for (const bool has_w : {false, true}) {
+            for (const bool atomic : {false, true}) {
+              kernels::HalfgnnSpmmOpts opts;
+              opts.reduce = mode.reduce;
+              opts.scale = mode.scale;
+              opts.edges_per_warp = epw;
+              opts.atomic_writes = atomic;
+              const std::string what =
+                  std::string("spmm_halfgnn ") + mode.name + " feat " +
+                  std::to_string(feat) + " epw " + std::to_string(epw) +
+                  (has_w ? " weights" : "") + (atomic ? " atomic" : "") +
+                  (specials ? " specials" : "");
+              run_both_paths_and_compare(
+                  what.c_str(),
+                  [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+                    AlignedVec<half_t> y(n * static_cast<std::size_t>(feat));
+                    const auto ks = kernels::spmm_halfgnn(
+                        stream, profiled, g,
+                        has_w ? std::span<const half_t>(wh)
+                              : std::span<const half_t>(),
+                        x, y, feat, opts);
+                    out_bits = bits_of(y);
+                    return ks;
+                  });
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // Every vector width over feature widths with padded lanes (48), 1 to 32
