@@ -19,6 +19,8 @@
 // gemm_simd_ratio summary. spmm_halfgnn, sddmm_halfgnn_h8 and the f16 edge
 // softmax chain — the kernels with a fused train path — get forced-scalar
 // train rows and same-run *_train_simd_ratio summaries the same way.
+// spmm_halfgnn also gets its arithmetic floor (one h2_spmm_run per CSR row)
+// and the same-run spmm_halfgnn_train_floor_ratio.
 //
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
 #include <algorithm>
@@ -228,6 +230,49 @@ int run(const std::string& path) {
     t.report().summary(summary, scalar_ms > 0 ? vector_ms / scalar_ms : kNaN);
   }
   t.report().summary("spmm_halfgnn_profiled_host_ms", spmm_profiled_ms);
+
+  // The spmm_halfgnn case's arithmetic floor: its graph, width, reduce and
+  // weights as one h2_spmm_run per CSR row, with no partition, merge or
+  // follow-up launch. spmm_halfgnn_train_floor_ratio is the train kernel's
+  // time over the floor's, both on one host thread (the floor is serial),
+  // alternating 8 x reps times, minimum of each: the two sides are only
+  // ~1.5x apart, and a run under ctest's parallel load needs that many
+  // draws for both minima to land in quiet stretches.
+  {
+    simt::Device dev1(simt::a100_spec(), 1);
+    simt::Stream stream1(dev1);
+    const Case train1{"spmm_halfgnn", [&](bool p) {
+                        return kernels::spmm_halfgnn(stream1, p, g, wh, xh, yh,
+                                                     feat, hopts);
+                      }};
+    const int half_f = feat / 2;
+    const auto hf = static_cast<std::size_t>(half_f);
+    const auto x2 = simt::as_vec<half2>(std::span<const half_t>(xh));
+    const auto y2 = simt::as_vec_mut<half2>(std::span<half_t>(yh));
+    const auto run_floor = [&] {
+      for (vid_t r = 0; r < d.csr.num_vertices; ++r) {
+        const eid_t b = d.csr.offsets[static_cast<std::size_t>(r)];
+        simt::simd::ops().h2_spmm_run(
+            y2.data() + static_cast<std::size_t>(r) * hf, x2.data(),
+            d.csr.cols.data() + b, wh.data() + b, half2(1.0f, 1.0f),
+            half2(1.0f, 1.0f), half_f, d.csr.degree(r),
+            simt::simd::kHasW | simt::simd::kFromIdentity);
+      }
+      return simt::KernelStats{};
+    };
+    const Case floor{"spmm_halfgnn_floor",
+                     [&](bool) { return run_floor(); }};
+    double kernel_ms = std::numeric_limits<double>::infinity();
+    double floor_ms = kernel_ms;
+    for (int r = 0; r < 8 * reps; ++r) {
+      kernel_ms = std::min(kernel_ms, measure(train1, false, 1).host_ms);
+      floor_ms = std::min(floor_ms, measure(floor, false, 1).host_ms);
+    }
+    t.row("spmm_halfgnn_floor train",
+          {floor_ms, static_cast<double>(m) / (floor_ms / 1e3), kNaN, kNaN});
+    t.report().summary("spmm_halfgnn_train_floor_ratio",
+                       floor_ms > 0 ? kernel_ms / floor_ms : kNaN);
+  }
 
   // Dense GEMM rows. edges/s and lane-ops/s do not apply; modeled_ms is
   // the ledger's charge for one call (the dense cost model, gated like the

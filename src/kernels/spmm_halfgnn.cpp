@@ -123,10 +123,104 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
     return {r0 * hf, (r1 + 1) * hf};
   };
 
+  const bool pre_scaled = is_mean && opts.scale == ScaleMode::kPre;
+  const bool disc = is_mean && opts.scale == ScaleMode::kDiscretized;
+  // Per-edge term flags, and a whole row run from the combine identity.
+  unsigned term_flags = 0;
+  if (has_w) term_flags |= simd::kHasW;
+  if (pre_scaled) term_flags |= simd::kHasPre;
+  if (is_max) term_flags |= simd::kIsMax;
+  const unsigned run_flags =
+      term_flags | simd::kFromIdentity | (disc ? simd::kHasScale : 0u);
+
   const auto body =
       [&](Cta<P>& cta, std::span<half2> out) {
         const eid_t cta_e0 = static_cast<eid_t>(cta.cta_id()) * edges_per_cta;
         const eid_t cta_e1 = std::min<eid_t>(m, cta_e0 + edges_per_cta);
+
+        if (geo.sub_warps == 1 && simd::vector_enabled() &&
+            cta.warp(0).fused_fast_path()) {
+          // Flat CTA (train mode, every hook disarmed): the three phases
+          // below with nothing observing their staging, index builds or
+          // charges. Each warp walks its segment's rows by CSR offsets and
+          // runs every row with one h2_spmm_run straight from the graph —
+          // interior rows into Y, the segment's first and last rows into
+          // their merge slots. h2_spmm_run from the identity with the
+          // discretized scale is the unfused accumulate-then-flush sequence
+          // bit for bit, and weights broadcast from edge_w are phase 1's
+          // mirrored pairs.
+          if (cta_e0 >= cta_e1) return;
+          const auto hf = static_cast<std::size_t>(geo.half_f);
+          const auto slots = static_cast<std::size_t>(2 * kWarpsPerCta);
+          const auto brow = cta.template scratch<vid_t>(slots);
+          std::fill(brow.begin(), brow.end(), -1);
+          const auto bval = cta.template scratch<half2>(slots * hf);
+          const vid_t* rows = g.coo->row.data();
+          const eid_t* offsets = g.csr->offsets.data();
+          for (int wi = 0; wi < kWarpsPerCta; ++wi) {
+            const eid_t e0 =
+                cta_e0 + static_cast<eid_t>(wi) * geo.edges_per_warp;
+            const eid_t e1 = std::min<eid_t>(cta_e1, e0 + geo.edges_per_warp);
+            if (e0 >= e1) break;
+            const vid_t r0 = rows[e0];
+            const vid_t r1 = rows[e1 - 1];
+            for (vid_t r = r0; r <= r1; ++r) {
+              const eid_t b = std::max(e0, offsets[r]);
+              const eid_t e = std::min(e1, offsets[r + 1]);
+              if (b >= e) continue;  // isolated vertex
+              half2* dst = out.data() + static_cast<std::size_t>(r) * hf;
+              if (r == r0 || r == r1) {
+                const std::size_t slot =
+                    2 * static_cast<std::size_t>(wi) + (r == r0 ? 0 : 1);
+                brow[slot] = r;
+                dst = bval.data() + slot * hf;
+              }
+              // The prescale or the discretized scale, whichever is set.
+              const half2 iv = pre_scaled || disc
+                                   ? half2::broadcast(half_t(inv_deg(r)))
+                                   : half2(1.0f, 1.0f);
+              simd::ops().h2_spmm_run(dst, x2.data(), g.coo->col.data() + b,
+                                      has_w ? edge_w.data() + b : nullptr, iv,
+                                      iv, geo.half_f, static_cast<int>(e - b),
+                                      run_flags);
+            }
+          }
+          if (opts.atomic_writes) {
+            // The per-access flush's atomics, in its order: each warp's
+            // first row, then its last.
+            for (std::size_t s = 0; s < slots; ++s) {
+              if (brow[s] < 0) continue;
+              simt::combine_n(
+                  k, out.data() + static_cast<std::size_t>(brow[s]) * hf,
+                  bval.data() + s * hf, geo.half_f);
+            }
+            return;
+          }
+          // Phase 3's merge: a run of equal rows folds, in slot order, into
+          // an identity-filled row of Y or, for the CTA's last row, of the
+          // staging buffer. The identity turns a -0 partial into +0.
+          const vid_t cta_last_row = rows[cta_e1 - 1];
+          half2* dst = nullptr;
+          vid_t cur = -1;
+          for (std::size_t s = 0; s < slots; ++s) {
+            const vid_t r = brow[s];
+            if (r < 0) continue;
+            if (r != cur) {
+              cur = r;
+              if (r == cta_last_row) {
+                staging_rows[static_cast<std::size_t>(cta.cta_id())] = r;
+                dst = staging2.data() +
+                      static_cast<std::size_t>(cta.cta_id()) * hf;
+              } else {
+                dst = out.data() + static_cast<std::size_t>(r) * hf;
+              }
+              std::fill(dst, dst + hf, init);
+            }
+            simt::combine_n(k, dst, bval.data() + s * hf, geo.half_f);
+          }
+          return;
+        }
+
         Smem<P> sm = Smem<P>::alloc(cta, geo, kWarpsPerCta, has_w);
         sm.brow.fill(-1);
 
@@ -235,7 +329,7 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
             const bool interior = r != first_row[su] && r != last_row[su];
             // Discretized scaling: degree-norm each batch partial at flush
             // (Sec. 5.2.2) so the running value stays in half range.
-            if (is_mean && opts.scale == ScaleMode::kDiscretized) {
+            if (disc) {
               const half2 iv = half2::broadcast(half_t(inv_deg(r)));
               for (int c = 0; c < geo.chunks; ++c) {
                 auto& a = acc[static_cast<std::size_t>(c)];
@@ -321,63 +415,72 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
             }
           };
 
-          if (geo.sub_warps == 1 && simd::vector_enabled() &&
-              w.fused_fast_path()) {
-            // Fused fast loop (train mode, every hook disarmed): the whole
-            // per-edge sequence — NZE metadata read, contiguous feature
-            // load, weighted half2 accumulate — collapses into one
-            // h2_spmm_run call per row run, reading the smem arrays raw.
-            // Bit-identical to the unfused loop below (the scratch
-            // accumulator is the same memory: chunk c lane j is feature
-            // pair c*32+j, so acc[0] viewed flat IS the half_f-pair row),
-            // and the per-edge alu/smem charges it skips are compiled away
-            // in this mode anyway. An interior row's run is the whole row,
-            // and its flush is the identity reset, the discretized scale
-            // and a contiguous store to Y: the run does all three in
-            // registers instead of through the scratch accumulator.
-            const vid_t* rows = sm.rows.data() + lbase;
-            const vid_t* cols = sm.cols.data() + lbase;
-            const half2* w2p = has_w ? sm.w2.data() + lbase : nullptr;
-            half2* const aflat = acc[0].data();
-            const eid_t n = e1 - e0;
-            const bool disc = is_mean && opts.scale == ScaleMode::kDiscretized;
-            unsigned flags = 0;
-            if (has_w) flags |= simd::kHasW;
-            if (is_mean && opts.scale == ScaleMode::kPre) flags |= simd::kHasPre;
-            if (is_max) flags |= simd::kIsMax;
-            eid_t i = 0;
-            while (i < n) {
-              const vid_t r = rows[i];
-              eid_t j = i + 1;
-              while (j < n && rows[j] == r) ++j;
-              const half2 pre =
-                  (is_mean && opts.scale == ScaleMode::kPre)
-                      ? half2::broadcast(half_t(inv_deg(r)))
-                      : half2(1.0f, 1.0f);
-              const half2* wr = w2p != nullptr ? w2p + i : nullptr;
-              const auto len = static_cast<int>(j - i);
-              if (r != first_row[0] && r != last_row[0]) {
-                const half2 iv = disc ? half2::broadcast(half_t(inv_deg(r)))
-                                      : half2(1.0f, 1.0f);
-                simd::ops().h2_spmm_run(
-                    out.data() + static_cast<std::size_t>(r) *
-                                     static_cast<std::size_t>(geo.half_f),
-                    x2.data(), cols + i, wr, pre, iv, geo.half_f, len,
-                    flags | simd::kFromIdentity | (disc ? simd::kHasScale : 0u));
-              } else {
-                if (r != cur_row[0]) {
-                  flush(0, cur_row[0]);
-                  cur_row[0] = r;
-                }
-                simd::ops().h2_spmm_run(aflat, x2.data(), cols + i, wr, pre,
-                                        half2(1.0f, 1.0f), geo.half_f, len,
-                                        flags);
+          for (eid_t k = 0; k < geo.seg; ++k) {
+            // Row-transition check for every sub-warp (one int op per step).
+            for (int s = 0; s < geo.sub_warps; ++s) {
+              const auto su = static_cast<std::size_t>(s);
+              const eid_t e = e0 + static_cast<eid_t>(s) * geo.seg + k;
+              if (e >= std::min<eid_t>(e1, e0 + static_cast<eid_t>(s + 1) *
+                                                   geo.seg)) {
+                continue;
               }
-              i = j;
+              const vid_t r =
+                  sm.rows[lbase + static_cast<std::size_t>(e - e0)];
+              if (r != cur_row[su]) {
+                flush(s, cur_row[su]);
+                cur_row[su] = r;
+              }
             }
-          } else {
-            for (eid_t k = 0; k < geo.seg; ++k) {
-              // Row-transition check for every sub-warp (one int op per step).
+            w.alu(Op::kIntAlu, 1);
+            w.smem_access(has_w ? 2 : 1);
+
+            // One load/gather instruction per chunk covers all sub-warps.
+            for (int c = 0; c < geo.chunks; ++c) {
+              Lanes<half2> xv{};
+              bool any = false;
+              if (geo.sub_warps == 1) {
+                // Single sub-warp: the chunk's lane block reads the
+                // contiguous feature slice [col*half_f + c*32, +cnt). A
+                // contiguous load charges identically to the equivalent
+                // prefix gather (same sectors and unique elements, same
+                // fault/prof ordinals) and skips the per-lane index build —
+                // this is the hot load of the whole kernel.
+                const eid_t e = e0 + k;
+                const int cnt = std::min(32, geo.half_f - c * 32);
+                if (e < e1 && cnt > 0) {
+                  const auto col = static_cast<std::int64_t>(
+                      sm.cols[lbase + static_cast<std::size_t>(e - e0)]);
+                  w.template load_contiguous<half2>(
+                      x2, col * geo.half_f + c * 32, cnt, xv);
+                  any = true;
+                }
+              } else {
+                Lanes<std::int64_t> idx{};
+                simt::LaneMask mask = 0;
+                for (int s = 0; s < geo.sub_warps; ++s) {
+                  const eid_t e = e0 + static_cast<eid_t>(s) * geo.seg + k;
+                  if (e >= std::min<eid_t>(e1, e0 + static_cast<eid_t>(s + 1) *
+                                                       geo.seg)) {
+                    continue;
+                  }
+                  const auto col = static_cast<std::int64_t>(
+                      sm.cols[lbase + static_cast<std::size_t>(e - e0)]);
+                  for (int j = 0; j < geo.lanes_per_edge; ++j) {
+                    const int fp = c * 32 + j;
+                    if (fp >= geo.half_f) break;
+                    const int lane = s * geo.lanes_per_edge + j;
+                    idx[static_cast<std::size_t>(lane)] =
+                        col * geo.half_f + fp;
+                    mask |= simt::LaneMask{1} << lane;
+                  }
+                }
+                if (mask != 0) {
+                  w.template gather<half2>(x2, idx, mask, xv);
+                  any = true;
+                }
+              }
+              if (!any) continue;
+
               for (int s = 0; s < geo.sub_warps; ++s) {
                 const auto su = static_cast<std::size_t>(s);
                 const eid_t e = e0 + static_cast<eid_t>(s) * geo.seg + k;
@@ -385,98 +488,26 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
                                                      geo.seg)) {
                   continue;
                 }
-                const vid_t r =
-                    sm.rows[lbase + static_cast<std::size_t>(e - e0)];
-                if (r != cur_row[su]) {
-                  flush(s, cur_row[su]);
-                  cur_row[su] = r;
-                }
-              }
-              w.alu(Op::kIntAlu, 1);
-              w.smem_access(has_w ? 2 : 1);
-
-              // One load/gather instruction per chunk covers all sub-warps.
-              for (int c = 0; c < geo.chunks; ++c) {
-                Lanes<half2> xv{};
-                bool any = false;
-                if (geo.sub_warps == 1) {
-                  // Single sub-warp: the chunk's lane block reads the
-                  // contiguous feature slice [col*half_f + c*32, +cnt). A
-                  // contiguous load charges identically to the equivalent
-                  // prefix gather (same sectors and unique elements, same
-                  // fault/prof ordinals) and skips the per-lane index build —
-                  // this is the hot load of the whole kernel.
-                  const eid_t e = e0 + k;
-                  const int cnt = std::min(32, geo.half_f - c * 32);
-                  if (e < e1 && cnt > 0) {
-                    const auto col = static_cast<std::int64_t>(
-                        sm.cols[lbase + static_cast<std::size_t>(e - e0)]);
-                    w.template load_contiguous<half2>(
-                        x2, col * geo.half_f + c * 32, cnt, xv);
-                    any = true;
-                  }
-                } else {
-                  Lanes<std::int64_t> idx{};
-                  simt::LaneMask mask = 0;
-                  for (int s = 0; s < geo.sub_warps; ++s) {
-                    const eid_t e = e0 + static_cast<eid_t>(s) * geo.seg + k;
-                    if (e >= std::min<eid_t>(e1, e0 + static_cast<eid_t>(s + 1) *
-                                                         geo.seg)) {
-                      continue;
-                    }
-                    const auto col = static_cast<std::int64_t>(
-                        sm.cols[lbase + static_cast<std::size_t>(e - e0)]);
-                    for (int j = 0; j < geo.lanes_per_edge; ++j) {
-                      const int fp = c * 32 + j;
-                      if (fp >= geo.half_f) break;
-                      const int lane = s * geo.lanes_per_edge + j;
-                      idx[static_cast<std::size_t>(lane)] =
-                          col * geo.half_f + fp;
-                      mask |= simt::LaneMask{1} << lane;
-                    }
-                  }
-                  if (mask != 0) {
-                    w.template gather<half2>(x2, idx, mask, xv);
-                    any = true;
-                  }
-                }
-                if (!any) continue;
-
-                for (int s = 0; s < geo.sub_warps; ++s) {
-                  const auto su = static_cast<std::size_t>(s);
-                  const eid_t e = e0 + static_cast<eid_t>(s) * geo.seg + k;
-                  if (e >= std::min<eid_t>(e1, e0 + static_cast<eid_t>(s + 1) *
-                                                       geo.seg)) {
-                    continue;
-                  }
-                  const half2 w2m =
-                      has_w ? sm.w2[lbase + static_cast<std::size_t>(e - e0)]
-                            : half2(1.0f, 1.0f);
-                  const half2 pre =
-                      (is_mean && opts.scale == ScaleMode::kPre)
-                          ? half2::broadcast(half_t(inv_deg(cur_row[su])))
+                const half2 w2m =
+                    has_w ? sm.w2[lbase + static_cast<std::size_t>(e - e0)]
                           : half2(1.0f, 1.0f);
-                  auto& a = acc[static_cast<std::size_t>(c)];
-                  // Lane-batched accumulate over the sub-warp's contiguous
-                  // lane block; the scalar dispatch entry is the exact loop
-                  // this replaced.
-                  const int cnt =
-                      std::min(geo.lanes_per_edge, geo.half_f - c * 32);
-                  if (cnt <= 0) continue;
-                  unsigned flags = 0;
-                  if (has_w) flags |= simd::kHasW;
-                  if (is_mean && opts.scale == ScaleMode::kPre) {
-                    flags |= simd::kHasPre;
-                  }
-                  if (is_max) flags |= simd::kIsMax;
-                  simd::ops().h2_term_accum(a.data() + s * geo.lanes_per_edge,
-                                            xv.data() + s * geo.lanes_per_edge,
-                                            w2m, pre, cnt, flags);
-                }
-                int instrs = 1 + (has_w ? 1 : 0);
-                if (is_mean && opts.scale == ScaleMode::kPre) instrs += 1;
-                w.alu(Op::kHalf2, instrs);
+                const half2 pre =
+                    pre_scaled ? half2::broadcast(half_t(inv_deg(cur_row[su])))
+                               : half2(1.0f, 1.0f);
+                auto& a = acc[static_cast<std::size_t>(c)];
+                // Lane-batched accumulate over the sub-warp's contiguous
+                // lane block; the scalar dispatch entry is the exact loop
+                // this replaced.
+                const int cnt =
+                    std::min(geo.lanes_per_edge, geo.half_f - c * 32);
+                if (cnt <= 0) continue;
+                simd::ops().h2_term_accum(a.data() + s * geo.lanes_per_edge,
+                                          xv.data() + s * geo.lanes_per_edge,
+                                          w2m, pre, cnt, term_flags);
               }
+              int instrs = 1 + (has_w ? 1 : 0);
+              if (pre_scaled) instrs += 1;
+              w.alu(Op::kHalf2, instrs);
             }
           }
           for (int s = 0; s < geo.sub_warps; ++s) {

@@ -118,7 +118,12 @@ class Json {
   }
 
   // --- parser --------------------------------------------------------------
-  // Throws std::runtime_error with an offset-annotated message on bad input.
+  // Throws std::runtime_error with an offset-annotated message on bad input,
+  // including arrays and objects nested deeper than kMaxDepth: the parser
+  // recurses once per level, so an unbounded depth would overflow the stack.
+  // The repo's own documents nest a handful of levels.
+  static constexpr int kMaxDepth = 512;
+
   static Json parse(std::string_view text) {
     Parser p{text, 0};
     Json v = p.parse_value();
@@ -131,6 +136,7 @@ class Json {
   struct Parser {
     std::string_view s;
     std::size_t pos = 0;
+    int depth = 0;
 
     [[noreturn]] void fail(const char* what) const {
       throw std::runtime_error("json parse error at offset " +
@@ -160,8 +166,12 @@ class Json {
     Json parse_value() {
       skip_ws();
       const char c = peek();
-      if (c == '{') return parse_object();
-      if (c == '[') return parse_array();
+      if (c == '{' || c == '[') {
+        if (++depth > kMaxDepth) fail("nesting too deep");
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth;
+        return v;
+      }
       if (c == '"') return Json(parse_string());
       if (c == 't') {
         if (!consume_lit("true")) fail("bad literal");

@@ -290,11 +290,6 @@ class SmemSpan {
     for (std::size_t i = 0; i < n_; ++i) (*this)[i] = v;
   }
 
-  // Raw view of the backing storage, for kernels' fused fast loops. Callers
-  // take it only when the sanitizer is disarmed; armed launches must keep
-  // the per-element proxies so shadow state stays exact.
-  T* data() const noexcept { return p_; }
-
   // Bulk copy in. Disarmed it collapses to one memcpy; armed it replays
   // the element-at-a-time proxy accesses in the same order the unfused
   // loops used, so shadow updates and violation provenance are identical.

@@ -100,18 +100,19 @@ inline void h2_scale(half2* v, half2 s, int n) {
   for (int i = 0; i < n; ++i) v[i] = h2mul(v[i], s);
 }
 
-// Fused spmm row-run (spmm_halfgnn phase 2, single sub-warp, all hooks
-// disarmed): edge e accumulates the contiguous feature row
-// x[cols[e]*half_f .. +half_f) into acc with exactly the h2_term_accum
-// per-edge math. Equivalent to the unfused sequence
+// Fused spmm row-run (spmm_halfgnn's flat train CTA): edge e accumulates
+// the contiguous feature row x[cols[e]*half_f .. +half_f) into acc with
+// exactly the h2_term_accum per-edge math, its weight w[e] broadcast to
+// both halves (the mirrored pair phase 1 of the per-access path caches).
+// Equivalent to the unfused sequence
 //   [kFromIdentity: fill acc with the combine identity;]
 //   for e: { memcpy xv <- x + cols[e]*half_f; h2_term_accum(acc, xv,
-//            w2[e], pre, half_f, flags); }
+//            half2::broadcast(w[e]), pre, half_f, flags); }
 //   [kHasScale: h2_scale(acc, scale, half_f);]
 // and fused so the vector path can keep a whole row in registers from its
-// first edge to its store. w2 may be null when (flags & kHasW) == 0.
+// first edge to its store. w may be null when (flags & kHasW) == 0.
 inline void h2_spmm_run(half2* acc, const half2* x, const std::int32_t* cols,
-                        const half2* w2, half2 pre, half2 scale, int half_f,
+                        const half_t* w, half2 pre, half2 scale, int half_f,
                         int n_edges, unsigned flags) {
   if (flags & kFromIdentity) {
     std::fill(acc, acc + half_f,
@@ -121,8 +122,9 @@ inline void h2_spmm_run(half2* acc, const half2* x, const std::int32_t* cols,
   for (int e = 0; e < n_edges; ++e) {
     const half2* xr =
         x + static_cast<std::size_t>(cols[e]) * static_cast<std::size_t>(half_f);
-    const half2 w = (flags & kHasW) ? w2[e] : half2(1.0f, 1.0f);
-    h2_term_accum(acc, xr, w, pre, half_f, flags);
+    const half2 we =
+        (flags & kHasW) ? half2::broadcast(w[e]) : half2(1.0f, 1.0f);
+    h2_term_accum(acc, xr, we, pre, half_f, flags);
   }
   if (flags & kHasScale) h2_scale(acc, scale, half_f);
 }
@@ -400,7 +402,7 @@ struct SimdOps {
   void (*cvt_h2f)(const std::uint16_t*, float*, int);
   void (*cvt_f2h)(const float*, std::uint16_t*, int);
   void (*h2_term_accum)(half2*, const half2*, half2, half2, int, unsigned);
-  void (*h2_spmm_run)(half2*, const half2*, const std::int32_t*, const half2*,
+  void (*h2_spmm_run)(half2*, const half2*, const std::int32_t*, const half_t*,
                       half2, half2, int, int, unsigned);
   void (*h2_scale)(half2*, half2, int);
   void (*h2_combine)(half2*, const half2*, int, bool);

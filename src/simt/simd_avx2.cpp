@@ -213,7 +213,7 @@ constexpr int kPassGroups = 8;
 // a max accumulator keeps the half bits, which its select blends.
 template <int NC, bool kMax>
 void spmm_pass(half2* acc, const half2* x, const std::int32_t* cols,
-               const half2* w2, __m256 pv, __m256 sv, int half_f, int n_edges,
+               const half_t* w, __m256 pv, __m256 sv, int half_f, int n_edges,
                __m128i last, unsigned flags) {
   const bool has_w = (flags & kHasW) != 0;
   const bool has_pre = (flags & kHasPre) != 0;
@@ -239,7 +239,7 @@ void spmm_pass(half2* acc, const half2* x, const std::int32_t* cols,
   for (int e = 0; e < n_edges; ++e) {
     const half2* xr = x + static_cast<std::size_t>(cols[e]) *
                               static_cast<std::size_t>(half_f);
-    const __m256 wv = has_w ? bcast_h2(w2[e]) : _mm256_setzero_ps();
+    const __m256 wv = has_w ? bcast_h(w[e]) : _mm256_setzero_ps();
 #pragma GCC unroll 8
     for (int c = 0; c < NC; ++c) {
       __m128i th = load(xr + 4 * c, c);
@@ -278,7 +278,7 @@ void spmm_pass(half2* acc, const half2* x, const std::int32_t* cols,
 }
 
 using SpmmPass = void (*)(half2*, const half2*, const std::int32_t*,
-                          const half2*, __m256, __m256, int, int, __m128i,
+                          const half_t*, __m256, __m256, int, int, __m128i,
                           unsigned);
 constexpr SpmmPass kSpmmPass[2][kPassGroups] = {
     {&spmm_pass<1, false>, &spmm_pass<2, false>, &spmm_pass<3, false>,
@@ -289,7 +289,7 @@ constexpr SpmmPass kSpmmPass[2][kPassGroups] = {
      &spmm_pass<7, true>, &spmm_pass<8, true>}};
 
 void h2_spmm_run_avx2(half2* acc, const half2* x, const std::int32_t* cols,
-                      const half2* w2, half2 pre, half2 scale, int half_f,
+                      const half_t* w, half2 pre, half2 scale, int half_f,
                       int n_edges, unsigned flags) {
   // Nothing to do; a pass would also quiet a signaling NaN in acc.
   if (n_edges == 0 && (flags & (kFromIdentity | kHasScale)) == 0) return;
@@ -303,7 +303,7 @@ void h2_spmm_run_avx2(half2* acc, const half2* x, const std::int32_t* cols,
     const __m128i last = g0 + nc == groups && ragged != 0
                              ? expand4((1u << ragged) - 1)
                              : _mm_set1_epi32(-1);
-    pass[nc - 1](acc + 4 * g0, x + 4 * g0, cols, w2, pv, sv, half_f, n_edges,
+    pass[nc - 1](acc + 4 * g0, x + 4 * g0, cols, w, pv, sv, half_f, n_edges,
                  last, flags);
   }
 }

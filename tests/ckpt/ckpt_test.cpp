@@ -596,6 +596,21 @@ TEST(CkptStore, OutOfRangeManifestNumbersAreIgnored) {
   }
 }
 
+// A manifest of 100,000 nested '[' is a corrupt manifest like any other:
+// the parser's nesting bound turns it into a parse error instead of a stack
+// overflow, and the directory scan finds both generations.
+TEST(CkptStore, DeeplyNestedManifestIsIgnored) {
+  const std::string dir = two_generations("deepmanifest");
+  write_all(std::filesystem::path(dir) / "MANIFEST.json",
+            std::string(100000, '['));
+  ckpt::Store store({dir});
+  EXPECT_EQ(store.next_generation(), 2);
+  const ckpt::LoadInfo info = store.load();
+  EXPECT_TRUE(info.found);
+  EXPECT_EQ(info.rejected, 0);
+  EXPECT_EQ(info.state.epoch, 2);
+}
+
 // Seeded mutation sweep over a store with two generations: the newest
 // payload gets one bit flip, u64 overwrite or truncation and is re-framed
 // with a correct CRC, or one MANIFEST.json number is replaced. Opening the

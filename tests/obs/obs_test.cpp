@@ -1,11 +1,18 @@
 // Observability-layer tests: span nesting/ordering on the modeled clock,
-// registry snapshot determinism (same seed => byte-identical JSON), and a
+// registry snapshot determinism (same seed => byte-identical JSON), a
 // golden structural check that the exported Chrome trace parses and its
-// spans nest (child.ts + child.dur <= parent.ts + parent.dur).
+// spans nest (child.ts + child.dur <= parent.ts + parent.dur), and a
+// mutation sweep over the JSON parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "nn/trainer.hpp"
@@ -269,6 +276,124 @@ TEST_F(ObsTest, HistogramQuantilesInterpolateKnownDistributions) {
   EXPECT_EQ(h->find("p50")->as_double(), 7.0);
   EXPECT_EQ(h->find("p95")->as_double(), 7.0);
   EXPECT_EQ(h->find("p99")->as_double(), 7.0);
+}
+
+// Fixed, seeded mutation sweep over the JSON parser that perf_diff,
+// hgcheck's --allowlist and the checkpoint manifest read through. The seeds
+// are documents the repo's own writers produce; the mutations are byte
+// flips, truncations, duplicated and dropped brackets, spliced 1e999 / -0
+// numbers and \u escapes, and deep nesting. Every input must parse or throw
+// std::runtime_error (anything else fails the test), and every accepted
+// input must dump -> parse -> dump to the same text.
+TEST_F(ObsTest, JsonMutationSweepParsesOrThrowsRuntimeError) {
+  std::vector<std::string> seeds;
+  Registry& reg = registry();
+  reg.set_enabled(true);
+  reg.add_counter("ckpt.writes", 3);
+  reg.set_gauge("amp.scale", 65536.0);
+  for (int i = 1; i <= 20; ++i) reg.observe("host_ms", 0.125 * i);
+  reg.publish_kernel("spmm_halfgnn", {{"time_ms", 0.0625}, {"sectors", 1e9}});
+  reg.snapshot_epoch(0);
+  seeds.push_back(reg.to_json().dump(1));
+  tracer().set_enabled(true);
+  {
+    Span run("run", "run");
+    run.arg("dtype", std::string("f16"));
+    trace_complete("spmm_halfgnn", "kernel", 0.25, {{"ctas", 120}});
+  }
+  seeds.push_back(tracer().chrome_trace_json().dump(1));
+  PerfReport report("unit");
+  report.meta("simd", "avx2");
+  report.set_columns({"host_ms", "modeled_ms"});
+  report.add_row("spmm_halfgnn train",
+                 {1.5, std::numeric_limits<double>::quiet_NaN()});
+  report.summary("spmm_halfgnn_train_floor_ratio", 1.25);
+  seeds.push_back(report.to_json().dump(1));
+  Json manifest = Json::object();
+  manifest.set("schema", "halfgnn-ckpt-manifest-v1");
+  manifest.set("version", 1);
+  Json entries = Json::array();
+  for (int gen = 0; gen < 2; ++gen) {
+    Json e = Json::object();
+    e.set("gen", gen);
+    e.set("epoch", gen + 1);
+    e.set("bytes", std::uint64_t{1} << 40);
+    e.set("crc", 4294967295.0);
+    entries.push(std::move(e));
+  }
+  manifest.set("entries", std::move(entries));
+  seeds.push_back(manifest.dump(1));
+
+  int accepted = 0;
+  int rejected = 0;
+  const auto check = [&](const std::string& text) {
+    try {
+      const std::string once = Json::parse(text).dump();
+      EXPECT_EQ(Json::parse(once).dump(), once) << text.substr(0, 200);
+      ++accepted;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  };
+
+  constexpr const char* kSplices[] = {
+      "1e999", "-1e999", "-0", "\"\\u00e9\"", "\"\\u0000\"", "\"\\ud800\"",
+      "\"\\u12\"", "\"\\uZZZZ\"", "[]", "{}", "1e-320", "9007199254740993"};
+  std::mt19937 rng(0x1503u);
+  for (const std::string& seed : seeds) {
+    check(seed);
+    for (int i = 0; i < 200; ++i) {
+      std::string t = seed;
+      const std::size_t at = rng() % t.size();
+      switch (i % 5) {
+        case 0:  // byte flips
+          for (int f = 0; f <= static_cast<int>(rng() % 3); ++f) {
+            t[rng() % t.size()] ^= static_cast<char>(1u << (rng() % 8));
+          }
+          break;
+        case 1:  // truncation
+          t.resize(at);
+          break;
+        case 2:    // duplicated or dropped bracket
+        case 3: {  // spliced value in place of the next number or string
+          const bool bracket = i % 5 == 2;
+          const std::size_t p =
+              t.find_first_of(bracket ? "[]{}" : "-0123456789\"", at);
+          if (p == std::string::npos) break;
+          if (!bracket) {
+            const std::size_t end = t.find_first_of(",]}\n", p + 1);
+            t.replace(p, end == std::string::npos ? 1 : end - p,
+                      kSplices[rng() % std::size(kSplices)]);
+          } else if (rng() % 2 == 0) {
+            t.insert(p, 1, t[p]);
+          } else {
+            t.erase(p, 1);
+          }
+          break;
+        }
+        default: {  // wrapped in a few hundred levels
+          const auto depth = static_cast<std::size_t>(rng() % 600);
+          t = std::string(depth, '[') + t + std::string(depth, ']');
+          break;
+        }
+      }
+      check(t);
+    }
+  }
+  // The nesting bound: kMaxDepth levels parse, one more throws, and so do
+  // the 100,000 levels that would otherwise overflow the stack.
+  const auto nested = [](std::size_t open, std::size_t close) {
+    return std::string(open, '[') + std::string(close, ']');
+  };
+  const auto max_depth = static_cast<std::size_t>(Json::kMaxDepth);
+  EXPECT_NO_THROW(Json::parse(nested(max_depth, max_depth)));
+  EXPECT_THROW(Json::parse(nested(max_depth + 1, max_depth + 1)),
+               std::runtime_error);
+  EXPECT_THROW(Json::parse(nested(100000, 100000)), std::runtime_error);
+  EXPECT_THROW(Json::parse(nested(100000, 0)), std::runtime_error);
+  EXPECT_THROW(Json::parse(std::string(100000, '{')), std::runtime_error);
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

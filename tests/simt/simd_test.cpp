@@ -245,8 +245,8 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
     for (auto& v : x) v = random_half2(rng);
     std::vector<std::int32_t> cols(static_cast<std::size_t>(n_edges));
     for (auto& c : cols) c = static_cast<std::int32_t>(rng() % kRows);
-    std::vector<half2> w2(static_cast<std::size_t>(n_edges));
-    for (auto& v : w2) v = random_half2(rng);
+    std::vector<half_t> w(static_cast<std::size_t>(n_edges));
+    for (auto& v : w) v = random_half(rng);
     const half2 pre = random_half2(rng);
     const half2 scale = random_half2(rng);
 
@@ -256,13 +256,14 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
     std::vector<half2> acc_avx2 = acc0;
     std::vector<half2> acc_unfused = acc0;
 
-    const half2* wp = (flags & simd::kHasW) ? w2.data() : nullptr;
+    const half_t* wp = (flags & simd::kHasW) ? w.data() : nullptr;
     simd::scalar::h2_spmm_run(acc_scalar.data(), x.data(), cols.data(), wp,
                               pre, scale, half_f, n_edges, flags);
     simd::ops().h2_spmm_run(acc_avx2.data(), x.data(), cols.data(), wp, pre,
                             scale, half_f, n_edges, flags);
     // The documented contract: identity fill, the per-edge h2_term_accum
-    // sequence over each edge's contiguous feature row, then h2_scale.
+    // sequence over each edge's contiguous feature row with its weight
+    // broadcast to both halves, then h2_scale.
     if (flags & simd::kFromIdentity) {
       std::fill(acc_unfused.begin(), acc_unfused.end(),
                 combine_identity<half2>((flags & simd::kIsMax)
@@ -273,10 +274,10 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
       const half2* xr = x.data() + static_cast<std::size_t>(cols[
                             static_cast<std::size_t>(e)]) *
                             static_cast<std::size_t>(half_f);
-      const half2 w = (flags & simd::kHasW)
-                          ? w2[static_cast<std::size_t>(e)]
-                          : half2(1.0f, 1.0f);
-      simd::scalar::h2_term_accum(acc_unfused.data(), xr, w, pre, half_f,
+      const half2 we = (flags & simd::kHasW)
+                           ? half2::broadcast(w[static_cast<std::size_t>(e)])
+                           : half2(1.0f, 1.0f);
+      simd::scalar::h2_term_accum(acc_unfused.data(), xr, we, pre, half_f,
                                   flags);
     }
     if (flags & simd::kHasScale) {
@@ -731,41 +732,122 @@ AlignedVec<half_t> make_features(std::size_t n, int feat, std::mt19937& rng,
   return x;
 }
 
-// The fused train path of spmm_halfgnn against its profiled per-access
+// The flat train path of spmm_halfgnn against its profiled per-access
 // path, on both SIMD paths: ragged (42, 130), padded (48) and multi-chunk
 // (72, 128, 130) widths, every reduce and scale mode, with and without edge
-// weights, both warp segment sizes and the atomic ablation, on exact-size
-// allocations with and without special values. Long rows (65-100 edges)
-// are planted between short ones so that some are interior to a 128-edge
-// warp segment, which the fused path stores straight from registers.
+// weights, three warp segment sizes and the atomic ablation, on exact-size
+// allocations with and without special values. The graph plants the cases
+// the flat CTA's row walk and merge must get right:
+//  * long rows (65-100 edges) between short ones, some interior to a
+//    128-edge warp segment, which the flat path stores straight into Y;
+//  * a degree-700 hub, the last row of consecutive CTAs (follow-up merge)
+//    and the only row of whole warp segments (r0 == r1);
+//  * isolated vertices whose CSR offsets fall inside warp segments;
+//  * a row that starts a warp segment and ends inside it, whose
+//    discretized mean partial is -0: its merge is a one-slot run, and the
+//    identity combine must turn the -0 into +0.
 TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
+  constexpr vid_t kBase = 400;
+  constexpr vid_t kHub = 200;
   Rng gen_rng(11);
-  Coo raw = erdos_renyi(400, 2500, gen_rng);
+  Coo raw = erdos_renyi(kBase, 2500, gen_rng);
   plant_hubs(raw, 2, 120, gen_rng);
   for (int i = 0; i < 8; ++i) {
     const vid_t v = 100 + 37 * i;
     for (int d = 0; d < 65 + 5 * i; ++d) {
       raw.row.push_back(v);
-      raw.col.push_back(static_cast<vid_t>(gen_rng.next_below(400)));
+      raw.col.push_back(static_cast<vid_t>(gen_rng.next_below(kBase)));
     }
   }
-  raw.num_vertices += 3;  // isolated vertices: empty rows at the end
+  // Isolated vertices among the others: drop every edge of 25, 75, ...
+  Coo kept;
+  for (std::size_t e = 0; e < raw.row.size(); ++e) {
+    if (raw.row[e] % 50 == 25) continue;
+    kept.row.push_back(raw.row[e]);
+    kept.col.push_back(raw.col[e]);
+  }
+  raw.row = std::move(kept.row);
+  raw.col = std::move(kept.col);
+  for (vid_t c = 0; c < 700; ++c) {
+    raw.row.push_back(kHub);
+    raw.col.push_back(c);
+  }
+  // Vertex kBase pads the edge count to a multiple of 256, so vertex
+  // kBase + 1 starts a warp segment at every edges_per_warp. Its four
+  // edges reach the last four vertices: three feature rows of +0 and one
+  // of -2^-24 (planted below), so its sum is -2^-24 and its mean -0.
+  raw.num_vertices = kBase;
+  const eid_t base_edges = coo_to_csr(raw).num_edges();
+  const vid_t n_vertices = 720;
+  const vid_t tiny = kBase + 1;
+  for (eid_t i = 0; i < (256 - base_edges % 256) % 256; ++i) {
+    raw.row.push_back(kBase);
+    raw.col.push_back(static_cast<vid_t>(i));
+  }
+  for (vid_t c = n_vertices - 4; c < n_vertices; ++c) {
+    raw.row.push_back(tiny);
+    raw.col.push_back(c);
+  }
+  for (vid_t v = tiny + 1; v < tiny + 9; ++v) {  // rows after it in its CTA
+    for (int d = 0; d < 40; ++d) {
+      raw.row.push_back(v);
+      raw.col.push_back(static_cast<vid_t>(gen_rng.next_below(kBase)));
+    }
+  }
+  raw.num_vertices = n_vertices;  // isolated vertices at the end too
   const Csr csr = coo_to_csr(raw);
   const Coo coo = csr_to_coo(csr);
   const kernels::GraphView g = kernels::view(csr, coo);
   const auto n = static_cast<std::size_t>(csr.num_vertices);
   const auto m = coo.row.size();
+  const auto em = static_cast<eid_t>(m);
+  const auto off = [&](vid_t v) {
+    return csr.offsets[static_cast<std::size_t>(v)];
+  };
+  const auto row_at = [&](eid_t e) {
+    return coo.row[static_cast<std::size_t>(e)];
+  };
 
-  // Coverage: a row longer than 64 edges lies strictly inside one
-  // 128-edge warp segment.
+  // Coverage. A row longer than 64 edges lies strictly inside one 128-edge
+  // warp segment.
   bool long_interior = false;
   for (vid_t r = 0; r < csr.num_vertices; ++r) {
-    const eid_t b = csr.offsets[static_cast<std::size_t>(r)];
-    const eid_t e = csr.offsets[static_cast<std::size_t>(r) + 1];
+    const eid_t b = off(r);
+    const eid_t e = off(r + 1);
     long_interior |= e - b > 64 && b % 128 != 0 && e % 128 != 0 &&
-                     e < static_cast<eid_t>(m) && b / 128 == (e - 1) / 128;
+                     e < em && b / 128 == (e - 1) / 128;
   }
   ASSERT_TRUE(long_interior);
+  // At edges_per_warp 64 (256-edge CTAs) one row is the last row of two
+  // consecutive CTAs.
+  bool multi_cta_last = false;
+  for (eid_t c = 1; (c + 1) * 256 <= em; ++c) {
+    multi_cta_last |= row_at(c * 256 - 1) == row_at((c + 1) * 256 - 1);
+  }
+  ASSERT_TRUE(multi_cta_last);
+  ASSERT_EQ(csr.degree(tiny), 4);
+  for (const eid_t epw : {64, 128, 256}) {
+    // A warp segment inside one row.
+    bool one_row_segment = false;
+    for (eid_t e0 = 0; e0 + epw <= em; e0 += epw) {
+      one_row_segment |= row_at(e0) == row_at(e0 + epw - 1);
+    }
+    ASSERT_TRUE(one_row_segment) << epw;
+    // An isolated vertex whose offset falls inside a warp segment.
+    bool inner_isolated = false;
+    for (vid_t v = 0; v < csr.num_vertices; ++v) {
+      inner_isolated |=
+          off(v) == off(v + 1) && off(v) % epw != 0 && off(v) < em;
+    }
+    ASSERT_TRUE(inner_isolated) << epw;
+    // The tiny row starts a warp segment (and, with four edges, ends
+    // inside it), and is not its CTA's last row: its partial merges into
+    // Y, not into the staging row.
+    const eid_t cta_end =
+        std::min(em, (off(tiny) / (4 * epw) + 1) * 4 * epw);
+    ASSERT_EQ(off(tiny) % epw, 0) << epw;
+    ASSERT_NE(row_at(cta_end - 1), tiny) << epw;
+  }
 
   Device dev(a100_spec());
   Stream stream(dev);
@@ -784,8 +866,27 @@ TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
   for (const bool specials : {false, true}) {
     const AlignedVec<half_t> wh = make_features(m, 1, rng, specials);
     for (const int feat : {42, 48, 64, 72, 128, 130}) {
-      const AlignedVec<half_t> x = make_features(n, feat, rng, specials);
-      for (const int epw : {64, 128}) {
+      AlignedVec<half_t> x = make_features(n, feat, rng, specials);
+      const auto f = static_cast<std::size_t>(feat);
+      std::fill(x.end() - static_cast<std::ptrdiff_t>(4 * f), x.end(),
+                half_t(0.0f));
+      std::fill(x.end() - static_cast<std::ptrdiff_t>(f), x.end(),
+                half_t::from_bits(0x8001));
+      {
+        // The tiny row's discretized mean partial: -0 in every lane.
+        std::vector<half2> part(f / 2);
+        const auto x2 = as_vec<half2>(std::span<const half_t>(x));
+        simd::scalar::h2_spmm_run(part.data(), x2.data(),
+                                  coo.col.data() + off(tiny), nullptr,
+                                  half2(1.0f, 1.0f),
+                                  half2::broadcast(half_t(0.25f)), feat / 2,
+                                  4, simd::kFromIdentity | simd::kHasScale);
+        for (const half2 v : part) {
+          ASSERT_EQ(v.lo.bits(), 0x8000u);
+          ASSERT_EQ(v.hi.bits(), 0x8000u);
+        }
+      }
+      for (const int epw : {64, 128, 256}) {
         for (const Mode& mode : kModes) {
           for (const bool has_w : {false, true}) {
             for (const bool atomic : {false, true}) {
