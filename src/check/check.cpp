@@ -8,6 +8,7 @@
 
 #include "amp/amp.hpp"
 #include "kernels/api.hpp"
+#include "kernels/reference.hpp"
 #include "kernels/spmm_halfgnn.hpp"
 #include "nn/kernel_table.hpp"
 #include "nn/param.hpp"
@@ -91,6 +92,8 @@ struct CT {
   CT(std::int64_t r, std::int64_t c)
       : rows(r), cols(c),
         v(static_cast<std::size_t>(r) * static_cast<std::size_t>(c), 0.0) {}
+  CT(std::int64_t r, std::int64_t c, std::vector<double> vals)
+      : rows(r), cols(c), v(std::move(vals)) {}
 
   double& at(std::int64_t r, std::int64_t c) {
     return v[static_cast<std::size_t>(r * cols + c)];
@@ -173,16 +176,7 @@ class Analyzer {
     }
     wgrowth_ = static_cast<double>(cfg.epochs) * cfg.lr * cfg.adam_kappa;
 
-    // Per-edge row index + degree helpers for the concrete SpMM/edge ops.
-    const auto& csr = d.csr;
-    erow_.resize(static_cast<std::size_t>(csr.num_edges()));
-    for (vid_t r = 0; r < csr.num_vertices; ++r) {
-      for (eid_t e = csr.offsets[static_cast<std::size_t>(r)];
-           e < csr.offsets[static_cast<std::size_t>(r) + 1]; ++e) {
-        erow_[static_cast<std::size_t>(e)] = r;
-      }
-    }
-    rev_ = reverse_edge_permutation(csr);
+    rev_ = reverse_edge_permutation(d.csr);
     train_count_ = 0;
     for (const std::uint8_t m : d.train_mask) train_count_ += m != 0;
   }
@@ -560,8 +554,9 @@ class Analyzer {
           kernels::Reduce reduce) {
     return spmm_site(site, x, ew, reduce, false);
   }
-  // Edge weights run through the reverse-edge permutation first, reported
-  // at its own site.
+  // As the runtime runs it: the edge weights go through the reverse-edge
+  // permutation (reported at its own site), then an ordinary SpMM over the
+  // symmetric topology.
   TV spmm_transposed(const char* site, const TV* ew, const TV& x,
                      kernels::Reduce reduce, const char* perm_site = nullptr) {
     if (ew == nullptr) return spmm_site(site, x, nullptr, reduce, true);
@@ -585,15 +580,19 @@ class Analyzer {
   }
 
   // SpMM through the dispatch chain: one verdict row per chain entry,
-  // kernel predictions for the active entry's launches.
+  // kernel predictions for the active entry's launches. `transposed` only
+  // names the op: spmm_transposed has already permuted the weights.
   TV spmm_site(const char* site, const TV& x, const TV* ew,
                kernels::Reduce reduce, bool transposed) {
     const int feat = static_cast<int>(x.c.cols);
-    // Concrete aggregation, exact.
+    // Concrete aggregation, exact: the guard's host reference kernel.
     TV out;
-    out.c = CT(static_cast<std::int64_t>(d_.csr.num_vertices), feat);
-    spmm_concrete(x.c, ew != nullptr ? &ew->c : nullptr, reduce, transposed,
-                  out.c);
+    out.c = CT(d_.csr.num_vertices, feat,
+               kernels::reference_spmm(
+                   d_.csr,
+                   ew != nullptr ? std::span<const double>(ew->c.v)
+                                 : std::span<const double>(),
+                   x.c.v, feat, reduce));
 
     const bool convex = ew != nullptr && ew->a.row_stochastic;
     const long long dmax = static_cast<long long>(out_.degrees.max_degree);
@@ -676,17 +675,8 @@ class Analyzer {
   TV sddmm(const char* site, const TV& a_rows, const TV& b_cols) {
     const int feat = static_cast<int>(a_rows.c.cols);
     TV out;
-    out.c = CT(static_cast<std::int64_t>(d_.csr.num_edges()), 1);
-    for (std::size_t e = 0; e < erow_.size(); ++e) {
-      const auto r = static_cast<std::int64_t>(erow_[e]);
-      const auto c = static_cast<std::int64_t>(
-          d_.csr.cols[e]);
-      double acc = 0;
-      for (int f = 0; f < feat; ++f) {
-        acc += a_rows.c.get(r, f) * b_cols.c.get(c, f);
-      }
-      out.c.v[e] = acc;
-    }
+    out.c = CT(d_.csr.num_edges(), 1,
+               kernels::reference_sddmm(d_.coo, a_rows.c.v, b_cols.c.v, feat));
     out.a = AbsVal::bounded(static_cast<double>(feat) * a_rows.a.hi *
                             b_cols.a.hi);
     out.a.may_overflow = a_rows.a.may_overflow || b_cols.a.may_overflow;
@@ -823,43 +813,6 @@ class Analyzer {
     }
     predict_kernel(label, stores, dt);
     return out;
-  }
-
-  // --- concrete SpMM -------------------------------------------------------
-  void spmm_concrete(const CT& x, const CT* ew, kernels::Reduce reduce,
-                     bool transposed, CT& out) const {
-    const std::int64_t feat = x.cols;
-    const bool is_max = reduce == kernels::Reduce::kMax;
-    std::vector<double> degs(static_cast<std::size_t>(out.rows), 0.0);
-    if (is_max) {
-      std::fill(out.v.begin(), out.v.end(), -1e300);
-    }
-    for (std::size_t e = 0; e < erow_.size(); ++e) {
-      // transposed: aggregate along reversed edges (A^T; topology is
-      // symmetric, values flow col -> row swapped).
-      const auto src = static_cast<std::int64_t>(
-          transposed ? erow_[e] : d_.csr.cols[e]);
-      const auto dstr = static_cast<std::int64_t>(
-          transposed ? d_.csr.cols[e] : erow_[e]);
-      const double w = ew != nullptr ? ew->v[e] : 1.0;
-      degs[static_cast<std::size_t>(dstr)] += 1.0;
-      for (std::int64_t f = 0; f < feat; ++f) {
-        const double val = w * x.get(src, f);
-        double& slot = out.v[static_cast<std::size_t>(dstr * feat + f)];
-        slot = is_max ? std::max(slot, val) : slot + val;
-      }
-    }
-    for (std::int64_t r = 0; r < out.rows; ++r) {
-      const double deg = degs[static_cast<std::size_t>(r)];
-      for (std::int64_t f = 0; f < feat; ++f) {
-        double& slot = out.v[static_cast<std::size_t>(r * feat + f)];
-        if (is_max) {
-          if (deg == 0.0) slot = 0.0;
-        } else if (reduce == kernels::Reduce::kMean && deg > 0.0) {
-          slot /= deg;
-        }
-      }
-    }
   }
 
   // --- interpreting the model ---------------------------------------------
@@ -1029,9 +982,9 @@ class Analyzer {
                       double slope) {
     TV s;
     s.c = CT(static_cast<std::int64_t>(d_.csr.num_edges()), 1);
-    for (std::size_t e = 0; e < erow_.size(); ++e) {
+    for (std::size_t e = 0; e < d_.coo.row.size(); ++e) {
       const double raw =
-          el.c.v[static_cast<std::size_t>(erow_[e])] +
+          el.c.v[static_cast<std::size_t>(d_.coo.row[e])] +
           er.c.v[static_cast<std::size_t>(d_.csr.cols[e])];
       s.c.v[e] = raw >= 0.0 ? raw : slope * raw;
     }
@@ -1047,8 +1000,9 @@ class Analyzer {
   TV edge_exp_sub_row(const char* site, const TV& s, const TV& mx) {
     TV p;
     p.c = CT(s.c.rows, 1);
-    for (std::size_t e = 0; e < erow_.size(); ++e) {
-      p.c.v[e] = std::exp(s.c.v[e] - mx.c.v[static_cast<std::size_t>(erow_[e])]);
+    for (std::size_t e = 0; e < d_.coo.row.size(); ++e) {
+      p.c.v[e] =
+          std::exp(s.c.v[e] - mx.c.v[static_cast<std::size_t>(d_.coo.row[e])]);
     }
     p.a = AbsVal::nonneg(0.0, 1.0);
     p.a.may_zero = true;
@@ -1061,8 +1015,8 @@ class Analyzer {
   TV edge_div_row(const char* site, const TV& p, const TV& dsum) {
     TV alpha;
     alpha.c = CT(p.c.rows, 1);
-    for (std::size_t e = 0; e < erow_.size(); ++e) {
-      const double den = dsum.c.v[static_cast<std::size_t>(erow_[e])];
+    for (std::size_t e = 0; e < d_.coo.row.size(); ++e) {
+      const double den = dsum.c.v[static_cast<std::size_t>(d_.coo.row[e])];
       alpha.c.v[e] = den > 0.0 ? p.c.v[e] / den : 0.0;
     }
     alpha.a = AbsVal::nonneg(0.0, 1.0);
@@ -1097,7 +1051,7 @@ class Analyzer {
     for (std::size_t e = 0; e < ds.c.v.size(); ++e) {
       ds.c.v[e] = alpha.c.v[e] *
                   (dalpha.c.v[e] -
-                   c.c.v[static_cast<std::size_t>(erow_[e])]);
+                   c.c.v[static_cast<std::size_t>(d_.coo.row[e])]);
     }
     ds.a = AbsVal::bounded(alpha.a.hi * (dalpha.a.hi + c.a.hi));
     ds.a.may_nan = dalpha.a.may_nan || c.a.may_nan;
@@ -1148,7 +1102,6 @@ class Analyzer {
   std::vector<nn::Param*> params_;
   std::vector<CT> w_;
   std::vector<TV> gsum_;
-  std::vector<vid_t> erow_;
   std::vector<eid_t> rev_;
 };
 

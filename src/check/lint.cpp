@@ -8,6 +8,7 @@
 #include "obs/prof/prof.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
+#include "simt/simd.hpp"
 
 namespace hg::check {
 
@@ -30,6 +31,7 @@ std::vector<GrammarTable> grammar_tables() {
       {obs::prof::ProfConfig::kEnv, tokens(obs::prof::kProfTokens)},
       {simt::SanitizerConfig::kEnv, tokens(simt::kSanTokens)},
       {simt::FaultConfig::kEnv, tokens(simt::FaultConfig::kinds())},
+      {simt::simd::kEnv, tokens(simt::simd::kPathTokens)},
   };
 }
 

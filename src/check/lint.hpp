@@ -28,7 +28,8 @@ struct LintIssue {
 };
 
 // One user-facing spec grammar: the env var and its token vocabulary, read
-// from the parsers' own tables (ProfConfig, SanitizerConfig, FaultConfig).
+// from the parsers' own tables (ProfConfig, SanitizerConfig, FaultConfig,
+// simd::kPathTokens).
 struct GrammarTable {
   std::string_view env;
   std::vector<std::string_view> tokens;

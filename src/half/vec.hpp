@@ -44,9 +44,6 @@ static_assert(sizeof(half2) == 4, "half2 must be 32 bits");
 inline half2 h2add(half2 a, half2 b) noexcept {
   return half2{a.lo + b.lo, a.hi + b.hi};
 }
-inline half2 h2sub(half2 a, half2 b) noexcept {
-  return half2{a.lo - b.lo, a.hi - b.hi};
-}
 inline half2 h2mul(half2 a, half2 b) noexcept {
   return half2{a.lo * b.lo, a.hi * b.hi};
 }
@@ -97,13 +94,6 @@ inline half8 h8fma(half8 a, half8 b, half8 c) noexcept {
                  h2fma(a.h2[1], b.h2[1], c.h2[1]),
                  h2fma(a.h2[2], b.h2[2], c.h2[2]),
                  h2fma(a.h2[3], b.h2[3], c.h2[3])}}};
-}
-inline half4 h4add(half4 a, half4 b) noexcept {
-  return half4{{{h2add(a.h2[0], b.h2[0]), h2add(a.h2[1], b.h2[1])}}};
-}
-inline half8 h8add(half8 a, half8 b) noexcept {
-  return half8{{{h2add(a.h2[0], b.h2[0]), h2add(a.h2[1], b.h2[1]),
-                 h2add(a.h2[2], b.h2[2]), h2add(a.h2[3], b.h2[3])}}};
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 
 namespace hg::kernels {
 
-std::vector<double> reference_spmm(const Csr& csr, std::span<const float> w,
-                                   std::span<const float> x, int feat,
-                                   Reduce reduce) {
+namespace {
+
+template <class T>
+std::vector<double> spmm_ref(const Csr& csr, std::span<const T> w,
+                             std::span<const T> x, int feat, Reduce reduce) {
   const auto n = static_cast<std::size_t>(csr.num_vertices);
   const auto f = static_cast<std::size_t>(feat);
   std::vector<double> y(n * f,
@@ -45,8 +47,9 @@ std::vector<double> reference_spmm(const Csr& csr, std::span<const float> w,
   return y;
 }
 
-std::vector<double> reference_sddmm(const Coo& coo, std::span<const float> a,
-                                    std::span<const float> b, int feat) {
+template <class T>
+std::vector<double> sddmm_ref(const Coo& coo, std::span<const T> a,
+                              std::span<const T> b, int feat) {
   const auto f = static_cast<std::size_t>(feat);
   std::vector<double> out(static_cast<std::size_t>(coo.num_edges()), 0.0);
   for (eid_t e = 0; e < coo.num_edges(); ++e) {
@@ -60,6 +63,28 @@ std::vector<double> reference_sddmm(const Coo& coo, std::span<const float> a,
     out[static_cast<std::size_t>(e)] = dot;
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<double> reference_spmm(const Csr& csr, std::span<const float> w,
+                                   std::span<const float> x, int feat,
+                                   Reduce reduce) {
+  return spmm_ref(csr, w, x, feat, reduce);
+}
+std::vector<double> reference_spmm(const Csr& csr, std::span<const double> w,
+                                   std::span<const double> x, int feat,
+                                   Reduce reduce) {
+  return spmm_ref(csr, w, x, feat, reduce);
+}
+
+std::vector<double> reference_sddmm(const Coo& coo, std::span<const float> a,
+                                    std::span<const float> b, int feat) {
+  return sddmm_ref(coo, a, b, feat);
+}
+std::vector<double> reference_sddmm(const Coo& coo, std::span<const double> a,
+                                    std::span<const double> b, int feat) {
+  return sddmm_ref(coo, a, b, feat);
 }
 
 }  // namespace hg::kernels

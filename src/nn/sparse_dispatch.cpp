@@ -1,6 +1,9 @@
 #include "nn/sparse_dispatch.hpp"
 
 #include <algorithm>
+#include <array>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -38,52 +41,60 @@ void announce(Op op, const ChainEntry& e) {
   }
 }
 
-// kDglHalf promotion helper: run `f32_op` on a half tensor through the AMP
-// float round trip, charging both conversions.
-template <class F32Op>
-MTensor promoted(const SparseCtx& ctx, const MTensor& in, F32Op&& op) {
-  MTensor in_f = to_dtype(in, Dtype::kF32, ctx.ledger);
-  MTensor out_f = op(in_f);
-  return to_dtype(out_f, Dtype::kF16, ctx.ledger);
-}
+// The operands an op's kernel reads, in the order the op lists them;
+// nullptr marks an absent one (an unweighted spmm's edge weights).
+using Operands = std::span<const MTensor* const>;
 
-// Runs the body of `op`'s chain entry `e`, announcing the entry at every
-// attempt, and retries on injected simt::LaunchFault up to the guard's
-// budget of attempts per call (the injector's launch ordinal advances on
-// every attempt, so a transient failure clears on retry). Bodies allocate
-// their outputs inside the lambda, so a fault that interrupts a multi-launch
-// op leaves no partial state behind for the retry. Without a guard the
-// fault propagates to the caller untouched.
-template <class F>
-MTensor guarded(const SparseCtx& ctx, Op op, const ChainEntry& e, F&& body) {
+// The one run path of every sparse op: runs body(entry, operands) for the
+// entry of `op`'s chain at (mode, dt) that the guard's level selects
+// (level 0 without a guard and for the ops that do not escalate),
+// announcing the entry at every attempt. A promoted entry (AMP) converts
+// the operands to f32 in the order listed and the result back to `dt`,
+// charging every conversion. An injected simt::LaunchFault is retried up to
+// the guard's budget of attempts per call (the injector's launch ordinal
+// advances on every attempt, so a transient failure clears on retry). Each
+// attempt converts anew and bodies allocate their outputs, so a fault that
+// interrupts a multi-launch op leaves no partial state behind for the
+// retry; without a guard the fault propagates to the caller untouched.
+// After an escalating op (spmm, sddmm) the guard observes the output's
+// health; its audit record names the kernel one level further down.
+template <class Body>
+MTensor run(const SparseCtx& ctx, Op op, Dtype dt,
+            std::initializer_list<const MTensor*> in, Body&& body) {
+  TrainGuard* const guard = ctx.guard;
+  const bool escalating = guard != nullptr && escalates(op);
+  const Chain& chain = dispatch_chain(op, ctx.mode, dt);
+  const int level = escalating ? guard->level(std::string(op_name(op))) : 0;
+  const ChainEntry& e = chain.at(level);
+  const auto attempt = [&]() -> MTensor {
+    announce(op, e);
+    if (!e.promoted) return body(e, Operands(in.begin(), in.size()));
+    std::array<MTensor, 3> f32;  // three: the most operands an op lists
+    std::array<const MTensor*, 3> in_f{};
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (const MTensor* t = in.begin()[i]; t != nullptr) {
+        f32.at(i) = to_dtype(*t, Dtype::kF32, ctx.ledger);
+        in_f.at(i) = &f32.at(i);
+      }
+    }
+    return to_dtype(body(e, Operands(in_f.data(), in.size())), dt,
+                    ctx.ledger);
+  };
   const int budget =
-      ctx.guard != nullptr ? std::max(1, ctx.guard->retry_budget()) : 1;
-  for (int attempt = 1;; ++attempt) {
+      guard != nullptr ? std::max(1, guard->retry_budget()) : 1;
+  MTensor out;
+  for (int n = 1;; ++n) {
     try {
-      announce(op, e);
-      return body();
+      out = attempt();
+      break;
     } catch (const simt::LaunchFault&) {
-      if (attempt >= budget) throw;
-      ctx.guard->count_retry(std::string(op_name(op)));
+      if (n >= budget) throw;
+      guard->count_retry(std::string(op_name(op)));
     }
   }
-}
-
-// Runs body(entry) for the chain entry at the guard's level of an
-// escalating op (spmm, sddmm), then feeds the output's health back to the
-// guard; its audit record names the kernel one level further down.
-template <class Body>
-MTensor escalating(const SparseCtx& ctx, Op op, Body&& body) {
-  const Chain& chain = dispatch_chain(op, ctx.mode, ctx.dtype());
-  const std::string site(op_name(op));
-  const int level = ctx.guard != nullptr
-                        ? std::min(ctx.guard->level(site), chain.len - 1)
-                        : 0;
-  const ChainEntry& e = chain.at(level);
-  MTensor out = guarded(ctx, op, e, [&] { return body(e); });
-  if (ctx.guard != nullptr) {
-    ctx.guard->observe_output(
-        site, out.has_nonfinite(), chain.len,
+  if (escalating) {
+    guard->observe_output(
+        std::string(op_name(op)), out.has_nonfinite(), chain.len,
         std::string(kernel_row(chain.at(level + 1).kernel).label));
   }
   return out;
@@ -124,20 +135,16 @@ auto flavour(F32 f32, Bf16 bf16, F16 f16) {
   }
 }
 
-// Runs the one entry of an edge op at `dt`: allocates a rows x cols output
-// in the row's storage and charges launch(element tag, out).
+// Allocates a rows x cols output in the storage dtype of `e`'s kernel and
+// charges launch(element tag, out): the shared tail of the edge ops and the
+// per-dtype SpMM/SDDMM families.
 template <class Launch>
-MTensor run_edge(const SparseCtx& ctx, Op op, Dtype dt, std::int64_t rows,
-                 std::int64_t cols, Launch&& launch) {
-  const ChainEntry& e = dispatch_chain(op, ctx.mode, dt).at(0);
-  const Dtype storage = kernel_row(e.kernel).storage;
-  return guarded(ctx, op, e, [&]() -> MTensor {
-    MTensor out = MTensor::zeros(storage, rows, cols);
-    charge(ctx, with_element(storage, [&](auto tag) {
-             return launch(tag, out);
-           }));
-    return out;
-  });
+MTensor launch_into(const SparseCtx& ctx, const ChainEntry& e,
+                    std::int64_t rows, std::int64_t cols, Launch&& launch) {
+  const Dtype dt = kernel_row(e.kernel).storage;
+  MTensor out = MTensor::zeros(dt, rows, cols);
+  charge(ctx, with_element(dt, [&](auto tag) { return launch(tag, out); }));
+  return out;
 }
 
 std::vector<float> to_f32_copy(const MTensor& t) {
@@ -181,21 +188,11 @@ MTensor sddmm_reference(const GraphCtx& g, const MTensor& a,
 MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
              const MTensor& x, kernels::Reduce reduce) {
   const int feat = static_cast<int>(x.cols());
-  return escalating(ctx, Op::kSpmm, [&](const ChainEntry& e) -> MTensor {
-    const Dtype dt = kernel_row(e.kernel).storage;
-    // The row-parallel f32/f16 cuSPARSE-like kernels and bf16's share one
-    // signature.
-    const auto row_parallel = [&](const MTensor* w, const MTensor& xs) {
-      MTensor out = MTensor::zeros(dt, g.n(), feat);
-      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
-               return flavour<T>(kernels::spmm_cusparse_f32, kernels::spmm_bf16,
-                                 kernels::spmm_cusparse_f16)(
-                   *ctx.stream, ctx.profiled, g.view(),
-                   w != nullptr ? elems<T>(*w) : std::span<const T>{},
-                   elems<T>(xs), elems<T>(out), feat, reduce);
-             }));
-      return out;
-    };
+  // AMP converts the weights first, then the features.
+  return run(ctx, Op::kSpmm, ctx.dtype(), {edge_w, &x},
+             [&](const ChainEntry& e, Operands in) -> MTensor {
+    const MTensor* w = in[0];
+    const MTensor& xs = *in[1];
     switch (e.kernel) {
       case Kernel::kSpmmHalfgnn: {
         kernels::HalfgnnSpmmOpts opts;
@@ -204,26 +201,25 @@ MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
         MTensor out = MTensor::f16(g.n(), feat);
         charge(ctx, kernels::spmm_halfgnn(
                         *ctx.stream, ctx.profiled, g.view(),
-                        edge_w != nullptr ? edge_w->h()
-                                          : std::span<const half_t>{},
-                        x.h(), out.h(), feat, opts));
+                        w != nullptr ? w->h() : std::span<const half_t>{},
+                        xs.h(), out.h(), feat, opts));
         return out;
       }
       case Kernel::kSpmmInt8: {
         // PTQ path: operands arrive f32 (the model trained in f32); quantize
         // on the way in, accumulate int32, dequantize in the kernel epilogue.
-        const kernels::QuantParams xq = kernels::calibrate_int8(x.f());
-        AlignedVec<std::int8_t> xqbuf(x.numel());
-        charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, x.f(),
+        const kernels::QuantParams xq = kernels::calibrate_int8(xs.f());
+        AlignedVec<std::int8_t> xqbuf(xs.numel());
+        charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, xs.f(),
                                            std::span<std::int8_t>(xqbuf), xq));
         kernels::QuantParams wq;
         AlignedVec<std::int8_t> wqbuf;
-        if (edge_w != nullptr && reduce != kernels::Reduce::kMax) {
-          wq = kernels::calibrate_int8(edge_w->f());
-          wqbuf.resize(edge_w->numel());
-          charge(ctx,
-                 kernels::quantize_int8(*ctx.stream, ctx.profiled, edge_w->f(),
-                                        std::span<std::int8_t>(wqbuf), wq));
+        if (w != nullptr && reduce != kernels::Reduce::kMax) {
+          wq = kernels::calibrate_int8(w->f());
+          wqbuf.resize(w->numel());
+          charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, w->f(),
+                                             std::span<std::int8_t>(wqbuf),
+                                             wq));
         }
         MTensor out = MTensor::f32(g.n(), feat);
         charge(ctx, kernels::spmm_int8(
@@ -235,8 +231,8 @@ MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
       }
       case Kernel::kSpmmBinary: {
         kernels::BinarizedFeatures xb;
-        charge(ctx, kernels::binarize_pack(*ctx.stream, ctx.profiled, x.f(),
-                                           static_cast<vid_t>(x.rows()), feat,
+        charge(ctx, kernels::binarize_pack(*ctx.stream, ctx.profiled, xs.f(),
+                                           static_cast<vid_t>(xs.rows()), feat,
                                            xb));
         MTensor out = MTensor::f32(g.n(), feat);
         charge(ctx, kernels::spmm_binary(*ctx.stream, ctx.profiled, g.view(),
@@ -244,15 +240,19 @@ MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
         return out;
       }
       case Kernel::kSpmmReference:
-        return spmm_reference(g, edge_w, x, reduce);
-      default: {
-        if (!e.promoted) return row_parallel(edge_w, x);
-        MTensor w_f;
-        if (edge_w != nullptr) w_f = to_dtype(*edge_w, Dtype::kF32, ctx.ledger);
-        return promoted(ctx, x, [&](const MTensor& x_f) {
-          return row_parallel(edge_w != nullptr ? &w_f : nullptr, x_f);
-        });
-      }
+        return spmm_reference(g, w, xs, reduce);
+      default:
+        // The row-parallel f32/f16 cuSPARSE-like kernels and bf16's share
+        // one signature.
+        return launch_into(
+            ctx, e, g.n(), feat,
+            [&]<class T>(std::type_identity<T>, MTensor& out) {
+              return flavour<T>(kernels::spmm_cusparse_f32, kernels::spmm_bf16,
+                                kernels::spmm_cusparse_f16)(
+                  *ctx.stream, ctx.profiled, g.view(),
+                  w != nullptr ? elems<T>(*w) : std::span<const T>{},
+                  elems<T>(xs), elems<T>(out), feat, reduce);
+            });
     }
   });
 }
@@ -273,26 +273,24 @@ MTensor sddmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor& a,
     throw std::invalid_argument("sddmm: feature width mismatch");
   }
   const int feat = static_cast<int>(a.cols());
-  return escalating(ctx, Op::kSddmm, [&](const ChainEntry& e) -> MTensor {
-    if (e.kernel == Kernel::kSddmmReference) return sddmm_reference(g, a, b);
-    MTensor o = MTensor::zeros(a.dtype(), g.m(), 1);
-    if (e.kernel == Kernel::kSddmmHalfgnn) {
-      charge(ctx, kernels::sddmm_halfgnn(*ctx.stream, ctx.profiled, g.view(),
-                                         a.h(), b.h(), o.h(), feat,
-                                         kernels::SddmmVec::kHalf8));
-      return o;
-    }
-    // The scalar-load DGL-style kernels (f32, f16) and bf16's.
-    charge(ctx, with_element(kernel_row(e.kernel).storage,
-                             [&]<class T>(std::type_identity<T>) {
-                               return flavour<T>(kernels::sddmm_dgl_f32,
-                                                 kernels::sddmm_bf16,
-                                                 kernels::sddmm_dgl_f16)(
-                                   *ctx.stream, ctx.profiled, g.view(),
-                                   elems<T>(a), elems<T>(b), elems<T>(o),
-                                   feat);
-                             }));
-    return o;
+  return run(ctx, Op::kSddmm, ctx.dtype(), {&a, &b},
+             [&](const ChainEntry& e, Operands in) -> MTensor {
+    const MTensor& as = *in[0];
+    const MTensor& bs = *in[1];
+    if (e.kernel == Kernel::kSddmmReference) return sddmm_reference(g, as, bs);
+    return launch_into(
+        ctx, e, g.m(), 1, [&]<class T>(std::type_identity<T>, MTensor& o) {
+          if (e.kernel == Kernel::kSddmmHalfgnn) {
+            return kernels::sddmm_halfgnn(*ctx.stream, ctx.profiled, g.view(),
+                                          as.h(), bs.h(), o.h(), feat,
+                                          kernels::SddmmVec::kHalf8);
+          }
+          // The scalar-load DGL-style kernels (f32, f16) and bf16's.
+          return flavour<T>(kernels::sddmm_dgl_f32, kernels::sddmm_bf16,
+                            kernels::sddmm_dgl_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(as), elems<T>(bs),
+              elems<T>(o), feat);
+        });
   });
 }
 
@@ -300,132 +298,127 @@ MTensor seg_reduce(const SparseCtx& ctx, const GraphCtx& g,
                    const MTensor& edge_vals, kernels::SegReduce reduce) {
   const Op op =
       reduce == kernels::SegReduce::kSum ? Op::kSegSum : Op::kSegMax;
-  const ChainEntry& e = dispatch_chain(op, ctx.mode, ctx.dtype()).at(0);
-  const Dtype dt = kernel_row(e.kernel).storage;
-  return guarded(ctx, op, e, [&]() -> MTensor {
-    const auto run = [&](const MTensor& vals) {
-      MTensor out = MTensor::zeros(dt, g.n(), 1);
-      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
-               return flavour<T>(kernels::edge_segment_reduce_f32,
-                                 kernels::edge_segment_reduce_bf16,
-                                 kernels::edge_segment_reduce_f16)(
-                   *ctx.stream, ctx.profiled, g.view(), elems<T>(vals),
-                   elems<T>(out), reduce);
-             }));
-      return out;
-    };
-    return e.promoted ? promoted(ctx, edge_vals, run) : run(edge_vals);
+  return run(ctx, op, ctx.dtype(), {&edge_vals},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, g.n(), 1, [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_segment_reduce_f32,
+                            kernels::edge_segment_reduce_bf16,
+                            kernels::edge_segment_reduce_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(*in[0]),
+              elems<T>(out), reduce);
+        });
   });
 }
 
 MTensor edge_add_scalars(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& el, const MTensor& er, float slope) {
-  return run_edge(
-      ctx, Op::kEdgeAddScalars, ctx.dtype(), g.m(), 1,
-      [&]<class T>(std::type_identity<T>, MTensor& out) {
-        return flavour<T>(kernels::edge_add_scalars_f32,
-                          kernels::edge_add_scalars_bf16,
-                          kernels::edge_add_scalars_f16)(
-            *ctx.stream, ctx.profiled, g.view(), elems<T>(el), elems<T>(er),
-            elems<T>(out), slope);
-      });
+  return run(ctx, Op::kEdgeAddScalars, ctx.dtype(), {&el, &er},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, g.m(), 1, [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_add_scalars_f32,
+                            kernels::edge_add_scalars_bf16,
+                            kernels::edge_add_scalars_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(*in[0]),
+              elems<T>(*in[1]), elems<T>(out), slope);
+        });
+  });
 }
 
 MTensor edge_exp_sub_row(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& vals, const MTensor& rowv) {
-  const ChainEntry& e =
-      dispatch_chain(Op::kEdgeExp, ctx.mode, ctx.dtype()).at(0);
-  const Dtype dt = kernel_row(e.kernel).storage;
-  return guarded(ctx, Op::kEdgeExp, e, [&]() -> MTensor {
-    const auto run = [&](const MTensor& v, const MTensor& r) {
-      MTensor out = MTensor::zeros(dt, g.m(), 1);
-      charge(ctx, with_element(dt, [&]<class T>(std::type_identity<T>) {
-               return flavour<T>(kernels::edge_exp_sub_row_f32,
-                                 kernels::edge_exp_sub_row_bf16,
-                                 kernels::edge_exp_sub_row_f16)(
-                   *ctx.stream, ctx.profiled, g.view(), elems<T>(v),
-                   elems<T>(r), elems<T>(out));
-             }));
-      return out;
-    };
-    if (!e.promoted) return run(vals, rowv);
-    // AMP promotes exp: both operands ride to float, the result rides back
-    // (the exact churn Sec. 3.1.2 dissects).
-    const MTensor rowv_f = to_dtype(rowv, Dtype::kF32, ctx.ledger);
-    return promoted(ctx, vals,
-                    [&](const MTensor& vals_f) { return run(vals_f, rowv_f); });
+  // AMP converts the row values first, then the edge values (the churn
+  // Sec. 3.1.2 dissects).
+  return run(ctx, Op::kEdgeExp, ctx.dtype(), {&rowv, &vals},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, g.m(), 1, [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_exp_sub_row_f32,
+                            kernels::edge_exp_sub_row_bf16,
+                            kernels::edge_exp_sub_row_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(*in[1]),
+              elems<T>(*in[0]), elems<T>(out));
+        });
   });
 }
 
 MTensor edge_div_row(const SparseCtx& ctx, const GraphCtx& g,
                      const MTensor& vals, const MTensor& rowv) {
-  return run_edge(
-      ctx, Op::kEdgeDivRow, ctx.dtype(), g.m(), 1,
-      [&]<class T>(std::type_identity<T>, MTensor& out) {
-        const auto kernel =
-            flavour<T>(kernels::edge_div_row_f32, kernels::edge_div_row_bf16,
-                       kernels::edge_div_row_f16);
-        if constexpr (std::is_same_v<T, float>) {
-          return kernel(*ctx.stream, ctx.profiled, g.view(), vals.f(),
-                        rowv.f(), out.f());
-        } else {
-          // Inputs may arrive in float (post-promotion); bring them home to
-          // the half format first — DGL does exactly this to invoke its
-          // half kernels (Sec. 3.1.2). A same-dtype copy is not charged.
-          const MTensor vh = to_dtype(vals, out.dtype(), ctx.ledger);
-          const MTensor rh = to_dtype(rowv, out.dtype(), ctx.ledger);
-          return kernel(*ctx.stream, ctx.profiled, g.view(), elems<T>(vh),
-                        elems<T>(rh), elems<T>(out));
-        }
-      });
+  return run(ctx, Op::kEdgeDivRow, ctx.dtype(), {&vals, &rowv},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, g.m(), 1, [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_div_row_f32,
+                            kernels::edge_div_row_bf16,
+                            kernels::edge_div_row_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(*in[0]),
+              elems<T>(*in[1]), elems<T>(out));
+        });
+  });
 }
 
 MTensor edge_mul(const SparseCtx& ctx, const MTensor& a, const MTensor& b) {
-  return run_edge(ctx, Op::kEdgeMul, a.dtype(), a.rows(), a.cols(),
-                  [&]<class T>(std::type_identity<T>, MTensor& out) {
-                    return flavour<T>(kernels::edge_mul_f32,
-                                      kernels::edge_mul_bf16,
-                                      kernels::edge_mul_f16)(
-                        *ctx.stream, ctx.profiled, elems<T>(a), elems<T>(b),
-                        elems<T>(out));
-                  });
+  return run(ctx, Op::kEdgeMul, a.dtype(), {&a, &b},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, a.rows(), a.cols(),
+        [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_mul_f32, kernels::edge_mul_bf16,
+                            kernels::edge_mul_f16)(
+              *ctx.stream, ctx.profiled, elems<T>(*in[0]), elems<T>(*in[1]),
+              elems<T>(out));
+        });
+  });
 }
 
 MTensor edge_softmax_backward(const SparseCtx& ctx, const GraphCtx& g,
                               const MTensor& alpha, const MTensor& dalpha,
                               const MTensor& c) {
-  return run_edge(ctx, Op::kEdgeSoftmaxBackward, alpha.dtype(), alpha.rows(),
-                  1, [&]<class T>(std::type_identity<T>, MTensor& out) {
-                    return flavour<T>(kernels::edge_softmax_backward_f32,
-                                      kernels::edge_softmax_backward_bf16,
-                                      kernels::edge_softmax_backward_f16)(
-                        *ctx.stream, ctx.profiled, g.view(), elems<T>(alpha),
-                        elems<T>(dalpha), elems<T>(c), elems<T>(out));
-                  });
+  return run(ctx, Op::kEdgeSoftmaxBackward, alpha.dtype(),
+             {&alpha, &dalpha, &c}, [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, alpha.rows(), 1,
+        [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_softmax_backward_f32,
+                            kernels::edge_softmax_backward_bf16,
+                            kernels::edge_softmax_backward_f16)(
+              *ctx.stream, ctx.profiled, g.view(), elems<T>(*in[0]),
+              elems<T>(*in[1]), elems<T>(*in[2]), elems<T>(out));
+        });
+  });
 }
 
 MTensor edge_leaky_backward(const SparseCtx& ctx, const MTensor& pre,
                             const MTensor& grad, float slope) {
-  return run_edge(ctx, Op::kEdgeLeakyBackward, grad.dtype(), grad.rows(), 1,
-                  [&]<class T>(std::type_identity<T>, MTensor& out) {
-                    return flavour<T>(kernels::edge_leaky_backward_f32,
-                                      kernels::edge_leaky_backward_bf16,
-                                      kernels::edge_leaky_backward_f16)(
-                        *ctx.stream, ctx.profiled, elems<T>(pre),
-                        elems<T>(grad), elems<T>(out), slope);
-                  });
+  return run(ctx, Op::kEdgeLeakyBackward, grad.dtype(), {&pre, &grad},
+             [&](const ChainEntry& e, Operands in) {
+    return launch_into(
+        ctx, e, grad.rows(), 1,
+        [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_leaky_backward_f32,
+                            kernels::edge_leaky_backward_bf16,
+                            kernels::edge_leaky_backward_f16)(
+              *ctx.stream, ctx.profiled, elems<T>(*in[0]), elems<T>(*in[1]),
+              elems<T>(out), slope);
+        });
+  });
 }
 
 MTensor edge_permute(const SparseCtx& ctx, const MTensor& in,
                      std::span<const eid_t> perm) {
-  return run_edge(ctx, Op::kEdgePermute, in.dtype(), in.rows(), in.cols(),
-                  [&]<class T>(std::type_identity<T>, MTensor& out) {
-                    return flavour<T>(kernels::edge_permute_f32,
-                                      kernels::edge_permute_bf16,
-                                      kernels::edge_permute_f16)(
-                        *ctx.stream, ctx.profiled, elems<T>(in), perm,
-                        elems<T>(out));
-                  });
+  return run(ctx, Op::kEdgePermute, in.dtype(), {&in},
+             [&](const ChainEntry& e, Operands ins) {
+    return launch_into(
+        ctx, e, in.rows(), in.cols(),
+        [&]<class T>(std::type_identity<T>, MTensor& out) {
+          return flavour<T>(kernels::edge_permute_f32,
+                            kernels::edge_permute_bf16,
+                            kernels::edge_permute_f16)(
+              *ctx.stream, ctx.profiled, elems<T>(*ins[0]), perm,
+              elems<T>(out));
+        });
+  });
 }
 
 }  // namespace hg::nn

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "simt/simd.hpp"
 #include "util/parse.hpp"
 
 namespace hg::simt {
@@ -95,6 +96,9 @@ Device::Device(const DeviceSpec& spec, int threads)
       sanitizer_(SanitizerConfig::from_env()),
       profiler_(obs::prof::ProfConfig::from_env()),
       wd_ms_(watchdog_ms_from_env()) {
+  // The path itself was resolved before main(), where a malformed value
+  // could only run auto; a device is where it is rejected.
+  (void)simd::requested_path();
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int t = 0; t < threads_ - 1; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -181,6 +185,7 @@ void Device::check_env() {
   (void)obs::prof::ProfConfig::from_env();
   (void)watchdog_ms_from_env();
   (void)detail::env_threads();
+  (void)simd::requested_path();
 }
 
 void Device::arm_watchdog() {

@@ -200,9 +200,9 @@ class Device {
   double watchdog_ms() const noexcept { return wd_ms_; }
 
   // Parses every environment variable the constructor reads
-  // (HALFGNN_FAULTS, _SANITIZE, _PROF, _WATCHDOG_MS, _THREADS), so a CLI
-  // can reject a malformed one before the default device exists. Throws
-  // std::invalid_argument naming the first malformed variable.
+  // (HALFGNN_FAULTS, _SANITIZE, _PROF, _WATCHDOG_MS, _SIMD, _THREADS), so a
+  // CLI can reject a malformed one before the default device exists.
+  // Throws std::invalid_argument naming the first malformed variable.
   static void check_env();
 
  private:

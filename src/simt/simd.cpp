@@ -8,7 +8,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace hg::simt::simd {
 
@@ -61,28 +62,38 @@ bool avx2_available() noexcept { return avx2_ops_or_null() != nullptr; }
 
 namespace {
 
+// Runs before main(), so it cannot throw.
 const SimdOps* resolve_from_env() noexcept {
-  const char* env = std::getenv("HALFGNN_SIMD");
-  const char* mode = (env != nullptr && *env != '\0') ? env : "auto";
-  if (std::strcmp(mode, "scalar") == 0) return &kScalarOps;
-  const SimdOps* avx2 = avx2_ops_or_null();
-  if (std::strcmp(mode, "avx2") == 0) {
-    if (avx2 != nullptr) return avx2;
+  std::optional<Path> want;
+  try {
+    want = requested_path();
+  } catch (const std::invalid_argument&) {
+    want = std::nullopt;  // auto; a Device rejects the value
+  }
+  if (want == Path::kScalar) return &kScalarOps;
+  if (const SimdOps* avx2 = avx2_ops_or_null()) return avx2;
+  if (want == Path::kAvx2) {
     std::fprintf(stderr,
                  "halfgnn: HALFGNN_SIMD=avx2 requested but the AVX2/F16C "
                  "path is unavailable in this build/CPU; using scalar\n");
-    return &kScalarOps;
   }
-  if (std::strcmp(mode, "auto") != 0) {
-    std::fprintf(stderr,
-                 "halfgnn: unknown HALFGNN_SIMD=%s (expected "
-                 "scalar|avx2|auto); using auto\n",
-                 mode);
-  }
-  return avx2 != nullptr ? avx2 : &kScalarOps;
+  return &kScalarOps;
 }
 
 }  // namespace
+
+std::optional<Path> requested_path() {
+  const char* env = std::getenv(kEnv);
+  const std::string_view v = util::trim(env != nullptr ? env : "");
+  if (v.empty()) return std::nullopt;
+  const auto* row = util::find(kPathTokens, v);
+  if (row == nullptr) {
+    throw std::invalid_argument(std::string(kEnv) + ": unknown path '" +
+                                std::string(v) + "' (expected " +
+                                util::alternatives(kPathTokens) + ")");
+  }
+  return row->value;
+}
 
 namespace detail {
 // Constant-initialized to the reference path so code running during static

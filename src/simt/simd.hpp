@@ -27,8 +27,8 @@
 // between paths (DESIGN.md Sec. 13).
 //
 // Path selection: HALFGNN_SIMD=scalar|avx2|auto (default auto) resolved
-// once at process start; simd::set_path() overrides it programmatically
-// (config-time only — never while a launch is in flight).
+// once at process start (kPathTokens); simd::set_path() overrides it
+// programmatically (config-time only — never while a launch is in flight).
 #pragma once
 
 #include <algorithm>
@@ -38,10 +38,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "half/half.hpp"
 #include "half/vec.hpp"
 #include "simt/accounting.hpp"
+#include "util/parse.hpp"
 
 namespace hg::simt::simd {
 
@@ -464,6 +466,18 @@ bool avx2_available() noexcept;
 // Select a path; returns false (and leaves the path unchanged) if the
 // requested path is unavailable. Config-time only.
 bool set_path(Path p) noexcept;
+
+// HALFGNN_SIMD's spellings; auto (also unset or empty) picks avx2 when the
+// build and CPU support it.
+inline constexpr char kEnv[] = "HALFGNN_SIMD";
+inline constexpr util::Token<std::optional<Path>> kPathTokens[] = {
+    {"scalar", Path::kScalar}, {"avx2", Path::kAvx2}, {"auto", std::nullopt}};
+
+// The path HALFGNN_SIMD asks for (nullopt = auto). Throws
+// std::invalid_argument naming the variable on any other value. The path is
+// resolved before main(), where a malformed value runs auto; Device's
+// constructor and Device::check_env() reject it.
+std::optional<Path> requested_path();
 
 // If `active` is a prefix mask whose n lanes index base, base+1, ..,
 // base+n-1, return n; otherwise 0. The branch-free inner compare loop keeps

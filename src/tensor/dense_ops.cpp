@@ -373,13 +373,10 @@ void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
   }
 }
 
-// f16 axpby with its elements split over the pool. Out of line, so that it
-// does not perturb the codegen of axpby's f32 and bf16 loops: with two NaN
-// operands their payloads follow the operand order the compiler picks,
-// which differs between -O2 and -O3 builds and between the vector body and
-// the scalar tail, so those loops stay serial and as they are.
-[[gnu::noinline]] void h_axpby_pooled(const MTensor& x, float alpha,
-                                      MTensor& y, float beta) {
+// f16 axpby with its elements split over the pool. The f32 and bf16 loops
+// stay serial: they pin their operand order with ordered_fmul/ordered_fadd
+// (alpha * x's NaN payload wins, as in hfma), which keeps them scalar.
+void h_axpby_pooled(const MTensor& x, float alpha, MTensor& y, float beta) {
   const auto n = static_cast<std::int64_t>(y.numel());
   for_ranges(n, kElementAlign, n * kElementWork,
              [&](std::int64_t begin, std::int64_t end) {
@@ -593,11 +590,14 @@ void axpby(const MTensor& x, float alpha, MTensor& y, float beta,
   if (x.numel() != y.numel() || x.dtype() != y.dtype()) {
     throw std::invalid_argument("axpby: shape/dtype mismatch");
   }
+  // With two NaN operands alpha * x's payload wins on every path, build and
+  // length (DESIGN.md §13).
   if (x.dtype() == Dtype::kF32) {
     auto ys = y.f();
     auto xs = x.f();
     for (std::size_t i = 0; i < ys.size(); ++i) {
-      ys[i] = alpha * xs[i] + beta * ys[i];
+      ys[i] = ordered_fadd(ordered_fmul(alpha, xs[i]),
+                           ordered_fmul(beta, ys[i]));
     }
   } else if (x.dtype() == Dtype::kF16) {
     // Device-style: each op rounds in half.
@@ -606,8 +606,9 @@ void axpby(const MTensor& x, float alpha, MTensor& y, float beta,
     auto ys = y.b();
     auto xs = x.b();
     for (std::size_t i = 0; i < ys.size(); ++i) {
-      // bf16 fma: exact f32 multiply-add, one rounding at the store.
-      ys[i] = bf16_t(alpha * xs[i].to_float() + beta * ys[i].to_float());
+      // bf16: f32 multiply-add, one bf16 rounding at the store.
+      ys[i] = bf16_t(ordered_fadd(ordered_fmul(alpha, xs[i].to_float()),
+                                  ordered_fmul(beta, ys[i].to_float())));
     }
   }
   if (ledger != nullptr) ledger->add_elementwise(x.bytes() * 3);
@@ -689,15 +690,11 @@ double masked_accuracy(const MTensor& logits, std::span<const int> labels,
     if (mask[static_cast<std::size_t>(r)] != expect) continue;
     count += 1;
     int argmax = 0;
-    bool any_nan = false;
-    for (int j = 0; j < valid_classes; ++j) {
-      const float v = logits.get(r, j);
-      if (std::isnan(v)) any_nan = true;
-      if (v > logits.get(r, argmax)) argmax = j;
-    }
     // NaN logits never beat the running max, so argmax degenerates to
     // column 0 — accuracy collapses toward chance, as in Fig. 1c.
-    (void)any_nan;
+    for (int j = 0; j < valid_classes; ++j) {
+      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
+    }
     correct += argmax == labels[static_cast<std::size_t>(r)];
   }
   return count > 0 ? correct / count : 0.0;

@@ -25,6 +25,7 @@
 #include "obs/trace.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
+#include "simt/simd.hpp"
 #include "util/rng.hpp"
 
 namespace hg::check {
@@ -233,10 +234,11 @@ TEST(CheckLint, GrammarTablesMatchTheRealParsers) {
     }
   }
   const std::vector<GrammarTable> tables = grammar_tables();
-  ASSERT_EQ(tables.size(), 3u);
+  ASSERT_EQ(tables.size(), 4u);
   EXPECT_EQ(tables[0].tokens.size(), std::size(obs::prof::kProfTokens));
   EXPECT_EQ(tables[1].tokens.size(), std::size(simt::kSanTokens));
   EXPECT_EQ(tables[2].tokens.size(), simt::FaultConfig::kinds().size());
+  EXPECT_EQ(tables[3].tokens.size(), std::size(simt::simd::kPathTokens));
 }
 
 TEST(CheckLint, DocDriftIsDetected) {
@@ -351,6 +353,31 @@ TEST(CheckVerdict, Int8HeadroomAndBinaryPopcountAreSafeOnTheHub) {
       }
     }
     EXPECT_TRUE(saw_ptq_spmm) << dtype_name(dt);
+  }
+}
+
+// GAT's backward SpMM over the attention weights is A^T x: the runtime
+// permutes the weights through the reverse-edge permutation, then runs an
+// ordinary SpMM, and the concrete track must evaluate the same product.
+// Swapping source and destination as well computes A x, whose largest value
+// on reddit-sim's second layer is 73x below the runtime's (past the 64x
+// grad_slack envelope), and the rank-1 updates of the attention vectors
+// then read SAFE.
+TEST(CheckVerdict, GatTransposedSpmmIsTheRuntimeProduct) {
+  const Dataset reddit = make_dataset(DatasetId::kReddit);
+  CheckConfig cfg;
+  cfg.model = nn::ModelKind::kGat;
+  cfg.mode = nn::SystemMode::kHalfGnn;
+  const CheckResult r = analyze(reddit, cfg);
+  for (const std::string site : {"L2.bwd.rank1.al", "L2.bwd.rank1.ar"}) {
+    const SiteVerdict* axpby = nullptr;
+    for (const SiteVerdict& v : r.verdicts) {
+      if (v.active && v.site == site && v.op == "axpby") axpby = &v;
+    }
+    ASSERT_NE(axpby, nullptr) << site;
+    EXPECT_EQ(axpby->kernel, "host_axpby_f16") << site;
+    EXPECT_EQ(axpby->verdict, Verdict::kNeedsScaling)
+        << site << ": " << axpby->reason;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "graph/generators.hpp"
 #include "kernels/reference.hpp"
@@ -11,6 +12,8 @@
 #include "nn/kernel_table.hpp"
 #include "nn/sparse_dispatch.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "simt/fault.hpp"
 #include "tensor/dense_ops.hpp"
 
 namespace hg::nn {
@@ -333,6 +336,118 @@ TEST(SparseDispatch, LatticeDtypesTrackTheF32Spmm) {
       EXPECT_NEAR(yq.get(i, j), f, 0.03 + 0.05 * std::abs(f)) << i;
       EXPECT_TRUE(std::isfinite(y1.get(i, j))) << i;
     }
+  }
+}
+
+// The byte counts of the dtype_convert events the tracer recorded, in
+// order (each conversion advances the modeled clock).
+std::vector<std::uint64_t> traced_conversions() {
+  std::vector<std::uint64_t> out;
+  const obs::Json doc = obs::tracer().chrome_trace_json();
+  for (const obs::Json& e : doc.find("traceEvents")->items()) {
+    if (e.find("name")->as_string() != "dtype_convert") continue;
+    out.push_back(static_cast<std::uint64_t>(
+        e.find("args")->find("bytes")->as_double()));
+  }
+  return out;
+}
+
+// DGL-half's promoted ops under a retried launch: the seg_reduce sum, exp
+// and the guard's level-1 spmm convert their operands to f32 in a fixed
+// order (spmm the weights, then the features; exp the row values, then the
+// edge values) and the result back to f16. An attempt whose launch dies
+// has already converted its operands; the retry converts them again, and
+// every conversion is charged and traced.
+TEST(SparseDispatch, PromotedOpsReconvertOnEveryRetriedAttempt) {
+  Fixture fx(25);
+  Rng rng(26);
+  const std::int64_t n = fx.csr.num_vertices;
+  const std::int64_t m = fx.csr.num_edges();
+  const int feat = 16;
+  const auto filled = [&rng](std::int64_t rows, std::int64_t cols) {
+    MTensor t = MTensor::f16(rows, cols);
+    for (auto& v : t.h()) v = half_t(rng.next_float() * 2 - 1);
+    return t;
+  };
+  const MTensor x = filled(n, feat);
+  const MTensor w = filled(m, 1);
+  const MTensor vals = filled(m, 1);
+  const MTensor rowv = filled(n, 1);
+  const auto f16_bytes = [](std::int64_t k) {
+    return static_cast<std::uint64_t>(2 * k);
+  };
+  const auto f32_bytes = [](std::int64_t k) {
+    return static_cast<std::uint64_t>(4 * k);
+  };
+
+  struct Case {
+    const char* launch;   // the kernel the injector fails
+    const char* counter;  // the dispatch.<op>.<label> counter
+    std::function<MTensor(const SparseCtx&)> call;
+    std::vector<std::uint64_t> converts;  // one attempt's, in order
+  };
+  const std::vector<Case> cases{
+      {"edge_segreduce_f32", "dispatch.seg_reduce.edge_segment_reduce_f32",
+       [&](const SparseCtx& c) {
+         return seg_reduce(c, *fx.g, vals, kernels::SegReduce::kSum);
+       },
+       {f16_bytes(m), f32_bytes(n)}},
+      {"edge_expsub_f32", "dispatch.edge_exp.edge_exp_sub_row_f32",
+       [&](const SparseCtx& c) {
+         return edge_exp_sub_row(c, *fx.g, vals, rowv);
+       },
+       {f16_bytes(n), f16_bytes(m), f32_bytes(m)}},
+      {"spmm_cusparse_f32", "dispatch.spmm.spmm_cusparse_f32",
+       [&](const SparseCtx& c) {
+         return spmm(c, *fx.g, &w, x, kernels::Reduce::kSum);
+       },
+       {f16_bytes(m), f16_bytes(n * feat), f32_bytes(n * feat)}},
+  };
+  for (const Case& c : cases) {
+    simt::Device dev(simt::a100_spec(), 1);
+    // Every second matching launch fails: the first call passes, the
+    // second call's first attempt dies and its retry passes.
+    dev.set_faults(simt::FaultConfig::parse(
+        std::string("launchfail:every=2,kernel=") + c.launch));
+    simt::Stream stream(dev);
+    GuardConfig gcfg;
+    gcfg.enabled = true;
+    gcfg.overflow_streak = 1;
+    TrainGuard guard(gcfg);
+    // One non-finite output moves spmm to its promoted f32 level.
+    guard.observe_output("spmm", /*nonfinite=*/true, 3, "spmm_cusparse_f32");
+    SparseCtx ctx;
+    ctx.stream = &stream;
+    ctx.mode = SystemMode::kDglHalf;
+    ctx.guard = &guard;
+
+    // The retried call: the dead attempt's operands, then a whole attempt.
+    std::vector<std::uint64_t> retried(c.converts.begin(),
+                                       c.converts.end() - 1);
+    retried.insert(retried.end(), c.converts.begin(), c.converts.end());
+    const std::vector<std::uint64_t> expected[] = {c.converts, retried};
+    for (int call = 0; call < 2; ++call) {
+      CostLedger ledger;
+      ctx.ledger = &ledger;
+      obs::tracer().reset();
+      obs::tracer().set_enabled(true);
+      obs::registry().reset();
+      obs::registry().set_enabled(true);
+      const MTensor out = c.call(ctx);
+      obs::tracer().set_enabled(false);
+      obs::registry().set_enabled(false);
+      EXPECT_EQ(out.dtype(), Dtype::kF16) << c.launch;
+      EXPECT_EQ(traced_conversions(), expected[call])
+          << c.launch << " call " << call;
+      EXPECT_EQ(ledger.conversions, expected[call].size())
+          << c.launch << " call " << call;
+      // Every attempt announces its entry.
+      EXPECT_EQ(obs::registry().counter_value(c.counter), call + 1.0)
+          << c.launch << " call " << call;
+      EXPECT_EQ(guard.retries(), call) << c.launch;
+    }
+    obs::tracer().reset();
+    obs::registry().reset();
   }
 }
 

@@ -17,8 +17,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -37,6 +41,43 @@ namespace {
 
 namespace simd = hg::simt::simd;
 using simd::Lanes;
+
+// HALFGNN_SIMD reads one token of kPathTokens, trimmed; unset or empty is
+// auto. Anything else throws naming the variable, from Device::check_env()
+// (train_cli exits 2) and from Device's constructor, like the other env
+// grammars; only the resolution before main() falls back to auto.
+TEST(SimdPath, EnvGrammarIsStrict) {
+  std::optional<std::string> saved;
+  if (const char* prev = std::getenv(simd::kEnv)) saved = prev;
+  for (const auto& t : simd::kPathTokens) {
+    ::setenv(simd::kEnv, std::string(t.token).c_str(), 1);
+    EXPECT_EQ(simd::requested_path(), t.value) << t.token;
+  }
+  ::setenv(simd::kEnv, " scalar ", 1);
+  EXPECT_EQ(simd::requested_path(), simd::Path::kScalar);
+  ::setenv(simd::kEnv, "", 1);
+  EXPECT_EQ(simd::requested_path(), std::nullopt);
+  for (const char* bad : {"avx3", "AVX2", "avx2,scalar", "scalar x", "1"}) {
+    ::setenv(simd::kEnv, bad, 1);
+    for (const auto& check :
+         {std::function<void()>([] { (void)simd::requested_path(); }),
+          std::function<void()>([] { Device::check_env(); }),
+          std::function<void()>([] { Device dev(a100_spec(), 1); })}) {
+      try {
+        check();
+        ADD_FAILURE() << "accepted HALFGNN_SIMD=" << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("HALFGNN_SIMD: ", 0), 0u)
+            << e.what();
+      }
+    }
+  }
+  if (saved) {
+    ::setenv(simd::kEnv, saved->c_str(), 1);
+  } else {
+    ::unsetenv(simd::kEnv);
+  }
+}
 
 // Every test body runs with the avx2 table active (the scalar reference is
 // called directly through simd::scalar::), and restores the process path on

@@ -368,40 +368,42 @@ TEST(DenseSimd, ElementwiseOpsIdenticalAcrossPaths) {
   }
 }
 
+// A quiet NaN whose payload p survives storage in dt, as a float.
+float quiet_nan(Dtype dt, std::uint32_t p) {
+  MTensor t = MTensor::zeros(dt, 1, 1);
+  switch (dt) {
+    case Dtype::kF16:
+      t.h()[0] = half_t::from_bits(static_cast<std::uint16_t>(0x7E00u | p));
+      break;
+    case Dtype::kBf16:
+      t.b()[0] = bf16_t::from_bits(static_cast<std::uint16_t>(0x7FC0u | p));
+      break;
+    default:
+      t.f()[0] = std::bit_cast<float>(0x7FC00000u | (p << 16));
+      break;
+  }
+  return t.get(0, 0);
+}
+
+MTensor filled(Dtype dt, std::int64_t rows, std::int64_t cols, float v) {
+  MTensor t = MTensor::zeros(dt, rows, cols);
+  t.fill(v);
+  return t;
+}
+
 // When both operands of a float add or mul are NaN, the first source's
 // payload wins. Each dense op keeps the operand order its historical loop
 // compiled to (DESIGN.md Sec. 13), on every dtype and both paths: bias + x,
 // s * x, out + x, and gemm's a * b then product + sum.
 TEST(DenseOps, PinnedOperandOrderPicksTheNanPayload) {
-  // A quiet NaN whose payload p survives storage in dt, as a float.
-  auto nan = [](Dtype dt, std::uint32_t p) {
-    MTensor t = MTensor::zeros(dt, 1, 1);
-    switch (dt) {
-      case Dtype::kF16:
-        t.h()[0] = half_t::from_bits(static_cast<std::uint16_t>(0x7E00u | p));
-        break;
-      case Dtype::kBf16:
-        t.b()[0] = bf16_t::from_bits(static_cast<std::uint16_t>(0x7FC0u | p));
-        break;
-      default:
-        t.f()[0] = std::bit_cast<float>(0x7FC00000u | (p << 16));
-        break;
-    }
-    return t.get(0, 0);
-  };
-  auto filled = [](Dtype dt, std::int64_t rows, std::int64_t cols, float v) {
-    MTensor t = MTensor::zeros(dt, rows, cols);
-    t.fill(v);
-    return t;
-  };
   const std::int64_t cols = 9;  // one vector step plus a remainder
   for_each_path([&](simd::Path) {
     for (const Dtype dt : {Dtype::kF32, Dtype::kF16, Dtype::kBf16}) {
       const std::string what =
           std::string(dtype_name(dt)) + " " + simd::path_name();
-      const float x_nan = nan(dt, 0x11);
-      const float y_nan = nan(dt, 0x22);
-      const float f32_nan = nan(Dtype::kF32, 0x33);
+      const float x_nan = quiet_nan(dt, 0x11);
+      const float y_nan = quiet_nan(dt, 0x22);
+      const float f32_nan = quiet_nan(Dtype::kF32, 0x33);
 
       MTensor x = filled(dt, 2, cols, x_nan);
       add_bias_rows(x, filled(Dtype::kF32, 1, cols, f32_nan), nullptr);
@@ -425,11 +427,32 @@ TEST(DenseOps, PinnedOperandOrderPicksTheNanPayload) {
       a.set(0, 0, x_nan);
       a.set(0, 1, y_nan);
       MTensor b = filled(dt, 2, cols, 1.0f);
-      for (std::int64_t c = 0; c < cols; ++c) b.set(1, c, nan(dt, 0x3F));
+      for (std::int64_t c = 0; c < cols; ++c) {
+        b.set(1, c, quiet_nan(dt, 0x3F));
+      }
       MTensor c32 = MTensor::f32(1, cols);
       gemm(a, false, b, false, c32, nullptr);
       expect_same_bits(filled(Dtype::kF32, 1, cols, y_nan), c32,
                        "gemm " + what);
+    }
+  });
+}
+
+// axpby is alpha * x + beta * y with alpha * x the add's first source:
+// with two NaN operands x's payload wins at every length (a vector body
+// and a scalar tail would pick by codegen), on every dtype and both paths.
+TEST(DenseOps, AxpbyTwoNanPayloadIsXsAtEveryLength) {
+  for_each_path([&](simd::Path) {
+    for (const Dtype dt : {Dtype::kF32, Dtype::kBf16, Dtype::kF16}) {
+      const float x_nan = quiet_nan(dt, 0x11);
+      const float y_nan = quiet_nan(dt, 0x22);
+      for (std::int64_t n = 1; n <= 1000; ++n) {
+        MTensor y = filled(dt, 1, n, y_nan);
+        axpby(filled(dt, 1, n, x_nan), 0.5f, y, -0.25f, nullptr);
+        expect_same_bits(filled(dt, 1, n, x_nan), y,
+                         std::string(dtype_name(dt)) + " " +
+                             simd::path_name() + " n=" + std::to_string(n));
+      }
     }
   });
 }
