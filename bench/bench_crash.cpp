@@ -153,6 +153,14 @@ Cell run_watchdog_cell(const Dataset& d, const nn::TrainConfig& base) {
 }
 
 int run(const std::string& path) {
+  // The cells' checkpoint directories sit next to the report, and the
+  // checkpoint store creates missing parents: check the report's directory
+  // before any cell can create it.
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  if (!parent.empty() && !std::filesystem::is_directory(parent)) {
+    return fail(kBench, "cannot write " + path);
+  }
   Dataset d = make_dataset(DatasetId::kCora);
   ensure_features(d);
   const int epochs = epochs_override(quick_mode() ? 8 : 12);

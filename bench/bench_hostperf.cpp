@@ -20,7 +20,11 @@
 // softmax chain — the kernels with a fused train path — get forced-scalar
 // train rows and same-run *_train_simd_ratio summaries the same way.
 // spmm_halfgnn also gets its arithmetic floor (one h2_spmm_run per CSR row)
-// and the same-run spmm_halfgnn_train_floor_ratio.
+// and the same-run spmm_halfgnn_train_floor_ratio, both measured on the
+// avx2 tier so the gate reads the same kernel overheads on every host.
+// Where the avx512 tier runs, gemm_avx512_ratio and spmm_avx512_ratio are
+// its same-run times over avx2's for the X*W GEMM and the 1-thread spmm
+// train kernel; they are left out where it does not.
 //
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
 #include <algorithm>
@@ -30,6 +34,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -225,13 +230,38 @@ int run(const std::string& path) {
   }
   t.report().summary("spmm_halfgnn_profiled_host_ms", spmm_profiled_ms);
 
+  // Same-run time of `c` on the avx512 tier over its time on avx2, both
+  // measured alternately 2 x reps times (minimum of each); nullopt when
+  // either tier is unavailable. Restores the active path.
+  const auto avx512_ratio = [&](const Case& c) -> std::optional<double> {
+    using simt::simd::Path;
+    if (!simt::simd::available(Path::kAvx2) ||
+        !simt::simd::available(Path::kAvx512)) {
+      return std::nullopt;
+    }
+    const Path active = simt::simd::active_path();
+    double avx2_ms = std::numeric_limits<double>::infinity();
+    double avx512_ms = avx2_ms;
+    for (int r = 0; r < 2 * reps; ++r) {
+      simt::simd::set_path(Path::kAvx2);
+      avx2_ms = std::min(avx2_ms, measure(c, false, 1).host_ms);
+      simt::simd::set_path(Path::kAvx512);
+      avx512_ms = std::min(avx512_ms, measure(c, false, 1).host_ms);
+    }
+    simt::simd::set_path(active);
+    return avx512_ms / avx2_ms;
+  };
+
   // The spmm_halfgnn case's arithmetic floor: its graph, width, reduce and
   // weights as one h2_spmm_run per CSR row, with no partition, merge or
   // follow-up launch. spmm_halfgnn_train_floor_ratio is the train kernel's
   // time over the floor's, both on one host thread (the floor is serial),
   // alternating 8 x reps times, minimum of each: the two sides are only
   // ~1.5x apart, and a run under ctest's parallel load needs that many
-  // draws for both minima to land in quiet stretches.
+  // draws for both minima to land in quiet stretches. Both run on the avx2
+  // tier (scalar where it is missing): avx512's floor is ~6.7x faster while
+  // the kernel's partition, merge and launch work is not, so on avx512 the
+  // same kernel reads ~2.0 instead of ~1.15.
   {
     simt::Device dev1(simt::a100_spec(), 1);
     simt::Stream stream1(dev1);
@@ -258,14 +288,23 @@ int run(const std::string& path) {
                      [&](bool) { return run_floor(); }};
     double kernel_ms = std::numeric_limits<double>::infinity();
     double floor_ms = kernel_ms;
+    const simt::simd::Path active = simt::simd::active_path();
+    simt::simd::set_path(simt::simd::Path::kAvx2);
     for (int r = 0; r < 8 * reps; ++r) {
       kernel_ms = std::min(kernel_ms, measure(train1, false, 1).host_ms);
       floor_ms = std::min(floor_ms, measure(floor, false, 1).host_ms);
     }
+    simt::simd::set_path(active);
     t.row("spmm_halfgnn_floor train",
           {floor_ms, static_cast<double>(m) / (floor_ms / 1e3), kNaN, kNaN});
     t.report().summary("spmm_halfgnn_train_floor_ratio",
                        floor_ms > 0 ? kernel_ms / floor_ms : kNaN);
+    // A summary value must be a number: obs::Json writes NaN as 0, which
+    // the gate would read as a perfect ratio, so an absent tier leaves the
+    // key out.
+    if (const auto r = avx512_ratio(train1)) {
+      t.report().summary("spmm_avx512_ratio", *r);
+    }
   }
 
   // Dense GEMM rows. edges/s and lane-ops/s do not apply; modeled_ms is
@@ -310,6 +349,9 @@ int run(const std::string& path) {
     t.row("gemm_xw_f16_scalar", {scalar_ms, kNaN, kNaN, kNaN});
     t.report().summary("gemm_simd_ratio",
                        scalar_ms > 0 ? xw_ms / scalar_ms : kNaN);
+    if (const auto r = avx512_ratio(gemms[0])) {
+      t.report().summary("gemm_avx512_ratio", *r);
+    }
   }
   t.finish(
       "=== Host perf: wall ms simulating each kernel family (profiled vs "

@@ -1,13 +1,15 @@
 // Runtime path selection for the lane-batched warp interpreter.
 //
-// HALFGNN_SIMD=scalar forces the reference per-lane loops; =avx2 demands the
-// vector path (falling back with a note if this build/CPU lacks it); =auto
-// (or unset) picks the fastest available. Resolved once before main() so a
-// launch never observes a path change mid-flight.
+// HALFGNN_SIMD=scalar forces the reference per-lane loops; =avx2 demands
+// the vector path (falling back with a note if this build/CPU lacks it);
+// =auto (or unset) picks the widest tier available: avx512, avx2 or scalar.
+// Resolved once before main() so a launch never observes a path change
+// mid-flight.
 #include "simt/simd.hpp"
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -16,8 +18,7 @@ namespace hg::simt::simd {
 namespace {
 
 constexpr SimdOps kScalarOps = {
-    "scalar",
-    false,
+    Path::kScalar,
     &scalar::cvt_h2f,
     &scalar::cvt_f2h,
     &scalar::h2_term_accum,
@@ -58,9 +59,32 @@ const SimdOps* avx2_ops_or_null() noexcept;
 static const SimdOps* avx2_ops_or_null() noexcept { return nullptr; }
 #endif
 
-bool avx2_available() noexcept { return avx2_ops_or_null() != nullptr; }
+#ifdef HALFGNN_SIMD_AVX512
+// Defined in simd_avx512.cpp; returns nullptr when the executing CPU lacks
+// AVX-512 F/BW/VL/FP16 or the avx2 tier the table is built on.
+const SimdOps* avx512_ops_or_null() noexcept;
+#else
+static const SimdOps* avx512_ops_or_null() noexcept { return nullptr; }
+#endif
 
 namespace {
+
+const SimdOps* ops_or_null(Path p) noexcept {
+  switch (p) {
+    case Path::kScalar: return &kScalarOps;
+    case Path::kAvx2: return avx2_ops_or_null();
+    case Path::kAvx512: return avx512_ops_or_null();
+  }
+  return nullptr;
+}
+
+// The widest available tier; scalar always is.
+const SimdOps* widest() noexcept {
+  for (auto it = std::rbegin(kPaths); it != std::rend(kPaths); ++it) {
+    if (const SimdOps* o = ops_or_null(*it)) return o;
+  }
+  return &kScalarOps;
+}
 
 // Runs before main(), so it cannot throw.
 const SimdOps* resolve_from_env() noexcept {
@@ -70,17 +94,18 @@ const SimdOps* resolve_from_env() noexcept {
   } catch (const std::invalid_argument&) {
     want = std::nullopt;  // auto; a Device rejects the value
   }
-  if (want == Path::kScalar) return &kScalarOps;
-  if (const SimdOps* avx2 = avx2_ops_or_null()) return avx2;
-  if (want == Path::kAvx2) {
-    std::fprintf(stderr,
-                 "halfgnn: HALFGNN_SIMD=avx2 requested but the AVX2/F16C "
-                 "path is unavailable in this build/CPU; using scalar\n");
-  }
+  if (!want) return widest();
+  if (const SimdOps* o = ops_or_null(*want)) return o;
+  std::fprintf(stderr,
+               "halfgnn: HALFGNN_SIMD=%s requested but that path is "
+               "unavailable in this build/CPU; using scalar\n",
+               path_name(*want));
   return &kScalarOps;
 }
 
 }  // namespace
+
+bool available(Path p) noexcept { return ops_or_null(p) != nullptr; }
 
 std::optional<Path> requested_path() {
   const char* env = std::getenv(kEnv);
@@ -110,13 +135,9 @@ namespace {
 }  // namespace
 
 bool set_path(Path p) noexcept {
-  if (p == Path::kScalar) {
-    detail::g_ops.store(&kScalarOps, std::memory_order_relaxed);
-    return true;
-  }
-  const SimdOps* avx2 = avx2_ops_or_null();
-  if (avx2 == nullptr) return false;
-  detail::g_ops.store(avx2, std::memory_order_relaxed);
+  const SimdOps* o = ops_or_null(p);
+  if (o == nullptr) return false;
+  detail::g_ops.store(o, std::memory_order_relaxed);
   return true;
 }
 

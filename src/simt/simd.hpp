@@ -1,12 +1,13 @@
-// Lane-batched SIMD execution of warp arithmetic (host-side AVX2/F16C).
+// Lane-batched SIMD execution of warp arithmetic (host-side AVX2/F16C and
+// AVX-512 FP16).
 //
 // The warp-centric kernels manipulate 32-lane register arrays whose inner
 // loops are structure-of-arrays by construction: 32 half2 terms multiplied
 // by a broadcast edge weight, 32 float axpys into a feature accumulator,
 // 16-wide butterfly combines. This header defines a small set of *lane
-// primitives* covering exactly those loops, with two interchangeable
-// implementations. The same table also carries the dense host path: the
-// GEMM micro-kernel and the f16 storage loops of tensor/dense_ops.cpp.
+// primitives* covering exactly those loops, with three interchangeable
+// implementations (tiers). The same table also carries the dense host path:
+// the GEMM micro-kernel and the f16 storage loops of tensor/dense_ops.cpp.
 //
 //   scalar  — the executable reference spec. Each primitive is the verbatim
 //             per-lane loop the kernels used to inline, built on the same
@@ -18,16 +19,23 @@
 //             vcvtps2ph, packed arithmetic in float domain with an
 //             in-register half round-trip wherever the scalar op rounds,
 //             and bit-preserving compare+blend for max selects.
+//   avx512  — the avx2 table with two entries replaced
+//             (src/simt/simd_avx512.cpp): gemm_panel as a zmm tile whose
+//             terms are single FMAs where kGemmExact says the product is
+//             exact, and h2_spmm_run in native FP16 arithmetic (vaddph /
+//             vmulph / vcmpph), which rounds to half exactly like avx2's
+//             float image. Needs AVX-512 F/BW/VL/FP16 at run time.
 //
-// The two paths are required to be bit-identical on every input (NaN
+// The paths are required to be bit-identical on every input (NaN
 // payloads, signed zeros, subnormals included); tests/simt/simd_test.cpp
 // property-tests that, and tests/half covers the conversion batches over
 // all 2^16 half values. Cost accounting is not done here — kernels charge
 // Warp::alu()/smem_access() unchanged, so the cost model cannot diverge
 // between paths (DESIGN.md Sec. 13).
 //
-// Path selection: HALFGNN_SIMD=scalar|avx2|auto (default auto) resolved
-// once at process start (kPathTokens); simd::set_path() overrides it
+// Path selection: HALFGNN_SIMD=scalar|avx2|auto (default auto, the widest
+// tier this build and CPU run: avx512 where it exists) resolved once at
+// process start (kPathTokens); simd::set_path() overrides it
 // programmatically (config-time only — never while a launch is in flight).
 #pragma once
 
@@ -65,8 +73,27 @@ inline constexpr unsigned kHasScale = 16u;
 inline constexpr std::size_t kGemmRows = 4;  // rows of C per call
 inline constexpr int kGemmCols = 16;         // column tile; n is a multiple
 inline constexpr unsigned kGemmFirst = 1u;  // start each sum at +0.0f
+// Every value of the A slice and the B panel is the f32 image of a finite
+// half. Each product then has at most 22 significant bits and a magnitude
+// in [2^-48, 2^32), so it is exact in f32 and one FMA rounds like the
+// separate mul and add. Only the avx512 tier reads the flag, so gemm_rows
+// checks its panels for it only there; the other tiers ignore it.
+inline constexpr unsigned kGemmExact = 2u;
 
-enum class Path { kScalar = 0, kAvx2 = 1 };
+// The tiers, narrowest first; a wider tier runs only where the build and
+// the CPU have it.
+enum class Path { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+inline constexpr Path kPaths[] = {Path::kScalar, Path::kAvx2, Path::kAvx512};
+
+// A tier's name (the BENCH simd meta value).
+constexpr const char* path_name(Path p) noexcept {
+  switch (p) {
+    case Path::kScalar: return "scalar";
+    case Path::kAvx2: return "avx2";
+    case Path::kAvx512: return "avx512";
+  }
+  return "?";
+}
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations
@@ -317,7 +344,7 @@ inline void h2_sddmm_run(half_t* out, const half2* a, const half2* b,
 //   c[r*ldc + j] = sum over kk < kc, ascending, of a[r*lda+kk] * b[kk*ldb+j]
 // as separate mul and add (product first). The sum starts from +0.0f with
 // kGemmFirst and from c otherwise (the exact f32 partial of the previous
-// k-block). n is a multiple of kGemmCols.
+// k-block). n is a multiple of kGemmCols. kGemmExact changes no bit.
 inline void gemm_panel(float* c, std::size_t ldc, const float* a,
                        std::size_t lda, const float* b, std::size_t ldb,
                        int kc, int n, unsigned flags) {
@@ -398,8 +425,7 @@ inline void h_relu_backward(half_t* grad, const std::uint8_t* mask,
 // Dispatch table
 // ---------------------------------------------------------------------------
 struct SimdOps {
-  const char* name;  // "scalar" | "avx2" (BENCH simd column value)
-  bool vector;       // true when memcpy/vector fast paths should engage
+  Path path;  // the tier; every one but scalar engages the vector fast paths
 
   void (*cvt_h2f)(const std::uint16_t*, float*, int);
   void (*cvt_f2h)(const float*, std::uint16_t*, int);
@@ -451,24 +477,26 @@ inline const SimdOps& ops() noexcept {
   return *detail::g_ops.load(std::memory_order_relaxed);
 }
 
-// True when the vectorized path is active (gates the contiguity fast paths
-// in Warp so HALFGNN_SIMD=scalar runs the historical code verbatim).
-inline bool vector_enabled() noexcept { return ops().vector; }
+inline Path active_path() noexcept { return ops().path; }
 
-inline const char* path_name() noexcept { return ops().name; }
-inline Path active_path() noexcept {
-  return vector_enabled() ? Path::kAvx2 : Path::kScalar;
+// True when a vector tier is active (gates the contiguity fast paths in
+// Warp so HALFGNN_SIMD=scalar runs the historical code verbatim).
+inline bool vector_enabled() noexcept {
+  return active_path() != Path::kScalar;
 }
 
+inline const char* path_name() noexcept { return path_name(active_path()); }
+
 // Compiled in AND executable on this CPU.
-bool avx2_available() noexcept;
+bool available(Path p) noexcept;
 
 // Select a path; returns false (and leaves the path unchanged) if the
 // requested path is unavailable. Config-time only.
 bool set_path(Path p) noexcept;
 
-// HALFGNN_SIMD's spellings; auto (also unset or empty) picks avx2 when the
-// build and CPU support it.
+// HALFGNN_SIMD's spellings; auto (also unset or empty) picks the widest
+// available tier. avx512 has no spelling of its own: wherever it runs it
+// is the widest, so auto picks it.
 inline constexpr char kEnv[] = "HALFGNN_SIMD";
 inline constexpr util::Token<std::optional<Path>> kPathTokens[] = {
     {"scalar", Path::kScalar}, {"avx2", Path::kAvx2}, {"auto", std::nullopt}};

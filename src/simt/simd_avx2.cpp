@@ -1229,8 +1229,7 @@ void h_relu_backward_avx2(half_t* grad, const std::uint8_t* mask,
 }
 
 constexpr SimdOps kAvx2Ops = {
-    "avx2",
-    true,
+    Path::kAvx2,
     &cvt_h2f_avx2,
     &cvt_f2h_avx2,
     &h2_term_accum_avx2,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <limits>
@@ -191,6 +192,16 @@ void store_c(MTensor& c, std::int64_t i0, std::int64_t rows, const float* sums,
   }
 }
 
+// True when no value of p[0..n) is Inf or NaN: an all-ones exponent field
+// is the only one that carries into bit 31 when one is added to it.
+bool all_finite(const float* p, std::int64_t n) {
+  std::uint32_t carry = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    carry |= (std::bit_cast<std::uint32_t>(p[i]) & 0x7F800000u) + 0x00800000u;
+  }
+  return (carry & 0x80000000u) == 0;
+}
+
 std::int64_t gemm_padded_cols(std::int64_t n) {
   return (n + simd::kGemmCols - 1) / simd::kGemmCols * simd::kGemmCols;
 }
@@ -201,6 +212,9 @@ std::int64_t gemm_padded_cols(std::int64_t n) {
 // cuBLAS, so an overflowed gradient reaches the GradScaler even behind ReLU
 // zeros. Nothing an element's bits depend on (its k-order, the k-block
 // boundaries, the one rounding at the store) depends on the row range.
+// On the avx512 tier, the only one that reads kGemmExact (simd.hpp), f16
+// panels whose values are all finite go to the micro-kernel with the flag,
+// which lets it fuse each term into one FMA; other tiers skip the scans.
 template <class T>
 void gemm_rows(const T* a, bool trans_a, const T* b, bool trans_b, MTensor& c,
                std::int64_t m, std::int64_t n, std::int64_t k,
@@ -215,21 +229,32 @@ void gemm_rows(const T* a, bool trans_a, const T* b, bool trans_b, MTensor& c,
   float* bpanel = reserve(scratch.b, static_cast<std::size_t>(kc_max * np));
   float* sums = reserve(scratch.c, static_cast<std::size_t>(mc_max * np));
   const auto& ops = simd::ops();
+  const bool scan =
+      std::is_same_v<T, half_t> && ops.path == simd::Path::kAvx512;
+  bool b_finite = false;
   for (std::int64_t i0 = row0; i0 < row1; i0 += kMc) {
     const std::int64_t mb = std::min(kMc, row1 - i0);
     for (std::int64_t kb = 0; kb < n_kb; ++kb) {
       const std::int64_t k0 = kb * kKc;
       const std::int64_t kc = std::min(kKc, k - k0);
       // A single k-block's panel serves every row block.
-      if (n_kb > 1 || i0 == row0) pack_b(b, trans_b, k, n, k0, kc, bpanel, np);
-      const unsigned flags = kb == 0 ? simd::kGemmFirst : 0u;
+      if (n_kb > 1 || i0 == row0) {
+        pack_b(b, trans_b, k, n, k0, kc, bpanel, np);
+        b_finite = scan && all_finite(bpanel, kc * np);
+      }
+      const unsigned first = kb == 0 ? simd::kGemmFirst : 0u;
       for (std::int64_t r0 = 0; r0 < mb; r0 += kRows) {
-        pack_a(a, trans_a, m, k, i0 + r0, std::min(kRows, mb - r0), k0, kc,
-               apanel, kc_max);
+        const std::int64_t rows = std::min(kRows, mb - r0);
+        pack_a(a, trans_a, m, k, i0 + r0, rows, k0, kc, apanel, kc_max);
+        bool exact = b_finite;  // rows past `rows` are zeros
+        for (std::int64_t r = 0; exact && r < rows; ++r) {
+          exact = all_finite(apanel + r * kc_max, kc);
+        }
         ops.gemm_panel(sums + r0 * np, static_cast<std::size_t>(np), apanel,
                        static_cast<std::size_t>(kc_max), bpanel,
                        static_cast<std::size_t>(np), static_cast<int>(kc),
-                       static_cast<int>(np), flags);
+                       static_cast<int>(np),
+                       first | (exact ? simd::kGemmExact : 0u));
       }
     }
     store_c(c, i0, mb, sums, np);

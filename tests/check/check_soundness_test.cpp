@@ -23,17 +23,7 @@ namespace {
 
 constexpr int kEpochs = 2;
 
-struct ThreadSimd {
-  int threads;
-  simt::simd::Path path;
-};
-
-constexpr ThreadSimd kSweep[] = {
-    {1, simt::simd::Path::kScalar},  {1, simt::simd::Path::kAvx2},
-    {2, simt::simd::Path::kScalar},  {2, simt::simd::Path::kAvx2},
-    {7, simt::simd::Path::kScalar},  {7, simt::simd::Path::kAvx2},
-    {16, simt::simd::Path::kScalar}, {16, simt::simd::Path::kAvx2},
-};
+constexpr int kThreads[] = {1, 2, 7, 16};
 
 // Restores the ambient SIMD path when a sweep leg finishes.
 class PathGuard {
@@ -50,13 +40,13 @@ void expect_contained(const Dataset& data, nn::ModelKind model,
                       int threads, simt::simd::Path path) {
   PathGuard guard;
   if (!simt::simd::set_path(path)) {
-    return;  // this build/CPU has no AVX2 leg; the scalar legs still run
+    return;  // this build/CPU lacks the tier; the scalar legs still run
   }
   const std::string tag =
       std::string(nn::model_name(model)) + "/" + nn::mode_name(mode) + "/" +
       (dtype ? std::string(dtype_name(*dtype)) : std::string("mode-dtype")) +
-      "/t" + std::to_string(threads) +
-      (path == simt::simd::Path::kAvx2 ? "/avx2" : "/scalar");
+      "/t" + std::to_string(threads) + "/" +
+      simt::simd::path_name(path);
 
   CheckConfig ccfg;
   ccfg.model = model;
@@ -100,10 +90,12 @@ void expect_contained(const Dataset& data, nn::ModelKind model,
 void sweep_model(nn::ModelKind model) {
   const Dataset cora = make_dataset(DatasetId::kCora);
   for (const Dtype dt : all_dtypes()) {
-    for (const ThreadSimd& ts : kSweep) {
-      expect_contained(cora, model, nn::SystemMode::kHalfGnn, dt,
-                       ts.threads, ts.path);
-      if (::testing::Test::HasFatalFailure()) return;
+    for (const int threads : kThreads) {
+      for (const simt::simd::Path path : simt::simd::kPaths) {
+        expect_contained(cora, model, nn::SystemMode::kHalfGnn, dt, threads,
+                         path);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

@@ -20,29 +20,18 @@
 
 #include "half/half.hpp"
 #include "simt/simd.hpp"
+#include "tier_test.hpp"
 
 namespace hg {
 namespace {
 
 namespace simd = simt::simd;
 
-class CvtBatch : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prev_ = simd::active_path();
-    if (!simd::set_path(simd::Path::kAvx2)) {
-      GTEST_SKIP() << "AVX2/F16C path unavailable in this build/CPU";
-    }
-  }
-  void TearDown() override {
-    if (!IsSkipped()) simd::set_path(prev_);
-  }
+// Each test runs once per vector tier.
+using CvtBatch = tier_test::Tier<simd::Path::kAvx2>;
+using CvtBatchAvx512 = tier_test::Tier<simd::Path::kAvx512>;
 
- private:
-  simd::Path prev_ = simd::Path::kScalar;
-};
-
-TEST_F(CvtBatch, H2FExhaustiveAllBitPatterns) {
+HG_TIER_TEST(CvtBatch, CvtBatchAvx512, H2FExhaustiveAllBitPatterns) {
   // Every one of the 65536 half values through one vectorized batch, in
   // order, bit-compared against the scalar table-based reference.
   std::vector<std::uint16_t> in(65536);
@@ -66,7 +55,7 @@ TEST_F(CvtBatch, H2FExhaustiveAllBitPatterns) {
   EXPECT_TRUE(std::isnan(ref[0x7E00]));
 }
 
-TEST_F(CvtBatch, F2HDenseRoundToNearestEvenSweep) {
+HG_TIER_TEST(CvtBatch, CvtBatchAvx512, F2HDenseRoundToNearestEvenSweep) {
   // The floats whose RNE rounding is delicate: every exact half value,
   // every midpoint between adjacent halves (ties-to-even), and a nudge to
   // either side of each midpoint. ~4 floats per half value, all 2^16 of
@@ -107,7 +96,7 @@ TEST_F(CvtBatch, F2HDenseRoundToNearestEvenSweep) {
   }
 }
 
-TEST_F(CvtBatch, F2HRandomFloatBits) {
+HG_TIER_TEST(CvtBatch, CvtBatchAvx512, F2HRandomFloatBits) {
   // A large random sample of raw float bit patterns — covers float
   // subnormals, out-of-range exponents, and NaN payload classes the dense
   // sweep's half-derived values can't reach.

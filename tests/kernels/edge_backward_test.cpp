@@ -120,8 +120,7 @@ TEST(EdgeBackward, PinnedOperandOrderPicksTheNanPayload) {
   Rng rng(4);
   const TestGraph t = make_er(150, 700, rng);
   const simt::simd::Path prev = simt::simd::active_path();
-  for (const auto path :
-       {simt::simd::Path::kScalar, simt::simd::Path::kAvx2}) {
+  for (const auto path : simt::simd::kPaths) {
     if (!simt::simd::set_path(path)) continue;
     for (const bool profiled : {true, false}) {
       expect_payloads<float>(t, profiled);

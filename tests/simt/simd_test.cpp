@@ -1,11 +1,11 @@
 // Property tests for the lane-batched SIMD warp interpreter (simt/simd.hpp).
 //
-// The avx2 dispatch table must be bit-identical to the scalar reference
-// spec on every primitive, for every input class the kernels can produce:
-// randomized lane masks, NaN payloads, infinities, subnormals, signed
-// zeros, misaligned spans, and lengths that are not a multiple of the
-// vector width. On top of the per-primitive sweeps, whole kernels are run
-// under both paths and must produce byte-identical outputs and
+// Each vector tier's dispatch table must be bit-identical to the scalar
+// reference spec on every primitive, for every input class the kernels
+// can produce: randomized lane masks, NaN payloads, infinities,
+// subnormals, signed zeros, misaligned spans, and lengths that are not a
+// multiple of the vector width. On top of the per-primitive sweeps, whole kernels are run
+// under every tier and must produce byte-identical outputs and
 // field-for-field identical KernelStats — the accounting contract that
 // lets HALFGNN_SIMD flip without perturbing a single modeled number — and
 // the fused fast path (train mode, hooks disarmed) must match the unfused
@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <random>
@@ -25,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -34,6 +37,7 @@
 #include "kernels/spmm_cusparse_like.hpp"
 #include "kernels/spmm_halfgnn.hpp"
 #include "simt/simt.hpp"
+#include "tier_test.hpp"
 #include "util/aligned.hpp"
 
 namespace hg::simt {
@@ -79,24 +83,29 @@ TEST(SimdPath, EnvGrammarIsStrict) {
   }
 }
 
-// Every test body runs with the avx2 table active (the scalar reference is
-// called directly through simd::scalar::), and restores the process path on
-// exit so the rest of the test binary sees whatever HALFGNN_SIMD chose.
-class SimdAvx2 : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prev_ = simd::active_path();
-    if (!simd::set_path(simd::Path::kAvx2)) {
-      GTEST_SKIP() << "AVX2/F16C path unavailable in this build/CPU";
-    }
+// auto (HALFGNN_SIMD unset or empty) picks the widest tier both this build
+// and this CPU run. The printed line tells a CI log which tier is active.
+TEST(SimdPath, AutoPicksTheWidestAvailableTier) {
+  simd::Path widest = simd::Path::kScalar;
+  for (const simd::Path p : simd::kPaths) {
+    if (simd::available(p)) widest = p;
   }
-  void TearDown() override {
-    if (!IsSkipped()) simd::set_path(prev_);
+  // Every test restores the path it found, so the path resolved at startup
+  // is still active.
+  if (!simd::requested_path()) {
+    EXPECT_EQ(simd::active_path(), widest) << simd::path_name(widest);
   }
+  std::printf("the %s tier is active\n", simd::path_name());
+}
 
- private:
-  simd::Path prev_ = simd::Path::kScalar;
-};
+// Every test body runs with a vector tier's table active (the scalar
+// reference is called directly through simd::scalar::), and restores the
+// process path on exit so the rest of the test binary sees whatever
+// HALFGNN_SIMD chose. The per-primitive sweeps run once per vector tier
+// (HG_TIER_TEST); the whole-kernel tests compare every tier against scalar
+// inside one test (run_both_paths_and_compare).
+using SimdAvx2 = tier_test::Tier<simd::Path::kAvx2>;
+using SimdAvx512 = tier_test::Tier<simd::Path::kAvx512>;
 
 // Half bit patterns biased toward the special values where rounding and
 // select semantics can diverge: NaN payloads, +-Inf, subnormals, signed
@@ -183,7 +192,7 @@ void expect_f_eq(const float* a, const float* b, int n, const char* what,
 // span misaligned relative to any 32-byte vector boundary.
 constexpr int kLens[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 67};
 
-TEST_F(SimdAvx2, CvtBatchesMatchScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, CvtBatchesMatchScalar) {
   std::mt19937 rng(0xC4711u);
   for (int trial = 0; trial < 400; ++trial) {
     const int n = kLens[static_cast<std::size_t>(trial) % std::size(kLens)];
@@ -209,7 +218,7 @@ TEST_F(SimdAvx2, CvtBatchesMatchScalar) {
   }
 }
 
-TEST_F(SimdAvx2, H2TermAccumMatchesScalarForAllFlags) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, H2TermAccumMatchesScalarForAllFlags) {
   std::mt19937 rng(0x7E21u);
   for (int trial = 0; trial < 800; ++trial) {
     const int n = kLens[static_cast<std::size_t>(trial) % std::size(kLens)];
@@ -231,7 +240,7 @@ TEST_F(SimdAvx2, H2TermAccumMatchesScalarForAllFlags) {
   }
 }
 
-TEST_F(SimdAvx2, H2ScaleCombineFmaRmwMatchScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, H2ScaleCombineFmaRmwMatchScalar) {
   std::mt19937 rng(0x5CA1Eu);
   for (int trial = 0; trial < 800; ++trial) {
     const int n = kLens[static_cast<std::size_t>(trial) % std::size(kLens)];
@@ -270,9 +279,10 @@ TEST_F(SimdAvx2, H2ScaleCombineFmaRmwMatchScalar) {
 }
 
 // Every flag subset (identity start and post-scale included) over kLens,
-// which reaches ragged widths (half_f % 4 != 0) and more than one 8-group
-// pass; some runs are longer than 64 edges.
-TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
+// which reaches ragged widths (half_f % 4 != 0 for avx2's 8-half groups,
+// half_f % 16 != 0 for avx512's 32-half registers) and more than one pass
+// (8 groups, 4 registers); some runs are longer than 64 edges.
+HG_TIER_TEST(SimdAvx2, SimdAvx512, H2SpmmRunMatchesScalarAndUnfusedSequence) {
   std::mt19937 rng(0x59A3u);
   constexpr int kRows = 37;
   for (int trial = 0; trial < 1344; ++trial) {
@@ -294,13 +304,13 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
     std::vector<half2> acc0(static_cast<std::size_t>(half_f));
     for (auto& v : acc0) v = random_half2(rng);
     std::vector<half2> acc_scalar = acc0;
-    std::vector<half2> acc_avx2 = acc0;
+    std::vector<half2> acc_tier = acc0;
     std::vector<half2> acc_unfused = acc0;
 
     const half_t* wp = (flags & simd::kHasW) ? w.data() : nullptr;
     simd::scalar::h2_spmm_run(acc_scalar.data(), x.data(), cols.data(), wp,
                               pre, scale, half_f, n_edges, flags);
-    simd::ops().h2_spmm_run(acc_avx2.data(), x.data(), cols.data(), wp, pre,
+    simd::ops().h2_spmm_run(acc_tier.data(), x.data(), cols.data(), wp, pre,
                             scale, half_f, n_edges, flags);
     // The documented contract: identity fill, the per-edge h2_term_accum
     // sequence over each edge's contiguous feature row with its weight
@@ -324,14 +334,14 @@ TEST_F(SimdAvx2, H2SpmmRunMatchesScalarAndUnfusedSequence) {
     if (flags & simd::kHasScale) {
       simd::scalar::h2_scale(acc_unfused.data(), scale, half_f);
     }
-    expect_h2_eq(acc_scalar.data(), acc_avx2.data(), half_f, "h2_spmm_run",
+    expect_h2_eq(acc_scalar.data(), acc_tier.data(), half_f, "h2_spmm_run",
                  trial);
     expect_h2_eq(acc_scalar.data(), acc_unfused.data(), half_f,
                  "h2_spmm_run vs unfused", trial);
   }
 }
 
-TEST_F(SimdAvx2, HalfAndFloatAccumScaleMatchScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, HalfAndFloatAccumScaleMatchScalar) {
   std::mt19937 rng(0xACC5u);
   for (int trial = 0; trial < 800; ++trial) {
     const int n = kLens[static_cast<std::size_t>(trial) % std::size(kLens)];
@@ -387,7 +397,7 @@ TEST_F(SimdAvx2, HalfAndFloatAccumScaleMatchScalar) {
   }
 }
 
-TEST_F(SimdAvx2, MaskedFmaAndDotMatchScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, MaskedFmaAndDotMatchScalar) {
   std::mt19937 rng(0xD07u);
   for (int trial = 0; trial < 600; ++trial) {
     const std::uint32_t m = random_mask(rng, trial);
@@ -462,7 +472,7 @@ float random_special_float(std::mt19937& rng) {
 
 // The whole butterfly in one call: every power-of-two group width, every
 // mask class, add and max, over special-value lanes.
-TEST_F(SimdAvx2, GroupReduceMatchesScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, GroupReduceMatchesScalar) {
   std::mt19937 rng(0x5F1Eu);
   for (int trial = 0; trial < 1800; ++trial) {
     const int width = 1 << (trial % 6);  // 1, 2, 4, 8, 16, 32
@@ -505,7 +515,7 @@ TEST_F(SimdAvx2, GroupReduceMatchesScalar) {
 
 // One row of the fused segment reduce: lengths around the 8-lane registers
 // and the 32-lane chunks, sum and max, over special values.
-TEST_F(SimdAvx2, SegReduceRowMatchesScalar) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, SegReduceRowMatchesScalar) {
   std::mt19937 rng(0x5E9u);
   constexpr int kNs[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40,
                          63, 64, 65, 100};
@@ -532,7 +542,7 @@ TEST_F(SimdAvx2, SegReduceRowMatchesScalar) {
 // unfused sub-warp sequence (gather into lanes, h2_dot_mask per chunk,
 // group_reduce_h2, h2reduce_add). Rows are exact-size allocations, so a
 // load past the last row's end is a heap overflow.
-TEST_F(SimdAvx2, H2SddmmRunMatchesScalarAndUnfusedSequence) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, H2SddmmRunMatchesScalarAndUnfusedSequence) {
   std::mt19937 rng(0x5DD3u);
   constexpr int kFvecs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32,
                             33, 36, 64, 66};
@@ -605,7 +615,7 @@ TEST_F(SimdAvx2, H2SddmmRunMatchesScalarAndUnfusedSequence) {
   }
 }
 
-TEST_F(SimdAvx2, AccessCountsMatchReference) {
+HG_TIER_TEST(SimdAvx2, SimdAvx512, AccessCountsMatchReference) {
   std::mt19937 rng(0xACCEu);
   const std::size_t elem_sizes[] = {2, 4, 8, 16};
   for (int trial = 0; trial < 2000; ++trial) {
@@ -624,6 +634,62 @@ TEST_F(SimdAvx2, AccessCountsMatchReference) {
     ASSERT_EQ(got.active, ref.active) << "trial " << trial;
     ASSERT_EQ(got.sectors, ref.sectors) << "trial " << trial;
     ASSERT_EQ(got.unique_elems, ref.unique_elems) << "trial " << trial;
+  }
+}
+
+// The avx512 row-run steps in native half, avx2's in the f32 image of each
+// half op; the two agree on all 2^32 operand pairs of every step: the
+// accumulate (a + b, a as src1), the max select (a < b ? b : a), the scale
+// (a * s) and the edge weight's product (x * w, then added to the +0
+// identity). Each call pairs all 65536 half values of one operand with one
+// value of the other.
+TEST_F(SimdAvx512, H2SpmmRunMatchesAvx2OnAllHalfPairs) {
+  const simd::SimdOps& native = simd::ops();
+  ASSERT_TRUE(simd::set_path(simd::Path::kAvx2));  // TearDown restores
+  const simd::SimdOps& image = simd::ops();
+  constexpr int kHalfF = 32768;  // 65536 halves
+  std::vector<half2> all(kHalfF);
+  for (std::uint32_t i = 0; i < 65536; ++i) {
+    std::uint16_t bits = static_cast<std::uint16_t>(i);
+    std::memcpy(reinterpret_cast<std::uint16_t*>(all.data()) + i, &bits,
+                sizeof(bits));
+  }
+  struct Step {
+    const char* name;
+    unsigned flags;
+    int n_edges;
+    bool x_is_all;  // else acc holds all values and x the broadcast one
+  };
+  constexpr Step kSteps[] = {
+      {"add", 0, 1, false},
+      {"max", simd::kIsMax, 1, false},
+      {"scale", simd::kHasScale, 0, false},
+      {"weight", simd::kFromIdentity | simd::kHasW, 1, true}};
+  const std::int32_t col0 = 0;
+  std::vector<half2> row(kHalfF);
+  std::vector<half2> got(kHalfF);
+  std::vector<half2> want(kHalfF);
+  for (std::uint32_t b = 0; b < 65536; ++b) {
+    const half_t hb = half_t::from_bits(static_cast<std::uint16_t>(b));
+    const half2 bb = half2::broadcast(hb);
+    std::fill(row.begin(), row.end(), bb);
+    for (const Step& st : kSteps) {
+      const half2* x = st.x_is_all ? all.data() : row.data();
+      for (auto* out : {&got, &want}) *out = all;
+      native.h2_spmm_run(got.data(), x, &col0, &hb, half2(1.0f, 1.0f), bb,
+                         kHalfF, st.n_edges, st.flags);
+      image.h2_spmm_run(want.data(), x, &col0, &hb, half2(1.0f, 1.0f), bb,
+                        kHalfF, st.n_edges, st.flags);
+      if (std::memcmp(got.data(), want.data(), kHalfF * sizeof(half2)) == 0) {
+        continue;
+      }
+      const auto* g = reinterpret_cast<const std::uint16_t*>(got.data());
+      const auto* w = reinterpret_cast<const std::uint16_t*>(want.data());
+      std::size_t i = 0;
+      while (g[i] == w[i]) ++i;
+      FAIL() << st.name << ": operands 0x" << std::hex << i << ", 0x" << b
+             << ": avx512 0x" << g[i] << ", avx2 0x" << w[i];
+    }
   }
 }
 
@@ -705,13 +771,21 @@ void run_both_paths_and_compare(const char* what, RunFn run) {
     return r;
   };
   const simd::Path prev = simd::active_path();
-  const Result s = run_path(simd::Path::kScalar);
-  const Result v = run_path(simd::Path::kAvx2);
+  std::vector<std::pair<simd::Path, Result>> runs;  // scalar first
+  for (const simd::Path p : simd::kPaths) {
+    if (simd::available(p)) runs.emplace_back(p, run_path(p));
+  }
   simd::set_path(prev);
 
-  expect_stats_eq(s.profiled, v.profiled, what);
-  ASSERT_EQ(s.profiled_bits, v.profiled_bits) << what << " profiled output";
-  ASSERT_EQ(s.train_bits, v.train_bits) << what << " train output";
+  const Result& s = runs.front().second;
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const Result& v = runs[i].second;
+    const std::string tier =
+        std::string(what) + " " + simd::path_name(runs[i].first);
+    expect_stats_eq(s.profiled, v.profiled, tier.c_str());
+    ASSERT_EQ(s.profiled_bits, v.profiled_bits) << tier << " profiled output";
+    ASSERT_EQ(s.train_bits, v.train_bits) << tier << " train output";
+  }
   // Fused fast path (train, hooks disarmed) vs unfused per-access
   // (profiled): the math must be bit-identical, only the bookkeeping may
   // differ. Checked per path via transitivity with the cross-path asserts.

@@ -428,8 +428,8 @@ void check_atomics_bit_for_bit(std::uint32_t seed) {
 
 TEST(SimtAtomics, MatchLaneSerialLoopBitForBitOnEveryPath) {
   const simd::Path prev = simd::active_path();
-  for (const simd::Path p : {simd::Path::kScalar, simd::Path::kAvx2}) {
-    if (!simd::set_path(p)) continue;  // avx2 unavailable here
+  for (const simd::Path p : simd::kPaths) {
+    if (!simd::set_path(p)) continue;  // tier unavailable here
     SCOPED_TRACE(simd::path_name());
     check_atomics_bit_for_bit<float>(0xA701u);
     check_atomics_bit_for_bit<half_t>(0xA702u);

@@ -1,13 +1,13 @@
 // Property tests for the dense host path's SIMD entries (simt/simd.hpp:
 // gemm_panel and the f16 storage loops of tensor/dense_ops.cpp).
 //
-// The avx2 bodies must give the scalar reference bodies' bits on every
-// input, special values included: NaN payloads of both signs (quiet and
-// signaling), +-Inf, subnormals and signed zeros. Each dense op is also run
-// end to end under both paths via simd::set_path, as simd_test.cpp does for
-// the warp interpreter, and the blocked GEMM is checked against plain
-// summation (materialize op(A) and op(B) as f32, sum in increasing k with
-// product + sum).
+// Each vector tier's bodies must give the scalar reference bodies' bits on
+// every input, special values included: NaN payloads of both signs (quiet
+// and signaling), +-Inf, subnormals and signed zeros. Each dense op is also
+// run end to end under every tier via simd::set_path, as simd_test.cpp
+// does for the warp interpreter, and the blocked GEMM is checked against
+// plain summation (materialize op(A) and op(B) as f32, sum in increasing k
+// with product + sum).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -69,48 +69,58 @@ MTensor reference_gemm(const MTensor& a, bool ta, const MTensor& b, bool tb,
 }
 
 // ---------------------------------------------------------------------------
-// Entry level: avx2 body vs scalar body
+// Entry level: each vector tier's body vs the scalar body
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kLens[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67};
 
+// kGemmExact cases draw A and B from finite halves, which is what the flag
+// promises; the others from the full special-value mix.
 TEST(DenseSimd, GemmPanelMatchesScalarBitForBit) {
-  if (!avx2()) GTEST_SKIP() << "AVX2/F16C path unavailable";
+  if (!simd::available(simd::Path::kAvx2)) {
+    GTEST_SKIP() << "the avx2 tier is unavailable in this build/CPU";
+  }
   std::mt19937 rng(101);
-  const simd::Path prev = simd::active_path();
-  ASSERT_TRUE(simd::set_path(simd::Path::kAvx2));
-  const auto& vec = simd::ops();
-  for (const int kc : {0, 1, 2, 7, 64, 257}) {
-    for (const int n : {16, 32, 48}) {
-      for (unsigned flags = 0; flags <= simd::kGemmFirst; ++flags) {
-        for (int trial = 0; trial < 4; ++trial) {
-          const bool finite_b = trial % 2 == 0;
-          const std::size_t lda = static_cast<std::size_t>(kc) + 3;
-          const std::size_t ldb = static_cast<std::size_t>(n) + 16;
-          const std::size_t ldc = static_cast<std::size_t>(n) + 5;
-          std::vector<float> a(simd::kGemmRows * lda);
-          std::vector<float> b(static_cast<std::size_t>(kc) * ldb + 1);
-          std::vector<float> c0(simd::kGemmRows * ldc);
-          for (auto& v : a) v = special_float(rng);
-          for (auto& v : b) v = special_float(rng, finite_b);
-          for (auto& v : c0) v = special_float(rng);
-          std::vector<float> cs = c0;
-          std::vector<float> cv = c0;
-          simd::scalar::gemm_panel(cs.data(), ldc, a.data(), lda, b.data(),
-                                   ldb, kc, n, flags);
-          vec.gemm_panel(cv.data(), ldc, a.data(), lda, b.data(), ldb, kc, n,
-                         flags);
-          for (std::size_t i = 0; i < cs.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(cs[i]),
-                      std::bit_cast<std::uint32_t>(cv[i]))
-                << "kc " << kc << " n " << n << " flags " << flags
-                << " trial " << trial << " elem " << i;
+  for_each_vector_path([&](simd::Path) {
+    const auto& vec = simd::ops();
+    for (const int kc : {0, 1, 2, 7, 64, 257}) {
+      for (const int n : {16, 32, 48, 64}) {
+        for (unsigned flags = 0;
+             flags <= (simd::kGemmFirst | simd::kGemmExact); ++flags) {
+          const bool exact = (flags & simd::kGemmExact) != 0;
+          auto value = [&](bool finite) {
+            return exact ? special_half(rng, true).to_float()
+                         : special_float(rng, finite);
+          };
+          for (int trial = 0; trial < 4; ++trial) {
+            const bool finite_b = trial % 2 == 0;
+            const std::size_t lda = static_cast<std::size_t>(kc) + 3;
+            const std::size_t ldb = static_cast<std::size_t>(n) + 16;
+            const std::size_t ldc = static_cast<std::size_t>(n) + 5;
+            std::vector<float> a(simd::kGemmRows * lda);
+            std::vector<float> b(static_cast<std::size_t>(kc) * ldb + 1);
+            std::vector<float> c0(simd::kGemmRows * ldc);
+            for (auto& v : a) v = value(false);
+            for (auto& v : b) v = value(finite_b);
+            for (auto& v : c0) v = special_float(rng);
+            std::vector<float> cs = c0;
+            std::vector<float> cv = c0;
+            simd::scalar::gemm_panel(cs.data(), ldc, a.data(), lda, b.data(),
+                                     ldb, kc, n, flags);
+            vec.gemm_panel(cv.data(), ldc, a.data(), lda, b.data(), ldb, kc,
+                           n, flags);
+            for (std::size_t i = 0; i < cs.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(cs[i]),
+                        std::bit_cast<std::uint32_t>(cv[i]))
+                  << simd::path_name() << " kc " << kc << " n " << n
+                  << " flags " << flags << " trial " << trial << " elem "
+                  << i;
+            }
           }
         }
       }
     }
-  }
-  simd::set_path(prev);
+  });
 }
 
 // Why deleting GEMM's zero-skip moved no finite result: with every B value
@@ -151,11 +161,8 @@ TEST(DenseSimd, GemmPanelSkipIsInvisibleOnFiniteB) {
   });
 }
 
-TEST(DenseSimd, ElementwiseEntriesMatchScalarBitForBit) {
-  if (!avx2()) GTEST_SKIP() << "AVX2/F16C path unavailable";
-  std::mt19937 rng(107);
-  const simd::Path prev = simd::active_path();
-  ASSERT_TRUE(simd::set_path(simd::Path::kAvx2));
+// The active tier's f16 storage entries against the scalar bodies.
+void elementwise_entries_match(std::mt19937& rng) {
   const auto& vec = simd::ops();
   auto halves = [&](std::size_t n) {
     // One element of lead-in so data() + 1 is misaligned for the vectors.
@@ -230,11 +237,18 @@ TEST(DenseSimd, ElementwiseEntriesMatchScalarBitForBit) {
       same(gs, gv, "h_relu_backward", n);
     }
   }
-  simd::set_path(prev);
+}
+
+TEST(DenseSimd, ElementwiseEntriesMatchScalarBitForBit) {
+  if (!simd::available(simd::Path::kAvx2)) {
+    GTEST_SKIP() << "the avx2 tier is unavailable in this build/CPU";
+  }
+  std::mt19937 rng(107);
+  for_each_vector_path([&](simd::Path) { elementwise_entries_match(rng); });
 }
 
 // ---------------------------------------------------------------------------
-// Op level: each dense op under both paths
+// Op level: each dense op under every tier
 // ---------------------------------------------------------------------------
 
 TEST(DenseSimd, GemmShapeSweepMatchesReferenceOnBothPaths) {
@@ -283,6 +297,51 @@ TEST(DenseSimd, GemmShapeSweepMatchesReferenceOnBothPaths) {
   }
 }
 
+// One f16 GEMM whose k-blocks alternate between finite values and values
+// planted with Inf, NaN and zeros, so a call runs both the exact-product
+// tile (kGemmExact) and the separate mul and add, gives reference_gemm's
+// bits on every tier. A tier that fused the terms of a non-finite block
+// into FMAs would keep an accumulated NaN where the separate ops return the
+// default NaN of a later 0 * Inf term.
+TEST(DenseSimd, MixedFiniteAndSpecialKBlocksMatchReference) {
+  constexpr std::int64_t kBlock = 256;  // dense_ops.cpp's k-block
+  const std::int64_t m = 37;
+  const std::int64_t n = 40;
+  const std::int64_t k = 4 * kBlock + 100;
+  std::mt19937 rng(131);
+  // op(X)[r][kk] for an op(X) of `rows` x k: finite in even k-blocks.
+  auto fill = [&](MTensor& x, bool trans) {
+    for (std::int64_t i = 0; i < x.rows(); ++i) {
+      for (std::int64_t j = 0; j < x.cols(); ++j) {
+        const std::int64_t kk = trans ? i : j;
+        const bool finite = kk / kBlock % 2 == 0;
+        x.h()[static_cast<std::size_t>(i * x.cols() + j)] =
+            half_t::from_bits(special_half_bits(rng, finite));
+      }
+    }
+  };
+  for (int t = 0; t < 4; ++t) {
+    const bool ta = (t & 1) != 0;
+    const bool tb = (t & 2) != 0;
+    MTensor a = ta ? MTensor::f16(k, m) : MTensor::f16(m, k);
+    MTensor b = tb ? MTensor::f16(n, k) : MTensor::f16(k, n);
+    fill(a, ta);
+    fill(b, !tb);
+    for (const Dtype out : {Dtype::kF32, Dtype::kF16}) {
+      const MTensor want = reference_gemm(a, ta, b, tb, out);
+      for_each_path([&](simd::Path) {
+        MTensor c = MTensor::zeros(out, m, n);
+        gemm(a, ta, b, tb, c, nullptr);
+        expect_same_bits(want, c,
+                         std::string(simd::path_name()) + " ta" +
+                             std::to_string(ta) + " tb" + std::to_string(tb) +
+                             " " + std::string(dtype_name(out)));
+      });
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
 // A zero in A does not hide a non-finite B: 0 * Inf and -0 * NaN are NaN,
 // as in IEEE arithmetic and cuBLAS.
 TEST(DenseSimd, ZeroTimesNonFiniteIsNan) {
@@ -319,7 +378,9 @@ TEST(DenseSimd, ZeroTimesNonFiniteIsNan) {
 }
 
 TEST(DenseSimd, ElementwiseOpsIdenticalAcrossPaths) {
-  if (!avx2()) GTEST_SKIP() << "AVX2/F16C path unavailable";
+  if (!simd::available(simd::Path::kAvx2)) {
+    GTEST_SKIP() << "the avx2 tier is unavailable in this build/CPU";
+  }
   std::mt19937 rng(113);
   const std::pair<std::int64_t, std::int64_t> kShapes[] = {
       {1, 1}, {3, 5}, {7, 9}, {16, 16}, {33, 17}, {64, 64}, {100, 129}};
@@ -356,14 +417,18 @@ TEST(DenseSimd, ElementwiseOpsIdenticalAcrossPaths) {
         results.push_back(r);
         masks.push_back(mask);
       });
-      ASSERT_EQ(results.size(), 2u);
-      for (std::size_t i = 0; i < results[0].size(); ++i) {
-        expect_same_bits(results[0][i], results[1][i],
-                         "op " + std::to_string(i) + " " +
-                             std::string(dtype_name(dt)) + " " +
-                             std::to_string(rows) + "x" + std::to_string(cols));
+      ASSERT_GE(results.size(), 2u);  // scalar first, then each vector tier
+      for (std::size_t p = 1; p < results.size(); ++p) {
+        for (std::size_t i = 0; i < results[0].size(); ++i) {
+          expect_same_bits(results[0][i], results[p][i],
+                           "op " + std::to_string(i) + " " +
+                               std::string(dtype_name(dt)) + " " +
+                               std::to_string(rows) + "x" +
+                               std::to_string(cols) + " tier " +
+                               std::to_string(p));
+        }
+        EXPECT_EQ(masks[0], masks[p]);
       }
-      EXPECT_EQ(masks[0], masks[1]);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <span>
 #include <string>
@@ -21,18 +22,33 @@ namespace hg::dense_test {
 
 namespace simd = simt::simd;
 
-// Runs f(path) under the scalar path and, when available, the avx2 path;
+// Runs f(path) under every tier this build and CPU have, scalar first;
 // restores the process path afterwards.
 template <class F>
 inline void for_each_path(F&& f) {
   const simd::Path prev = simd::active_path();
-  for (const simd::Path p : {simd::Path::kScalar, simd::Path::kAvx2}) {
+  for (const simd::Path p : simd::kPaths) {
     if (simd::set_path(p)) f(p);
   }
   simd::set_path(prev);
 }
 
-inline bool avx2() { return simd::avx2_available(); }
+// Runs f(path) under each vector tier, naming on stdout each one this build
+// or CPU lacks; restores the process path afterwards.
+template <class F>
+inline void for_each_vector_path(F&& f) {
+  const simd::Path prev = simd::active_path();
+  for (const simd::Path p : simd::kPaths) {
+    if (p == simd::Path::kScalar) continue;
+    if (simd::set_path(p)) {
+      f(p);
+    } else {
+      std::printf("skipped the %s tier: unavailable in this build/CPU\n",
+                  simd::path_name(p));
+    }
+  }
+  simd::set_path(prev);
+}
 
 // A float from the special-value mix. `finite` leaves out Inf and NaN;
 // `sparse` makes the special classes rare (f32 subnormal arithmetic takes
