@@ -48,7 +48,7 @@ Cell run_cell(nn::ModelKind kind, const Dataset& d, double rate, bool guard,
   nn::TrainConfig cfg = nn::default_config(kind);
   cfg.epochs = epochs;
   cfg.stream = &stream;
-  cfg.guard.enabled = guard;
+  cfg.guard = guard;
 
   Cell c;
   c.rate = rate;

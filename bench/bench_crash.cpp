@@ -140,7 +140,7 @@ Cell run_watchdog_cell(const Dataset& d, const nn::TrainConfig& base) {
   simt::Stream stream(dev);
   nn::TrainConfig cfg = base;
   cfg.stream = &stream;
-  cfg.guard.enabled = true;
+  cfg.guard = true;
   nn::TrainResult res =
       nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg);
   c.retries = static_cast<std::uint64_t>(res.guard_retries);

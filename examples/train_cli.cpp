@@ -3,10 +3,7 @@
 //   usage: train_cli [--dataset 1..16] [--model gcn|gat|gin]
 //                    [--mode float|half|halfgnn] [--epochs N] [--lr F]
 //                    [--hidden N] [--seed N] [--profile[=<analyzers>]]
-//                    [--dtype f32|f16|bf16|i8|b1] [--verbose]
-//                    [--guard] [--guard-retry N] [--guard-interval N]
-//                    [--guard-ring N] [--guard-nan-streak N]
-//                    [--guard-overflow-streak N]
+//                    [--dtype f32|f16|bf16|i8|b1] [--verbose] [--guard]
 //
 //   e.g.   ./build/examples/train_cli --dataset 15 --model gcn
 //              --mode halfgnn --epochs 60 --profile
@@ -65,10 +62,7 @@ int usage(const char* argv0) {
       "usage: %s [--dataset 1..16] [--model gcn|gat|gin]\n"
       "          [--mode float|half|halfgnn] [--epochs N] [--lr F]\n"
       "          [--hidden N] [--seed N] [--dtype f32|f16|bf16|i8|b1]\n"
-      "          [--profile[=roofline|numerics|all]] [--verbose]\n"
-      "          [--guard] [--guard-retry N] [--guard-interval N]\n"
-      "          [--guard-ring N] [--guard-nan-streak N]\n"
-      "          [--guard-overflow-streak N]\n"
+      "          [--profile[=roofline|numerics|all]] [--verbose] [--guard]\n"
       "          [--ckpt-dir PATH] [--ckpt-every N] [--resume]\n",
       argv0);
   return 2;
@@ -151,17 +145,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (a == "--guard") {
-      cfg.guard.enabled = true;
-    } else if (a == "--guard-retry") {
-      if (!number(cfg.guard.retry_budget)) return usage(argv[0]);
-    } else if (a == "--guard-interval") {
-      if (!number(cfg.guard.checkpoint_interval)) return usage(argv[0]);
-    } else if (a == "--guard-ring") {
-      if (!number(cfg.guard.checkpoint_ring)) return usage(argv[0]);
-    } else if (a == "--guard-nan-streak") {
-      if (!number(cfg.guard.nan_streak)) return usage(argv[0]);
-    } else if (a == "--guard-overflow-streak") {
-      if (!number(cfg.guard.overflow_streak)) return usage(argv[0]);
+      cfg.guard = true;
     } else if (a == "--profile") {
       cfg.profile_first_epoch = true;
     } else if (a.rfind("--profile=", 0) == 0) {
@@ -248,7 +232,7 @@ int main(int argc, char** argv) {
               res.nan_loss_epochs, res.scaler_skipped);
   std::printf("memory (modeled)   : %.1f MB\n",
               static_cast<double>(res.memory.total()) / (1024 * 1024));
-  if (cfg.guard.enabled) {
+  if (cfg.guard) {
     std::printf(
         "guard              : %d retries, %d rollbacks, %d fallbacks "
         "(%d checkpoints)\n",

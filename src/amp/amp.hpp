@@ -26,6 +26,15 @@ namespace hg::amp {
 // the trainer must leave the GradScaler disengaged (scale pinned at 1).
 bool needs_loss_scaling(Dtype dt);
 
+// The loss-scaling policy: torch.cuda.amp's growth and backoff with this
+// repo's historical clamps, a floor of 1 (torch allows lower) and a cap.
+inline constexpr float kInitScale = 1024.0f;
+inline constexpr float kGrowth = 2.0f;
+inline constexpr float kBackoff = 0.5f;
+inline constexpr int kGrowthInterval = 200;  // clean steps between growths
+inline constexpr float kMinScale = 1.0f;
+inline constexpr float kMaxScale = 65536.0f;
+
 class GradScaler {
  public:
   // The loss-scale trajectory: everything update() changes. A checkpoint
@@ -45,28 +54,14 @@ class GradScaler {
     }
   };
 
-  // Defaults match torch.cuda.amp's growth policy with this repo's
-  // historical clamps: scale floor 1.0 (torch itself allows lower — pass a
-  // smaller min_scale to match), cap 65536.
-  explicit GradScaler(float init_scale = 1024.0f, float growth = 2.0f,
-                      float backoff = 0.5f, int growth_interval = 200,
-                      float min_scale = 1.0f, float max_scale = 65536.0f)
-      : growth_(growth),
-        backoff_(backoff),
-        growth_interval_(growth_interval),
-        min_scale_(min_scale),
-        max_scale_(max_scale) {
-    t_.scale = init_scale;
-  }
+  GradScaler() { t_.scale = kInitScale; }
 
   float scale() const noexcept { return t_.scale; }
-  float min_scale() const noexcept { return min_scale_; }
-  float max_scale() const noexcept { return max_scale_; }
 
-  // Force the scale (clamped to [min_scale, max_scale]) without touching
-  // the clean-step streak bookkeeping — the TrainGuard rollback path.
+  // Force the scale (clamped to [kMinScale, kMaxScale]) and restart the
+  // clean-step streak — the TrainGuard rollback path.
   void set_scale(float s) {
-    t_.scale = std::min(max_scale_, std::max(min_scale_, s));
+    t_.scale = std::min(kMaxScale, std::max(kMinScale, s));
     t_.clean_steps = 0;
   }
 
@@ -75,13 +70,13 @@ class GradScaler {
   bool update(bool found_nonfinite) {
     bool step = true;
     if (found_nonfinite) {
-      t_.scale = std::max(min_scale_, t_.scale * backoff_);
+      t_.scale = std::max(kMinScale, t_.scale * kBackoff);
       t_.clean_steps = 0;
       ++t_.skipped;
       step = false;
     } else {
-      if (++t_.clean_steps >= growth_interval_) {
-        t_.scale = std::min(max_scale_, t_.scale * growth_);
+      if (++t_.clean_steps >= kGrowthInterval) {
+        t_.scale = std::min(kMaxScale, t_.scale * kGrowth);
         t_.clean_steps = 0;
       }
       ++t_.stepped;
@@ -111,11 +106,6 @@ class GradScaler {
   void restore(Trajectory t) { t_ = std::move(t); }
 
  private:
-  float growth_;
-  float backoff_;
-  int growth_interval_;
-  float min_scale_;
-  float max_scale_;
   Trajectory t_;
 };
 

@@ -174,7 +174,7 @@ class Analyzer {
       nn::check_feature_widths(cfg.model, cfg.mode, req_, d.feat_dim,
                                cfg.hidden, out_dim_);
     }
-    wgrowth_ = static_cast<double>(cfg.epochs) * cfg.lr * cfg.adam_kappa;
+    wgrowth_ = static_cast<double>(cfg.epochs) * cfg.lr * kAdamKappa;
 
     rev_ = reverse_edge_permutation(d.csr);
     train_count_ = 0;
@@ -205,7 +205,7 @@ class Analyzer {
   // cushion absorbs storage rounding (f16 rounds at 2^-11 relative).
   double eff(const TV& t) const { return eff_unscaled(t) * scale_factor(t); }
   double eff_unscaled(const TV& t) const {
-    const double slack = t.grad ? cfg_.grad_slack : cfg_.act_slack;
+    const double slack = t.grad ? kGradSlack : kActSlack;
     double b = t.a.hi;
     if (cfg_.use_envelope) {
       b = std::min(b, std::max(t.c.maxabs(), 1e-30) * slack);
@@ -214,7 +214,7 @@ class Analyzer {
   }
   double scale_factor(const TV& t) const {
     double s = 1.0;
-    for (int i = 0; i < t.scale_deg; ++i) s *= cfg_.scaler_max;
+    for (int i = 0; i < t.scale_deg; ++i) s *= amp::kMaxScale;
     return s;
   }
   AbsVal effval(const TV& t, double bound) const {
@@ -336,7 +336,7 @@ class Analyzer {
       j.v = Verdict::kNeedsScaling;
       j.protection = "gradscaler";
       j.needed = std::ceil(prot / cap);
-      j.applied = cfg_.scaler_max;
+      j.applied = amp::kMaxScale;
       j.reason = "running gradient value " + fmt(prot) +
                  " can overflow at full loss scale; scaler backoff keeps "
                  "scale-1 bound " +
@@ -383,7 +383,7 @@ class Analyzer {
       j.v = Verdict::kNeedsScaling;
       j.protection = "gradscaler";
       j.needed = std::ceil(hi / cap);
-      j.applied = cfg_.scaler_max;
+      j.applied = amp::kMaxScale;
       j.reason = "stored gradient can overflow at full loss scale";
       return j;
     }

@@ -10,15 +10,15 @@
 //     cross-entropy, loss-scale multiplication), and
 //   * an exact f64 epoch-0 evaluation of the same graph on the real
 //     dataset and the real seed-derived initial weights, widened by the
-//     declared drift envelope (CheckConfig::act_slack / grad_slack /
-//     adam_kappa).
+//     declared drift envelope (kActSlack / kGradSlack / kAdamKappa).
 //
 // The predicted interval for a tensor or a kernel's store sites is the
-// pointwise min of the two tracks, times scaler_max for tensors that carry
-// the f16 loss scale. Verdicts per (layer, op, dtype, dispatch-chain
-// entry) come from the same bounds measured against the storage range and
-// the kernel's mean-scaling machinery, both read from the row the runtime
-// dispatches (nn/kernel_table.hpp):
+// pointwise min of the two tracks, times the GradScaler's cap
+// (amp::kMaxScale) for tensors that carry the f16 loss scale. Verdicts per
+// (layer, op, dtype, dispatch-chain entry) come from the same bounds
+// measured against the storage range and the kernel's mean-scaling
+// machinery, both read from the row the runtime dispatches
+// (nn/kernel_table.hpp):
 //
 //   SAFE           every running value and store fits the format
 //   NEEDS-SCALING  the unprotected reduction would overflow but the
@@ -54,6 +54,18 @@ enum class Verdict { kSafe, kNeedsScaling, kUnsafe };
 
 std::string_view verdict_name(Verdict v);  // "SAFE" | "NEEDS-SCALING" | "UNSAFE"
 
+// Declared envelope assumptions (DESIGN.md Sec. 15.3) — each one is
+// machine-checked dynamically by the soundness bridge:
+//   kAdamKappa: per-step parameter movement is bounded by kappa * lr
+//               (Adam's update is ~lr-sized; kappa absorbs bias
+//               correction and epsilon effects).
+//   kActSlack:  no activation magnitude grows past kActSlack x its
+//               epoch-0 value within the epoch budget.
+//   kGradSlack: same for gradients (looser: curvature moves grads more).
+inline constexpr double kAdamKappa = 4.0;
+inline constexpr double kActSlack = 4.0;
+inline constexpr double kGradSlack = 64.0;
+
 struct CheckConfig {
   nn::ModelKind model = nn::ModelKind::kGcn;
   nn::SystemMode mode = nn::SystemMode::kHalfGnn;
@@ -62,22 +74,10 @@ struct CheckConfig {
   float lr = 0.01f;
   int hidden = 64;
   std::uint64_t seed = 42;
-
-  // Declared envelope assumptions (DESIGN.md Sec. 15.3) — each one is
-  // machine-checked dynamically by the soundness bridge:
-  //   adam_kappa: per-step parameter movement is bounded by kappa * lr
-  //               (Adam's update is ~lr-sized; kappa absorbs bias
-  //               correction and epsilon effects).
-  //   act_slack:  no activation magnitude grows past act_slack x its
-  //               epoch-0 value within the epoch budget.
-  //   grad_slack: same for gradients (looser: curvature moves grads more).
-  double adam_kappa = 4.0;
-  double act_slack = 4.0;
-  double grad_slack = 64.0;
   // false: pure worst-case intervals only (no concrete track). Sound
-  // without assumptions, but too loose to separate the Fig. 1c regimes.
+  // without the envelope assumptions above, but too loose to separate the
+  // Fig. 1c regimes.
   bool use_envelope = true;
-  double scaler_max = 65536.0;  // GradScaler's range cap
 };
 
 // One verdict row: a reduction/store site crossed with one entry of its

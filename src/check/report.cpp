@@ -1,6 +1,7 @@
 // halfgnn-check-v1 report emission + validation for hgcheck results.
 #include <string>
 
+#include "amp/amp.hpp"
 #include "check/check.hpp"
 
 namespace hg::check {
@@ -41,10 +42,10 @@ obs::Json report_json(const CheckResult& r) {
   cfg.set("lr", static_cast<double>(r.cfg.lr));
   cfg.set("seed", static_cast<double>(r.cfg.seed));
   cfg.set("use_envelope", r.cfg.use_envelope);
-  cfg.set("act_slack", r.cfg.act_slack);
-  cfg.set("grad_slack", r.cfg.grad_slack);
-  cfg.set("adam_kappa", r.cfg.adam_kappa);
-  cfg.set("scaler_max", r.cfg.scaler_max);
+  cfg.set("act_slack", kActSlack);
+  cfg.set("grad_slack", kGradSlack);
+  cfg.set("adam_kappa", kAdamKappa);
+  cfg.set("scaler_max", static_cast<double>(amp::kMaxScale));
   doc.set("config", std::move(cfg));
 
   obs::Json g = obs::Json::object();

@@ -35,8 +35,8 @@ namespace hg::ckpt {
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 // One model snapshot: flat float copies of each Param's master / m / v
-// tensors plus the counters a rollback must restore. This is what
-// TrainGuard keeps `checkpoint_ring` of in memory.
+// tensors plus the counters a rollback must restore. The TrainGuard's
+// in-memory rollback ring holds these.
 struct ModelState {
   int epoch = 0;
   int adam_t = 0;

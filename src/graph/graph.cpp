@@ -65,20 +65,6 @@ Coo csr_to_coo(const Csr& csr) {
   return coo;
 }
 
-Csr transpose(const Csr& csr) {
-  Coo rev;
-  rev.num_vertices = csr.num_vertices;
-  rev.row.reserve(static_cast<std::size_t>(csr.num_edges()));
-  rev.col.reserve(static_cast<std::size_t>(csr.num_edges()));
-  for (vid_t v = 0; v < csr.num_vertices; ++v) {
-    for (vid_t u : csr.neighbors(v)) {
-      rev.row.push_back(u);
-      rev.col.push_back(v);
-    }
-  }
-  return coo_to_csr(rev);
-}
-
 Csr symmetrize(const Csr& csr) {
   Coo both;
   both.num_vertices = csr.num_vertices;
@@ -93,15 +79,6 @@ Csr symmetrize(const Csr& csr) {
     }
   }
   return coo_to_csr(both);
-}
-
-Csr add_self_loops(const Csr& csr) {
-  Coo coo = csr_to_coo(csr);
-  for (vid_t v = 0; v < csr.num_vertices; ++v) {
-    coo.row.push_back(v);
-    coo.col.push_back(v);
-  }
-  return coo_to_csr(coo);  // dedup drops loops that already existed
 }
 
 GraphStats compute_stats(const Csr& csr) {
@@ -180,14 +157,6 @@ std::vector<eid_t> reverse_edge_permutation(const Csr& csr) {
     }
   }
   return perm;
-}
-
-std::vector<float> degrees_f32(const Csr& csr) {
-  std::vector<float> d(static_cast<std::size_t>(csr.num_vertices));
-  for (vid_t v = 0; v < csr.num_vertices; ++v) {
-    d[static_cast<std::size_t>(v)] = static_cast<float>(csr.degree(v));
-  }
-  return d;
 }
 
 }  // namespace hg

@@ -54,16 +54,9 @@ Csr coo_to_csr(const Coo& coo);
 // Produces COO arrays in CSR traversal order (the kernel-facing layout).
 Coo csr_to_coo(const Csr& csr);
 
-// Reverse graph; for symmetric graphs transpose(g) == g structurally.
-Csr transpose(const Csr& csr);
-
 // Adds the reverse of every edge (then dedups). GNN benchmarks treat all
 // datasets as undirected, as DGL does for these workloads.
 Csr symmetrize(const Csr& csr);
-
-// Adds v->v for every vertex lacking one (GCN-style self loops; also
-// guarantees degree >= 1 so degree-norm never divides by zero).
-Csr add_self_loops(const Csr& csr);
 
 struct GraphStats {
   vid_t num_vertices = 0;
@@ -100,9 +93,6 @@ struct DegreeSummary {
 };
 
 DegreeSummary summarize_degrees(const Csr& csr);
-
-// Degrees as a dense array (float, for degree-norm tensors).
-std::vector<float> degrees_f32(const Csr& csr);
 
 // For a symmetric graph: perm[e] = index (in CSR edge order) of the
 // reverse of edge e. Needed to run SpMM/segment ops on the transpose while

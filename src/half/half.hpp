@@ -260,10 +260,6 @@ inline half_t hfma(half_t a, half_t b, half_t c) noexcept {
 }
 
 inline half_t hmax(half_t a, half_t b) noexcept { return a < b ? b : a; }
-inline half_t hmin(half_t a, half_t b) noexcept { return b < a ? b : a; }
-inline half_t habs(half_t a) noexcept {
-  return half_t::from_bits(static_cast<std::uint16_t>(a.bits() & 0x7FFFu));
-}
 
 // Numeric-range constants (paper Sec. 2.2).
 namespace half_limits {

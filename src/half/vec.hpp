@@ -140,9 +140,5 @@ inline half8 load_half8(const half_t* p) noexcept {
   std::memcpy(static_cast<void*>(&v), static_cast<const void*>(p), sizeof v);
   return v;
 }
-inline void store_half8(half_t* p, half8 v) noexcept {
-  assert(is_aligned_for(p, 16));
-  std::memcpy(static_cast<void*>(p), static_cast<const void*>(&v), sizeof v);
-}
 
 }  // namespace hg

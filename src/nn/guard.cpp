@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hg::nn {
-
-TrainGuard::TrainGuard(GuardConfig cfg) : cfg_(cfg) {}
 
 ckpt::ModelState capture_model_state(int epoch, int adam_t, float scale,
                                      const std::vector<Param*>& params) {
@@ -30,9 +29,37 @@ ckpt::ModelState capture_model_state(int epoch, int adam_t, float scale,
   return st;
 }
 
+void check_model_state(const ckpt::ModelState& st,
+                       const std::vector<Param*>& params,
+                       const std::string& what) {
+  const auto check = [&](const char* name,
+                         const std::vector<std::vector<float>>& saved) {
+    if (saved.size() != params.size()) {
+      throw std::invalid_argument(
+          "ckpt: " + what + " holds " + std::to_string(saved.size()) + " " +
+          name + " tensors, the model has " + std::to_string(params.size()) +
+          " params");
+    }
+    for (std::size_t i = 0; i < saved.size(); ++i) {
+      const std::size_t want = params[i]->master().f().size();
+      if (saved[i].size() != want) {
+        throw std::invalid_argument(
+            "ckpt: " + what + " " + name + "[" + std::to_string(i) +
+            "] holds " + std::to_string(saved[i].size()) +
+            " values, param " + std::to_string(i) + " has " +
+            std::to_string(want));
+      }
+    }
+  };
+  check("master", st.master);
+  check("m", st.m);
+  check("v", st.v);
+}
+
 void restore_model_state(const ckpt::ModelState& st,
                          const std::vector<Param*>& params) {
-  for (std::size_t i = 0; i < params.size() && i < st.master.size(); ++i) {
+  check_model_state(st, params, "model snapshot");
+  for (std::size_t i = 0; i < params.size(); ++i) {
     Param* p = params[i];
     std::copy(st.master[i].begin(), st.master[i].end(),
               p->master().f().begin());
@@ -55,7 +82,7 @@ void TrainGuard::count_retry(const std::string& site) {
   if (prof_ != nullptr) {
     prof_->audit("retry", site,
                  "simt::LaunchFault on attempt (budget " +
-                     std::to_string(cfg_.retry_budget) + ")");
+                     std::to_string(kRetryBudget) + ")");
   }
 }
 
@@ -72,7 +99,7 @@ void TrainGuard::observe_output(const std::string& site, bool nonfinite,
     s.streak = 0;
     return;
   }
-  if (++s.streak < std::max(1, cfg_.overflow_streak)) return;
+  if (++s.streak < kOverflowStreak) return;
   s.streak = 0;
   if (s.level >= chain_len - 1) return;  // already at the end of the chain
   ++s.level;
@@ -88,7 +115,7 @@ void TrainGuard::observe_output(const std::string& site, bool nonfinite,
   if (prof_ != nullptr) {
     prof_->audit("fallback", site,
                  "non-finite output streak reached " +
-                     std::to_string(std::max(1, cfg_.overflow_streak)) +
+                     std::to_string(kOverflowStreak) +
                      "; escalated to chain level " + std::to_string(s.level) +
                      (next_kernel.empty() ? std::string()
                                           : " (" + next_kernel + ")"));
@@ -98,15 +125,11 @@ void TrainGuard::observe_output(const std::string& site, bool nonfinite,
 void TrainGuard::maybe_checkpoint(int epoch,
                                   const std::vector<Param*>& params,
                                   const amp::GradScaler& scaler, int adam_t) {
-  if (cfg_.checkpoint_interval <= 0 ||
-      epoch % cfg_.checkpoint_interval != 0) {
-    return;
-  }
+  if (epoch % kCheckpointInterval != 0) return;
   if (!st_.last_loss_finite) return;  // a collapsing state is not worth keeping
   st_.ring.push_back(
       capture_model_state(epoch, adam_t, scaler.scale(), params));
-  while (static_cast<int>(st_.ring.size()) >
-         std::max(1, cfg_.checkpoint_ring)) {
+  while (static_cast<int>(st_.ring.size()) > kCheckpointRing) {
     st_.ring.pop_front();
   }
   ++st_.checkpoints;
@@ -119,7 +142,7 @@ bool TrainGuard::note_loss(double loss) {
     st_.nan_streak = 0;
     return false;
   }
-  if (++st_.nan_streak < std::max(1, cfg_.nan_streak)) return false;
+  if (++st_.nan_streak < kNanStreak) return false;
   st_.nan_streak = 0;
   return !st_.ring.empty();
 }
@@ -130,7 +153,7 @@ void TrainGuard::rollback(const std::vector<Param*>& params,
   const ckpt::ModelState& cp = st_.ring.back();
   restore_model_state(cp, params);
   adam_t = cp.adam_t;
-  scaler.set_scale(cp.scale * cfg_.rollback_scale_backoff);
+  scaler.set_scale(cp.scale * kRollbackScaleBackoff);
   ++st_.rollbacks;
   if (obs::registry().enabled()) {
     obs::registry().add_counter("guard.rollbacks");
@@ -145,7 +168,7 @@ void TrainGuard::rollback(const std::vector<Param*>& params,
   if (prof_ != nullptr) {
     prof_->audit("rollback", "loss",
                  "NaN-loss streak reached " +
-                     std::to_string(std::max(1, cfg_.nan_streak)) +
+                     std::to_string(kNanStreak) +
                      "; restored epoch " + std::to_string(cp.epoch) +
                      ", scale backed off to " +
                      obs::Json::number_to_string(

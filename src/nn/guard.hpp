@@ -3,16 +3,16 @@
 // recorded in the metrics registry and reported in TrainResult:
 //
 //   retry    — a sparse op that dies with simt::LaunchFault is re-issued up
-//              to `retry_budget` attempts per call (the injector's launch
+//              to `kRetryBudget` attempts per call (the injector's launch
 //              ordinal advances on every attempt, so a transient failure
 //              clears; `guard.retries`).
-//   rollback — every `checkpoint_interval` epochs (loss permitting) the
+//   rollback — every `kCheckpointInterval` epochs (loss permitting) the
 //              guard snapshots master weights + Adam moments + step count +
-//              the GradScaler scale into a ring of `checkpoint_ring`
-//              entries; after `nan_streak` consecutive NaN-loss epochs it
+//              the GradScaler scale into a ring of `kCheckpointRing`
+//              entries; after `kNanStreak` consecutive NaN-loss epochs it
 //              restores the newest snapshot and backs the scale off, instead
 //              of training on from polluted state (`guard.rollbacks`).
-//   fallback — a kernel site whose output is non-finite `overflow_streak`
+//   fallback — a kernel site whose output is non-finite `kOverflowStreak`
 //              times in a row is escalated one level down its dispatch
 //              fallback chain (e.g. spmm_halfgnn -> spmm_cusparse_f16 ->
 //              fp64 host reference, which executes outside the simulated
@@ -39,30 +39,32 @@ namespace hg::nn {
 // struct backs the guard's in-memory ring and the durable Store.
 ckpt::ModelState capture_model_state(int epoch, int adam_t, float scale,
                                      const std::vector<Param*>& params);
+// Throws std::invalid_argument naming `what` and the first mismatch unless
+// `st` holds one master, m and v vector per param, each of that param's
+// length. A decoded checkpoint's vectors are bounded by its payload, not by
+// the model it is restored into.
+void check_model_state(const ckpt::ModelState& st,
+                       const std::vector<Param*>& params,
+                       const std::string& what);
 // Copies the snapshot back into the params (gradients zeroed, working
-// half/bf16 copies invalidated). Counters are returned to the caller via
-// the struct, not applied here.
+// half/bf16 copies invalidated) after check_model_state; a mismatch throws
+// before any param changes. Counters are returned to the caller via the
+// struct, not applied here.
 void restore_model_state(const ckpt::ModelState& st,
                          const std::vector<Param*>& params);
 
-struct GuardConfig {
-  bool enabled = false;
-  int retry_budget = 4;         // launch attempts per sparse-op call
-  int checkpoint_interval = 5;  // epochs between snapshots
-  int checkpoint_ring = 2;      // snapshots kept
-  int nan_streak = 2;           // NaN-loss epochs that trigger a rollback
-  int overflow_streak = 3;      // non-finite op outputs that trigger fallback
+class TrainGuard {
+ public:
+  // The recovery policy, fixed like the GradScaler's.
+  static constexpr int kRetryBudget = 4;         // launch attempts per call
+  static constexpr int kCheckpointInterval = 5;  // epochs between snapshots
+  static constexpr int kCheckpointRing = 2;      // snapshots kept
+  static constexpr int kNanStreak = 2;           // NaN-loss epochs to roll back
+  static constexpr int kOverflowStreak = 3;      // NaN/Inf outputs to escalate
   // Extra GradScaler backoff applied on rollback: the restored scale was
   // itself a pre-collapse value, so resuming with it verbatim often re-trips
   // the same overflow.
-  float rollback_scale_backoff = 0.5f;
-};
-
-class TrainGuard {
- public:
-  explicit TrainGuard(GuardConfig cfg = {});
-
-  const GuardConfig& config() const noexcept { return cfg_; }
+  static constexpr float kRollbackScaleBackoff = 0.5f;
 
   // Optional hgprof hookup: every retry/fallback/rollback decision emits an
   // audit record naming the signal that triggered it (no-op when the
@@ -71,13 +73,12 @@ class TrainGuard {
   void set_profiler(obs::prof::Profiler* prof) noexcept { prof_ = prof; }
 
   // --- LaunchFault retry ----------------------------------------------------
-  int retry_budget() const noexcept { return cfg_.retry_budget; }
   void count_retry(const std::string& site);
 
   // --- kernel fallback chain ------------------------------------------------
   // Current chain level of `site` (0 = the mode's native kernel).
   int level(const std::string& site) const;
-  // Feed one op output's health; after cfg_.overflow_streak consecutive
+  // Feed one op output's health; after kOverflowStreak consecutive
   // non-finite outputs the site escalates one level (capped at
   // chain_len - 1) and the streak restarts. `next_kernel` names the kernel
   // the site's dispatch chain resolves to after escalation (from the
@@ -113,7 +114,6 @@ class TrainGuard {
   void restore(ckpt::GuardState st) { st_ = std::move(st); }
 
  private:
-  GuardConfig cfg_;
   obs::prof::Profiler* prof_ = nullptr;
   // The rollback ring holds the same ckpt::ModelState the durable Store
   // archives (one snapshot struct, not two).

@@ -80,8 +80,7 @@ MTensor run(const SparseCtx& ctx, Op op, Dtype dt,
     return to_dtype(body(e, Operands(in_f.data(), in.size())), dt,
                     ctx.ledger);
   };
-  const int budget =
-      guard != nullptr ? std::max(1, guard->retry_budget()) : 1;
+  const int budget = guard != nullptr ? TrainGuard::kRetryBudget : 1;
   MTensor out;
   for (int n = 1;; ++n) {
     try {

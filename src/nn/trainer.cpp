@@ -118,15 +118,14 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   amp::GradScaler scaler;
   TrainResult res;
   int adam_t = 0;
-  TrainGuard guard(cfg.guard);
-  const bool use_guard = cfg.guard.enabled;
+  TrainGuard guard;
 
   // hgprof numerics telemetry: the profiler lives on the stream's device and
   // samples activations/gradients read-only, so arming it never perturbs the
   // run. Every guard decision below also lands in its audit log.
   obs::prof::Profiler& prof = stream.device().profiler();
   const bool prof_numerics = prof.active() && prof.config().numerics();
-  if (use_guard) guard.set_profiler(&prof);
+  if (cfg.guard) guard.set_profiler(&prof);
   const auto prof_sample = [&prof](const std::string& name, const MTensor& t) {
     if (t.dtype() == Dtype::kF16) {
       prof.sample_tensor(name, t.h());
@@ -164,6 +163,14 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
         throw std::invalid_argument("ckpt: fingerprint mismatch: checkpoint '" +
                                     st.fingerprint + "' vs run '" +
                                     fingerprint + "'");
+      }
+      // The payload bounds each decoded vector, not the model. The ring's
+      // snapshots are restored only at a later rollback, so check them
+      // here, before anything is restored; restore_model_state checks the
+      // model snapshot itself.
+      for (std::size_t i = 0; i < st.guard.ring.size(); ++i) {
+        check_model_state(st.guard.ring[i], model->params(),
+                          "guard ring snapshot " + std::to_string(i));
       }
       restore_model_state(st.model, model->params());
       adam_t = st.model.adam_t;
@@ -237,7 +244,7 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
     CostLedger scratch_ledger;
     SparseCtx ctx;
     ctx.stream = cfg.stream != nullptr ? cfg.stream : &simt::default_stream();
-    ctx.guard = use_guard ? &guard : nullptr;
+    ctx.guard = cfg.guard ? &guard : nullptr;
     ctx.mode = mode;
     ctx.dtype_override =
         override_active ? std::optional<Dtype>(train_dt) : std::nullopt;
@@ -253,7 +260,7 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
           mode == SystemMode::kHalfGnn ? 10.0 : 25.0;
     }
 
-    if (use_guard) {
+    if (cfg.guard) {
       guard.maybe_checkpoint(epoch, model->params(), scaler, adam_t);
     }
 
@@ -308,7 +315,7 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
       if (res.first_nan_epoch < 0) res.first_nan_epoch = epoch;
       ++res.nan_loss_epochs;
     }
-    if (use_guard && guard.note_loss(lr.loss)) {
+    if (cfg.guard && guard.note_loss(lr.loss)) {
       // The NaN streak hit the trigger: restore the last good checkpoint
       // instead of training on from polluted state.
       guard.rollback(model->params(), scaler, adam_t);
@@ -363,7 +370,7 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   run_span->arg("final_test_acc", res.final_test_acc);
   run_span->arg("scaler_skipped",
                 static_cast<std::int64_t>(res.scaler_skipped));
-  if (use_guard) {
+  if (cfg.guard) {
     run_span->arg("guard_retries",
                   static_cast<std::int64_t>(res.guard_retries));
     run_span->arg("guard_rollbacks",

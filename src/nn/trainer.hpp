@@ -25,9 +25,8 @@ struct TrainConfig {
   // Kernel stream; nullptr = simt::default_stream(). Benches and tests use
   // this to train against a Device with its own fault configuration.
   simt::Stream* stream = nullptr;
-  // Self-healing (nn/guard.hpp); guard.enabled=false is the historical
-  // loop, bit for bit.
-  GuardConfig guard;
+  // Self-healing (nn/guard.hpp); false is the historical loop, bit for bit.
+  bool guard = false;
   // Run epoch 0 under the SIMT cost model to obtain the per-epoch modeled
   // time (identical numerics; the model is shape-deterministic so one
   // epoch's cost represents them all).
@@ -59,7 +58,7 @@ TrainConfig default_config(ModelKind kind);
 struct TrainResult : ckpt::ResultState {
   double final_test_acc = 0;
   int scaler_skipped = 0;   // optimizer steps skipped on non-finite grads
-  // TrainGuard activity (all zero when cfg.guard.enabled is false).
+  // TrainGuard activity (all zero when cfg.guard is false).
   int guard_retries = 0;
   int guard_rollbacks = 0;
   int guard_fallbacks = 0;

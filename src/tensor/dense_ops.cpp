@@ -315,13 +315,6 @@ void with_data(Tensor& t, F&& f) {
   }
 }
 
-// One in-loss row of softmax_xent: log p(label), and whether its argmax is
-// the label.
-struct XentRow {
-  double logp = 0;
-  bool hit = false;
-};
-
 template <class T>
 struct XentArgs {
   const T* logits;
@@ -348,7 +341,8 @@ struct XentArgs {
 // and, where that rounded value is nonzero, its float product with `inv`,
 // rounded again. The sum adds the new term first (exp + sum), so with two
 // NaN terms the later one's payload wins, as in the reference.
-// sink(r, row) receives every in-loss row in increasing order.
+// sink(r, logp) receives every in-loss row's log p(label) in increasing
+// order.
 template <class T, class Sink>
 void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
                Sink&& sink) {
@@ -378,13 +372,8 @@ void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
       denom = ordered_dadd(ex[j], denom);
     }
     const int y = x.labels[static_cast<std::size_t>(r)];
-    XentRow out;
-    out.logp = static_cast<double>(to_f32(row[y])) - mx - std::log(denom);
-    int argmax = 0;
-    for (int j = 1; j < x.valid; ++j) {
-      if (v[j] > v[argmax]) argmax = j;
-    }
-    out.hit = argmax == y;
+    const double logp =
+        static_cast<double>(to_f32(row[y])) - mx - std::log(denom);
     if (x.dlogits != nullptr) {
       T* drow = x.dlogits + r * x.cols;
       for (int j = 0; j < x.valid; ++j) {
@@ -394,7 +383,7 @@ void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
         drow[j] = back != 0.0f ? from_f32<T>(back * x.inv) : stored;
       }
     }
-    sink(r, out);
+    sink(r, logp);
   }
 }
 
@@ -678,25 +667,21 @@ LossResult softmax_xent(const MTensor& logits, std::span<const int> labels,
                            labels, mask, use_masked, grad_scale, inv};
     // A subtraction, not an add of -logp: a NaN logp enters the sum with
     // its own sign, as in the reference loop.
-    const auto add = [&](const XentRow& row) {
-      loss_sum = loss_sum - row.logp;
-      res.correct += row.hit;
-    };
+    const auto add = [&](double logp) { loss_sum = loss_sum - logp; };
     if (jobs == 1) {
-      xent_rows(args, 0, n,
-                [&](std::int64_t, const XentRow& row) { add(row); });
+      xent_rows(args, 0, n, [&](std::int64_t, double logp) { add(logp); });
       return;
     }
     // Rows run on the pool; their terms are summed here in row order, so
     // the double loss_sum keeps the serial loop's association.
-    std::vector<XentRow> rows(static_cast<std::size_t>(n));
+    std::vector<double> logps(static_cast<std::size_t>(n));
     run_ranges(jobs, n, 1, [&](std::int64_t r0, std::int64_t r1) {
-      xent_rows(args, r0, r1, [&rows](std::int64_t r, const XentRow& row) {
-        rows[static_cast<std::size_t>(r)] = row;
+      xent_rows(args, r0, r1, [&logps](std::int64_t r, double logp) {
+        logps[static_cast<std::size_t>(r)] = logp;
       });
     });
     for (std::int64_t r = 0; r < n; ++r) {
-      if (args.in_loss(r)) add(rows[static_cast<std::size_t>(r)]);
+      if (args.in_loss(r)) add(logps[static_cast<std::size_t>(r)]);
     }
   });
   res.loss = res.count > 0 ? loss_sum / res.count

@@ -80,7 +80,6 @@ void axpby(const MTensor& x, float alpha, MTensor& y, float beta,
 
 struct LossResult {
   double loss = 0;          // mean masked cross-entropy (NaN propagates!)
-  double correct = 0;       // # correct predictions among masked rows
   double count = 0;         // # masked rows
 };
 

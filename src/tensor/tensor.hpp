@@ -51,10 +51,6 @@ class MTensor {
     t.b_.assign(static_cast<std::size_t>(rows * cols), bf16_t(0.0f));
     return t;
   }
-  static MTensor like(const MTensor& o, std::int64_t rows,
-                      std::int64_t cols) {
-    return zeros(o.dtype(), rows, cols);
-  }
   static MTensor zeros(Dtype d, std::int64_t rows, std::int64_t cols) {
     switch (d) {
       case Dtype::kF32: return f32(rows, cols);

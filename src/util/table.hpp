@@ -66,13 +66,6 @@ inline std::string fmt_pct(double v, int prec = 1) {
   return fmt(v * 100.0, prec) + "%";
 }
 
-inline double geomean(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0;
-  for (double x : v) s += std::log(x);
-  return std::exp(s / static_cast<double>(v.size()));
-}
-
 inline double mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   return std::accumulate(v.begin(), v.end(), 0.0) /

@@ -5,7 +5,7 @@
 // epochs) — for every (model x dtype) cell, at HALFGNN_THREADS
 // 1/2/7/16, on both SIMD interpreter paths. This is the machine check of
 // every envelope assumption DESIGN.md Sec. 15.3 declares: if training
-// drifts past act_slack/grad_slack/adam_kappa, containment breaks here.
+// drifts past kActSlack/kGradSlack/kAdamKappa, containment breaks here.
 #include <gtest/gtest.h>
 
 #include <optional>

@@ -359,7 +359,7 @@ TEST(CheckVerdict, Int8HeadroomAndBinaryPopcountAreSafeOnTheHub) {
 // ordinary SpMM, and the concrete track must evaluate the same product.
 // Swapping source and destination as well computes A x, whose largest value
 // on reddit-sim's second layer is 73x below the runtime's (past the 64x
-// grad_slack envelope), and the rank-1 updates of the attention vectors
+// kGradSlack envelope), and the rank-1 updates of the attention vectors
 // then read SAFE.
 TEST(CheckVerdict, GatTransposedSpmmIsTheRuntimeProduct) {
   const Dataset reddit = make_dataset(DatasetId::kReddit);

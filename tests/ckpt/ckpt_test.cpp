@@ -880,7 +880,7 @@ TEST(WatchdogTraining, StuckKernelIsReapedAndTrainingCompletes) {
   dev.set_watchdog_ms(25.0);
   simt::Stream stream(dev);
   cfg.stream = &stream;
-  cfg.guard.enabled = true;
+  cfg.guard = true;
   const nn::TrainResult res =
       nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg);
   EXPECT_GT(dev.faults().total_stucks(), 0u);
@@ -905,6 +905,102 @@ TEST(ResumeDeterminism, FingerprintMismatchRefusesToResume) {
   cfg.stream = &stream;
   EXPECT_THROW(nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg),
                std::invalid_argument);
+}
+
+// --- resume against tensors of another shape ---------------------------------
+
+// One train() against a private Device with obs off.
+nn::TrainResult train_privately(const Dataset& d, nn::TrainConfig cfg) {
+  simt::Device dev(simt::a100_spec(), 2);
+  simt::Stream stream(dev);
+  cfg.stream = &stream;
+  return nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg);
+}
+
+// A CRC-valid newest generation whose fingerprint matches but whose
+// tensors do not fit the model: the Reader bounds each vector by the
+// payload, not by the model, so resume compares every snapshot with the
+// params and refuses before restoring any of it. At the parent the first
+// case wrote one float past a heap buffer.
+TEST(ResumeShape, MismatchedSnapshotIsRefusedBeforeAnyRestore) {
+  const Dataset d = tiny_dataset(300, 3, 900, 16, 97);
+  nn::TrainConfig cfg = resume_cfg();
+  cfg.epochs = 2;
+  cfg.guard = true;
+  struct Case {
+    const char* name;
+    // Mutates the state; returns the snapshot it changed.
+    std::function<const ckpt::ModelState&(ckpt::TrainState&)> mutate;
+    const char* error;  // the start of the refusal
+  };
+  const Case cases[] = {
+      {"master_grows",
+       [](ckpt::TrainState& st) -> const ckpt::ModelState& {
+         st.model.master[0].push_back(1.0f);
+         return st.model;
+       },
+       "ckpt: model snapshot master[0] holds "},
+      {"v_shrinks",
+       [](ckpt::TrainState& st) -> const ckpt::ModelState& {
+         st.model.v.pop_back();
+         return st.model;
+       },
+       "ckpt: model snapshot holds "},
+      {"ring_master_shrinks",
+       [](ckpt::TrainState& st) -> const ckpt::ModelState& {
+         st.guard.ring.back().master[0].pop_back();
+         return st.guard.ring.back();
+       },
+       "ckpt: guard ring snapshot 0 master[0] holds "},
+  };
+  for (const Case& c : cases) {
+    cfg.checkpoint_dir = fresh_dir(std::string("shape_") + c.name);
+    cfg.resume = false;
+    train_privately(d, cfg);
+    ckpt::Store store({cfg.checkpoint_dir});
+    const ckpt::LoadInfo info = store.load();
+    ASSERT_TRUE(info.found) << c.name;
+    // Epoch 1's generation carries the guard's epoch-0 rollback snapshot.
+    ASSERT_EQ(info.state.guard.ring.size(), 1u) << c.name;
+    ckpt::TrainState bad = info.state;
+    const ckpt::ModelState& changed = c.mutate(bad);
+    store.write(bad);
+
+    nn::TrainConfig resumed = cfg;
+    resumed.resume = true;
+    try {
+      train_privately(d, resumed);
+      ADD_FAILURE() << c.name << ": resume accepted the checkpoint";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.error, 0), 0u)
+          << c.name << ": " << e.what();
+    }
+
+    // The restore itself refuses before it writes: params holding the good
+    // snapshot keep every bit of it.
+    std::vector<nn::Param> owned;
+    for (const auto& w : info.state.model.master) {
+      owned.emplace_back(1, static_cast<std::int64_t>(w.size()));
+    }
+    std::vector<nn::Param*> params;
+    for (auto& p : owned) params.push_back(&p);
+    nn::restore_model_state(info.state.model, params);
+    EXPECT_THROW(nn::restore_model_state(changed, params),
+                 std::invalid_argument)
+        << c.name;
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      const auto w = owned[i].master().f();
+      const auto m = owned[i].adam_m().f();
+      const auto v = owned[i].adam_v().f();
+      EXPECT_TRUE(std::equal(w.begin(), w.end(),
+                             info.state.model.master[i].begin()))
+          << c.name << " param " << i;
+      EXPECT_TRUE(std::equal(m.begin(), m.end(), info.state.model.m[i].begin()))
+          << c.name << " param " << i;
+      EXPECT_TRUE(std::equal(v.begin(), v.end(), info.state.model.v[i].begin()))
+          << c.name << " param " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -174,9 +174,7 @@ TEST(HalfArith, ComparisonsAndClassification) {
   EXPECT_TRUE(half_t(3.0f).is_finite());
   EXPECT_FALSE(half_limits::kNegInf.is_finite());
   EXPECT_TRUE(half_limits::kNegInf.signbit());
-  EXPECT_EQ(habs(half_t(-3.5f)).to_float(), 3.5f);
   EXPECT_EQ(hmax(half_t(1.0f), half_t(2.0f)).to_float(), 2.0f);
-  EXPECT_EQ(hmin(half_t(1.0f), half_t(2.0f)).to_float(), 1.0f);
 }
 
 // Property sweep: half arithmetic must equal "compute in float, round once".

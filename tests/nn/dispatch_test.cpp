@@ -257,10 +257,7 @@ TEST(SparseDispatch, GuardLaddersFollowThePerDtypeChains) {
                              "/" + std::string(dtype_name(c.dt));
     const MTensor x = dtype_trainable(c.dt) ? to_dtype(xf, c.dt, nullptr)
                                             : to_dtype(xf, Dtype::kF32, nullptr);
-    GuardConfig gcfg;
-    gcfg.enabled = true;
-    gcfg.overflow_streak = 1;  // one bad output escalates immediately
-    TrainGuard guard(gcfg);
+    TrainGuard guard;
     SparseCtx ctx;
     ctx.mode = c.mode;
     ctx.guard = &guard;
@@ -288,8 +285,10 @@ TEST(SparseDispatch, GuardLaddersFollowThePerDtypeChains) {
       // Simulate the overflow streak the dispatcher would observe; the next
       // call must run the ladder's next kernel.
       if (level + 1 < len) {
-        guard.observe_output(c.op, /*nonfinite=*/true, len,
-                             c.ladder[static_cast<std::size_t>(level + 1)]);
+        for (int i = 0; i < TrainGuard::kOverflowStreak; ++i) {
+          guard.observe_output(c.op, /*nonfinite=*/true, len,
+                               c.ladder[static_cast<std::size_t>(level + 1)]);
+        }
         ASSERT_EQ(guard.level(c.op), level + 1) << what;
       }
     }
@@ -410,12 +409,12 @@ TEST(SparseDispatch, PromotedOpsReconvertOnEveryRetriedAttempt) {
     dev.set_faults(simt::FaultConfig::parse(
         std::string("launchfail:every=2,kernel=") + c.launch));
     simt::Stream stream(dev);
-    GuardConfig gcfg;
-    gcfg.enabled = true;
-    gcfg.overflow_streak = 1;
-    TrainGuard guard(gcfg);
-    // One non-finite output moves spmm to its promoted f32 level.
-    guard.observe_output("spmm", /*nonfinite=*/true, 3, "spmm_cusparse_f32");
+    TrainGuard guard;
+    // A streak of non-finite outputs moves spmm to its promoted f32 level.
+    for (int i = 0; i < TrainGuard::kOverflowStreak; ++i) {
+      guard.observe_output("spmm", /*nonfinite=*/true, 3, "spmm_cusparse_f32");
+    }
+    ASSERT_EQ(guard.level("spmm"), 1);
     SparseCtx ctx;
     ctx.stream = &stream;
     ctx.mode = SystemMode::kDglHalf;

@@ -54,12 +54,14 @@ Dataset tiny_dataset(vid_t n, int k, eid_t m, int feat, bool hubby,
 
 // --- checkpoint ring / rollback ---------------------------------------------
 
+// The fixed policy these tests walk through.
+static_assert(TrainGuard::kCheckpointInterval == 5);
+static_assert(TrainGuard::kCheckpointRing == 2);
+static_assert(TrainGuard::kNanStreak == 2);
+static_assert(TrainGuard::kOverflowStreak == 3);
+
 TEST(TrainGuardUnit, RollbackRestoresParamsScalerAndStepCount) {
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.checkpoint_interval = 5;
-  cfg.nan_streak = 2;
-  TrainGuard guard(cfg);
+  TrainGuard guard;
 
   Param p(2, 3);
   std::vector<Param*> ps{&p};
@@ -92,10 +94,7 @@ TEST(TrainGuardUnit, RollbackRestoresParamsScalerAndStepCount) {
 }
 
 TEST(TrainGuardUnit, FiniteLossResetsTheNanStreak) {
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.nan_streak = 2;
-  TrainGuard guard(cfg);
+  TrainGuard guard;
   Param p(1, 1);
   amp::GradScaler scaler;
   guard.maybe_checkpoint(0, {&p}, scaler, 0);
@@ -106,12 +105,7 @@ TEST(TrainGuardUnit, FiniteLossResetsTheNanStreak) {
 }
 
 TEST(TrainGuardUnit, RingEvictsOldestAndSkipsNanEpochs) {
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.checkpoint_interval = 5;
-  cfg.checkpoint_ring = 2;
-  cfg.nan_streak = 1;
-  TrainGuard guard(cfg);
+  TrainGuard guard;
   Param p(1, 2);
   std::vector<Param*> ps{&p};
   amp::GradScaler scaler;
@@ -127,6 +121,8 @@ TEST(TrainGuardUnit, RingEvictsOldestAndSkipsNanEpochs) {
   set_w(30.0f);
   guard.maybe_checkpoint(10, ps, scaler, 3);  // evicts epoch 0
   EXPECT_EQ(guard.checkpoints(), 3);
+  ASSERT_EQ(guard.state().ring.size(), 2u);
+  EXPECT_EQ(guard.state().ring.front().epoch, 5);
 
   // Off-interval epochs and post-NaN interval epochs do not snapshot.
   guard.maybe_checkpoint(11, ps, scaler, 4);
@@ -143,10 +139,7 @@ TEST(TrainGuardUnit, RingEvictsOldestAndSkipsNanEpochs) {
 // --- fallback escalation -----------------------------------------------------
 
 TEST(TrainGuardUnit, FallbackEscalatesAfterStreakAndCapsAtChainEnd) {
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.overflow_streak = 3;
-  TrainGuard guard(cfg);
+  TrainGuard guard;
   const int chain_len = 3;
 
   EXPECT_EQ(guard.level("spmm"), 0);
@@ -218,7 +211,7 @@ TEST(GuardTraining, LaunchfailsAreRetriedToCompletion) {
     dev.set_faults(simt::FaultConfig::parse("launchfail:every=5"));
     simt::Stream stream(dev);
     cfg.stream = &stream;
-    cfg.guard.enabled = false;
+    cfg.guard = false;
     EXPECT_THROW(train(ModelKind::kGcn, SystemMode::kHalfGnn, d, cfg),
                  simt::LaunchFault);
   }
@@ -227,7 +220,7 @@ TEST(GuardTraining, LaunchfailsAreRetriedToCompletion) {
     dev.set_faults(simt::FaultConfig::parse("launchfail:every=5"));
     simt::Stream stream(dev);
     cfg.stream = &stream;
-    cfg.guard.enabled = true;
+    cfg.guard = true;
     const TrainResult res = train(ModelKind::kGcn, SystemMode::kHalfGnn, d,
                                   cfg);
     EXPECT_GT(res.guard_retries, 0);
@@ -248,7 +241,7 @@ TEST(GuardTraining, ForcedOverflowEscalatesTheSpmmFallbackChain) {
   dev.set_faults(simt::FaultConfig::parse("overflow:kernel=spmm_halfgnn"));
   simt::Stream stream(dev);
   cfg.stream = &stream;
-  cfg.guard.enabled = true;
+  cfg.guard = true;
   const TrainResult res =
       train(ModelKind::kGcn, SystemMode::kHalfGnn, d, cfg);
 

@@ -293,7 +293,7 @@ TEST(Determinism, TrainingIsReproducibleAcrossRuns) {
 }
 
 TEST(GradScaler, BacksOffAndRecovers) {
-  amp::GradScaler s(1024.0f);
+  amp::GradScaler s;
   EXPECT_FALSE(s.update(true));
   EXPECT_FLOAT_EQ(s.scale(), 512.0f);
   for (int i = 0; i < 200; ++i) EXPECT_TRUE(s.update(false));
@@ -328,7 +328,7 @@ TEST(GradScaler, SkipsAnInfGradientBehindAReluZeroRow) {
 
   const Param& w = *lin.params().front();
   EXPECT_TRUE(w.grad_nonfinite(1.0f));
-  amp::GradScaler scaler(1024.0f);
+  amp::GradScaler scaler;
   EXPECT_FALSE(scaler.update(w.grad_nonfinite(1.0f)));
   EXPECT_EQ(scaler.skipped_steps(), 1);
 }

@@ -147,17 +147,13 @@ TEST(FlamegraphTest, FoldsNestedSpansWithSelfTime) {
 
 TEST(ProfGuardAudit, GuardDecisionsEmitAuditRecords) {
   Profiler prof(ProfConfig::parse("numerics"));
-  nn::GuardConfig gcfg;
-  gcfg.enabled = true;
-  gcfg.checkpoint_interval = 1;
-  gcfg.nan_streak = 2;
-  gcfg.overflow_streak = 2;
-  nn::TrainGuard guard(gcfg);
+  nn::TrainGuard guard;
   guard.set_profiler(&prof);
 
   guard.count_retry("spmm_halfgnn");
   guard.observe_output("spmm_halfgnn", true, 3);
-  guard.observe_output("spmm_halfgnn", true, 3);  // streak hits 2: fallback
+  guard.observe_output("spmm_halfgnn", true, 3);
+  guard.observe_output("spmm_halfgnn", true, 3);  // streak hits 3: fallback
 
   nn::Param p(2, 2);
   std::vector<nn::Param*> ps{&p};
@@ -175,7 +171,7 @@ TEST(ProfGuardAudit, GuardDecisionsEmitAuditRecords) {
   EXPECT_EQ(audits[0].site, "spmm_halfgnn");
   EXPECT_NE(audits[0].signal.find("LaunchFault"), std::string::npos);
   EXPECT_EQ(audits[1].event, "fallback");
-  EXPECT_NE(audits[1].signal.find("streak reached 2"), std::string::npos);
+  EXPECT_NE(audits[1].signal.find("streak reached 3"), std::string::npos);
   EXPECT_NE(audits[1].signal.find("chain level 1"), std::string::npos);
   EXPECT_EQ(audits[2].event, "rollback");
   EXPECT_NE(audits[2].signal.find("restored epoch 0"), std::string::npos);
@@ -188,7 +184,7 @@ TEST(ProfGuardAudit, GuardDecisionsEmitAuditRecords) {
 
 TEST(ProfGuardAudit, DisarmedProfilerRecordsNothing) {
   Profiler prof;  // inactive
-  nn::TrainGuard guard(nn::GuardConfig{});
+  nn::TrainGuard guard;
   guard.set_profiler(&prof);
   guard.count_retry("spmm_halfgnn");
   EXPECT_TRUE(prof.audits().empty());

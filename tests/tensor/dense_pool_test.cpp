@@ -217,12 +217,6 @@ LossResult two_pass_xent(const MTensor& logits, std::span<const int> labels,
         static_cast<double>(logits.get(r, y)) - mx - std::log(denom);
     loss_sum = loss_sum - logp;
 
-    int argmax = 0;
-    for (int j = 1; j < valid_classes; ++j) {
-      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
-    }
-    res.correct += argmax == y;
-
     if (dlogits != nullptr) {
       for (int j = 0; j < valid_classes; ++j) {
         const double p =
@@ -307,7 +301,7 @@ Out run_xent(const XentCase& x, bool with_grad) {
   const LossResult r =
       softmax_xent(x.logits, x.labels, x.mask, x.use_masked, x.valid,
                    x.grad_scale, with_grad ? &dl : nullptr, nullptr);
-  out.words = {bits_of(r.loss), bits_of(r.correct), bits_of(r.count)};
+  out.words = {bits_of(r.loss), bits_of(r.count)};
   if (with_grad) out.tensors.push_back(std::move(dl));
   return out;
 }
@@ -322,8 +316,7 @@ TEST(DensePool, SoftmaxXentOnePassMatchesTwoPassReference) {
                         x.grad_scale, &want_dl);
       const Out ref{{std::move(want_dl)},
                     {},
-                    {bits_of(want.loss), bits_of(want.correct),
-                     bits_of(want.count)}};
+                    {bits_of(want.loss), bits_of(want.count)}};
       for_each_path([&](simd::Path) {
         expect_same(ref, run_xent(x, true),
                     x.name + " " + simd::path_name());

@@ -95,7 +95,6 @@ TEST(TableHelpers, Formatting) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_times(2.5), "2.50x");
   EXPECT_EQ(fmt_pct(0.805), "80.5%");
-  EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);
   EXPECT_NEAR(mean({1.0, 3.0}), 2.0, 1e-9);
 }
 
@@ -184,7 +183,7 @@ constexpr std::string_view kProfSeeds[] = {
     "roofline,numerics"};
 constexpr std::string_view kThreadSeeds[] = {"1", "2", "4", "7", "16", "0"};
 constexpr std::string_view kWatchdogSeeds[] = {"25", "0", "10000", "inf"};
-// --dataset/--epochs/--hidden/--seed/--guard-*/--ckpt-every values, and
+// --dataset/--epochs/--hidden/--seed/--ckpt-every values, and
 // the values ci/hgcheck_bad_flags.sh and the CI UX step reject.
 constexpr std::string_view kIntFlagSeeds[] = {
     "1", "2", "3", "4", "6", "8", "12", "15", "17", "20", "42", "60",
