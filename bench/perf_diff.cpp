@@ -16,7 +16,11 @@
 //         "summary": { ... same rule shape ... } } } }
 //
 // A cell regresses when  fresh > base * (1 + max_rel_increase) + abs_slack
-// (abs_slack defaults to 0; it absorbs noise on near-zero baselines).
+// (abs_slack defaults to 0; it absorbs noise on near-zero baselines), or,
+// under an absolute rule { "max_abs": L }, when  fresh > L. An absolute
+// limit does not move when the baseline is regenerated, which suits the
+// same-run ratios: each new baseline draw would otherwise shift a relative
+// limit with it.
 // Columns without a rule are not gated — by policy that is every
 // wall-clock metric (host_ms, edges_per_s, speedup): those are
 // machine-dependent, while modeled_ms comes off the simulated timeline and
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +47,7 @@ namespace {
 struct Rule {
   double max_rel_increase = 0.0;
   double abs_slack = 0.0;
+  std::optional<double> max_abs;  // set: the limit, whatever the baseline
 };
 
 struct DiffStats {
@@ -55,9 +61,22 @@ bool parse_rule(const obs::Json& j, Rule& out, std::string& err) {
     err = "rule is not an object";
     return false;
   }
+  if (const obs::Json* lim = j.find("max_abs"); lim != nullptr) {
+    if (!lim->is_number() || !std::isfinite(lim->as_double())) {
+      err = "\"max_abs\" must be a finite number";
+      return false;
+    }
+    if (j.members().size() != 1) {
+      err = "an absolute rule has \"max_abs\" and nothing else";
+      return false;
+    }
+    out.max_abs = lim->as_double();
+    return true;
+  }
   const obs::Json* rel = j.find("max_rel_increase");
   if (rel == nullptr || !rel->is_number() || rel->as_double() < 0) {
-    err = "rule needs a non-negative numeric \"max_rel_increase\"";
+    err = "rule needs a non-negative numeric \"max_rel_increase\" or a "
+          "\"max_abs\"";
     return false;
   }
   out.max_rel_increase = rel->as_double();
@@ -75,7 +94,9 @@ bool parse_rule(const obs::Json& j, Rule& out, std::string& err) {
 void check_metric(const std::string& what, double base, double fresh,
                   const Rule& rule, DiffStats& st) {
   ++st.checked;
-  const double allowed = base * (1.0 + rule.max_rel_increase) + rule.abs_slack;
+  const double allowed =
+      rule.max_abs ? *rule.max_abs
+                   : base * (1.0 + rule.max_rel_increase) + rule.abs_slack;
   if (fresh > allowed) {
     ++st.regressions;
     std::printf("  REGRESSION %-46s base %.6g -> fresh %.6g (allowed %.6g)\n",
@@ -236,9 +257,10 @@ bool load_json(const std::string& path, obs::Json& out, std::string& err) {
 int selftest() {
   // Fresh-report variants are built from a template: {M} = the gated
   // "spmm profiled" modeled_ms, {H} = its ungated host_ms, {S} = the
-  // loosely gated summary metric, {TAIL} = the machine-dependent t=16 row.
+  // loosely gated summary metric, {R} = the same-run ratio under an
+  // absolute limit, {TAIL} = the machine-dependent t=16 row.
   const auto make_report = [](const char* m, const char* h, const char* s,
-                              bool with_tail) {
+                              bool with_tail, const char* r = "0.1") {
     std::string src = R"({
       "schema": "halfgnn-bench-v1", "name": "hostperf", "meta": {},
       "columns": ["host_ms", "modeled_ms"],
@@ -256,6 +278,8 @@ int selftest() {
     src += R"(],
       "summary": {"spmm_halfgnn_profiled_host_ms": )";
     src += s;
+    src += R"(, "spmm_halfgnn_train_simd_ratio": )";
+    src += r;
     src += R"(}, "kernels": {}
     })";
     return obs::Json::parse(src);
@@ -266,7 +290,8 @@ int selftest() {
       "hostperf": {
         "columns": {"modeled_ms": {"max_rel_increase": 0.001}},
         "summary": {
-          "spmm_halfgnn_profiled_host_ms": {"max_rel_increase": 10.0}
+          "spmm_halfgnn_profiled_host_ms": {"max_rel_increase": 10.0},
+          "spmm_halfgnn_train_simd_ratio": {"max_abs": 0.4}
         }
       }
     }
@@ -278,10 +303,10 @@ int selftest() {
   const obs::Json* rules = tol.find("reports")->find("hostperf");
   const obs::Json base = make_report("2.0", "10.0", "10.0", true);
 
-  // 1. Identical reports: green, and both gated cells + the summary rule
-  //    actually ran (null cells and ungated columns are skipped).
+  // 1. Identical reports: green, and both gated cells + the two summary
+  //    rules actually ran (null cells and ungated columns are skipped).
   const DiffStats same = diff_reports(base, base, rules);
-  if (same.regressions != 0 || same.checked != 3) {
+  if (same.regressions != 0 || same.checked != 4) {
     std::fprintf(stderr, "selftest: identical diff checked=%d regressions=%d\n",
                  same.checked, same.regressions);
     return 2;
@@ -312,6 +337,40 @@ int selftest() {
   if (warn.regressions != 0 || warn.warnings != 1) {
     std::fprintf(stderr, "selftest: narrow diff warnings=%d regressions=%d\n",
                  warn.warnings, warn.regressions);
+    return 2;
+  }
+
+  // 5. An absolute limit ignores the baseline: 3.5x a baseline of 0.1 is
+  //    green under a 0.4 limit, and a baseline draw of 0.9 above the limit
+  //    does not carry it up.
+  struct AbsCase {
+    const char* base;
+    const char* fresh;
+    int regressions;
+  };
+  for (const AbsCase& c : {AbsCase{"0.1", "0.35", 0}, AbsCase{"0.1", "0.45", 1},
+                           AbsCase{"0.9", "0.35", 0},
+                           AbsCase{"0.9", "0.45", 1}}) {
+    const DiffStats d =
+        diff_reports(make_report("2.0", "10.0", "10.0", true, c.base),
+                     make_report("2.0", "10.0", "10.0", true, c.fresh), rules);
+    if (d.regressions != c.regressions) {
+      std::fprintf(stderr,
+                   "selftest: max_abs base %s fresh %s regressions=%d "
+                   "(want %d)\n",
+                   c.base, c.fresh, d.regressions, c.regressions);
+      return 2;
+    }
+  }
+
+  // 6. An absolute rule takes no relative terms.
+  const obs::Json mixed = obs::Json::parse(R"({
+    "schema": "halfgnn-perf-tolerances-v1",
+    "reports": {"hostperf": {"summary": {
+      "r": {"max_abs": 0.4, "max_rel_increase": 1.0}}}}
+  })");
+  if (validate_tolerances(mixed).empty()) {
+    std::fprintf(stderr, "selftest: a mixed absolute rule was accepted\n");
     return 2;
   }
 

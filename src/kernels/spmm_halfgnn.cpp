@@ -41,6 +41,11 @@ Geometry make_geometry(int feat, int edges_per_warp) {
   return geo;
 }
 
+// The device kernel-scratch slots of the staging buffer (Sec. 5.2.3).
+constexpr int kStagingRowsSlot = 0;
+constexpr int kStagingValsSlot = 1;
+static_assert(kStagingValsSlot < simt::Device::kKernelScratchSlots);
+
 // Per-CTA shared-memory views (paper Fig. 4).
 template <bool P>
 struct Smem {
@@ -87,7 +92,6 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
   const auto k = is_max ? simt::WarpCombine::kMax : simt::WarpCombine::kAdd;
   const half2 init = simt::combine_identity<half2>(k);
 
-  std::fill(y.begin(), y.end(), simt::combine_identity<half_t>(k));
   auto y2 = simt::as_vec_mut<half2>(y);
   auto x2 = simt::as_vec<half2>(x);
 
@@ -96,12 +100,44 @@ KernelStats spmm_impl(simt::Stream& stream, const GraphView& g,
   const eid_t edges_per_cta =
       static_cast<eid_t>(opts.edges_per_warp) * kWarpsPerCta;
 
-  // Staging buffer: one conflicting row per CTA (Sec. 5.2.3).
-  AlignedVec<vid_t> staging_rows(static_cast<std::size_t>(num_ctas), -1);
-  AlignedVec<half_t> staging_vals(
-      static_cast<std::size_t>(num_ctas) * static_cast<std::size_t>(feat),
-      half_t(0.0f));
-  auto staging2 = simt::as_vec_mut<half2>(std::span<half_t>(staging_vals));
+  // Y starts as the combine identity wherever a row is read before it is
+  // written. The atomic ablation read-modify-writes boundary rows in Y, so
+  // it fills all of Y. The staging design writes every row whole (interior
+  // rows directly, merged boundary rows into their own identity fill)
+  // except two kinds: isolated vertices, which no CTA writes (kMax then
+  // sets them to 0), and each CTA's last row, which the follow-up launch
+  // reads, combines with the staged partials and writes back.
+  const half_t identity = simt::combine_identity<half_t>(k);
+  if (opts.atomic_writes) {
+    std::fill(y.begin(), y.end(), identity);
+  } else {
+    const auto f = static_cast<std::size_t>(feat);
+    const auto fill_row = [&](vid_t r) {
+      std::fill_n(y.begin() + static_cast<std::ptrdiff_t>(
+                                  static_cast<std::size_t>(r) * f),
+                  f, identity);
+    };
+    for (vid_t v = 0; v < g.n(); ++v) {
+      if (g.csr->degree(v) == 0) fill_row(v);
+    }
+    for (int c = 0; c < num_ctas; ++c) {
+      const eid_t e0 = static_cast<eid_t>(c) * edges_per_cta;
+      const eid_t e1 = std::min<eid_t>(m, e0 + edges_per_cta);
+      if (e0 < e1) fill_row(g.coo->row[static_cast<std::size_t>(e1 - 1)]);
+    }
+  }
+
+  // Staging buffer: one conflicting row per CTA (Sec. 5.2.3), in the
+  // device's reused kernel scratch. Only the row ids are reset: a CTA's
+  // value row is read only where its id is set, and is written first.
+  simt::Device& dev = stream.device();
+  const auto staging_rows = dev.kernel_scratch<vid_t>(
+      kStagingRowsSlot, static_cast<std::size_t>(num_ctas));
+  std::fill(staging_rows.begin(), staging_rows.end(), -1);
+  const auto staging_vals = dev.kernel_scratch<half_t>(
+      kStagingValsSlot,
+      static_cast<std::size_t>(num_ctas) * static_cast<std::size_t>(feat));
+  auto staging2 = simt::as_vec_mut<half2>(staging_vals);
 
   const auto inv_deg = [&](vid_t r) {
     return 1.0f / static_cast<float>(std::max<vid_t>(1, g.csr->degree(r)));

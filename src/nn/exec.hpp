@@ -28,9 +28,10 @@ class Exec {
   }
 
   // --- GEMMs with a Param operand ------------------------------------------
+  // gemm stores every element of a non-empty C, so each C starts unfilled.
   MTensor linear(const char* /*site*/, const MTensor& x, Param& w,
                  Param* bias) {
-    MTensor y = MTensor::zeros(x.dtype(), x.rows(), w.master().cols());
+    MTensor y = MTensor::uninit(x.dtype(), x.rows(), w.master().cols());
     gemm(x, false, working(w), false, y, ctx_.ledger);
     if (bias != nullptr) add_bias_rows(y, bias->master(), ctx_.ledger);
     return y;
@@ -39,7 +40,8 @@ class Exec {
   // dW = x^T dy, accumulated straight into float (no half rounding).
   void weight_grad(const char* /*site*/, const MTensor& x, const MTensor& dy,
                    Param& w, Param* bias) {
-    MTensor dw = MTensor::f32(w.master().rows(), w.master().cols());
+    MTensor dw =
+        MTensor::uninit(Dtype::kF32, w.master().rows(), w.master().cols());
     gemm(x, true, dy, false, dw, ctx_.ledger);
     hg::axpby(dw, 1.0f, w.grad(), 1.0f, nullptr);
     if (bias != nullptr) {
@@ -50,13 +52,13 @@ class Exec {
   }
 
   MTensor input_grad(const char* /*site*/, const MTensor& dy, Param& w) {
-    MTensor dx = MTensor::zeros(dy.dtype(), dy.rows(), w.master().rows());
+    MTensor dx = MTensor::uninit(dy.dtype(), dy.rows(), w.master().rows());
     gemm(dy, false, working(w), true, dx, ctx_.ledger);
     return dx;
   }
 
   void rank1(const char* /*site*/, MTensor& dz, const MTensor& d, Param& a) {
-    MTensor r = MTensor::zeros(dz.dtype(), dz.rows(), dz.cols());
+    MTensor r = MTensor::uninit(dz.dtype(), dz.rows(), dz.cols());
     gemm(d, false, working(a), true, r, ctx_.ledger);
     hg::axpby(r, 1.0f, dz, 1.0f, ctx_.ledger);
   }

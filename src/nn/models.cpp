@@ -151,7 +151,8 @@ void probe_widths(ModelKind kind, SystemMode mode, Dtype dt, int in_dim,
   Rng rng(0);  // the probe's parameters are never read
   TwoLayer<WidthProbe, Conv> net(in_dim, hidden, out_dim, rng);
   WidthProbe b(kind, mode, dt);
-  const WidthProbe::Tensor logits = net.forward(b, {in_dim});
+  const WidthProbe::Tensor x{in_dim};  // layer 1 keeps it until backward
+  const WidthProbe::Tensor logits = net.forward(b, x);
   net.backward(b, logits);
 }
 

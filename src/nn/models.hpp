@@ -19,12 +19,17 @@
 //   linear (x W + b), weight_grad (W.grad += x^T dy, b.grad += colsum dy),
 //     input_grad (dy W^T), rank1 (dz += d a^T) — GEMMs with a Param operand;
 //   axpby; and, untagged, scale_rows (by 1/deg), relu_forward, relu_backward;
-// plus the hooks copy (a saved state tensor), meter (state bytes on the
-// memory meter), at_layer (1-based layer of the calls that follow) and
-// layer_span (the trace scope of one conv pass).
+// plus the hooks copy (a tensor the layer scales in place), meter (state
+// bytes on the memory meter), at_layer (1-based layer of the calls that
+// follow) and layer_span (the trace scope of one conv pass).
+//
+// A conv's forward takes its input as Linear does: an rvalue moves into the
+// layer, an lvalue (the trainer's feature tensor) is kept by reference and
+// must outlive backward. Backward releases what forward saved.
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "nn/linear.hpp"
 #include "nn/sparse_dispatch.hpp"
@@ -43,9 +48,10 @@ class GcnConv {
   GcnConv(int in, int out, int /*hidden*/, Rng& rng)
       : lin_(in, out, /*bias=*/true, rng) {}
 
-  Tensor forward(B& b, const Tensor& x) {
+  template <class X>
+  Tensor forward(B& b, X&& x) {
     [[maybe_unused]] const auto span = b.layer_span("GcnConv::forward");
-    Tensor z = lin_.forward(b, "fwd.gemm", x);
+    Tensor z = lin_.forward(b, "fwd.gemm", std::forward<X>(x));
     // DGL modes: sum + post degree-norm (overflows in half at hubs);
     // HalfGNN: discretized-scaled mean — same math, protected range.
     return b.spmm("fwd.spmm", nullptr, z, kernels::Reduce::kMean);
@@ -86,15 +92,15 @@ class GinConv {
   // graphs even in float32) — implemented as sum + post degree-norm, which
   // is exactly why DGL-half still overflows. HalfGNN uses Eq. 4:
   // discretized mean plus the lambda damping.
-  Tensor forward(B& b, const Tensor& x) {
+  template <class X>
+  Tensor forward(B& b, X&& x) {
     [[maybe_unused]] const auto span = b.layer_span("GinConv::forward");
-    Tensor agg = b.spmm("fwd.spmm", nullptr, x, kernels::Reduce::kMean);
     // comb = (1 + eps) x + lambda * agg  (eps = 0, DGL's default).
-    Tensor comb = agg;
+    Tensor comb = b.spmm("fwd.spmm", nullptr, x, kernels::Reduce::kMean);
     b.axpby("fwd.axpby", x, 1.0 + kEps, comb, lambda(b));
-    Tensor h = mlp1_.forward(b, "fwd.gemm1", comb);
+    Tensor h = mlp1_.forward(b, "fwd.gemm1", std::move(comb));
     b.relu_forward(h, relu_mask_);
-    return mlp2_.forward(b, "fwd.gemm2", h);
+    return mlp2_.forward(b, "fwd.gemm2", std::move(h));
   }
 
   Tensor backward(B& b, const Tensor& dout) {
@@ -148,9 +154,10 @@ class GatConv {
     for (auto& v : ar_.master().f()) v *= 0.2f;
   }
 
-  Tensor forward(B& b, const Tensor& x) {
+  template <class X>
+  Tensor forward(B& b, X&& x) {
     [[maybe_unused]] const auto span = b.layer_span("GatConv::forward");
-    z_ = lin_.forward(b, "fwd.gemm", x);
+    z_ = lin_.forward(b, "fwd.gemm", std::forward<X>(x));
     Tensor el = b.linear("fwd.gemm.el", z_, al_, nullptr);
     Tensor er = b.linear("fwd.gemm.er", z_, ar_, nullptr);
     s_ = b.edge_add_scalars("fwd.scores", el, er, kSlope);
@@ -189,6 +196,9 @@ class GatConv {
     // dz += del a_l^T + der a_r^T (rank-1 updates).
     b.rank1("bwd.rank1.al", dz, del, al_);
     b.rank1("bwd.rank1.ar", dz, der, ar_);
+    z_ = Tensor{};
+    s_ = Tensor{};
+    alpha_ = Tensor{};
     return lin_.backward(b, "bwd.dW", "bwd.dX", dz);
   }
 
@@ -218,12 +228,13 @@ class TwoLayer {
   TwoLayer(int in, int hidden, int out, Rng& rng)
       : c1_(in, hidden, hidden, rng), c2_(hidden, out, hidden, rng) {}
 
+  // x must outlive backward: layer 1 keeps it by reference.
   Tensor forward(B& b, const Tensor& x) {
     b.at_layer(1);
     Tensor h = c1_.forward(b, x);
     b.relu_forward(h, mask_);
     b.at_layer(2);
-    return c2_.forward(b, h);
+    return c2_.forward(b, std::move(h));
   }
 
   void backward(B& b, const Tensor& dlogits) {

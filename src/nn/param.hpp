@@ -44,7 +44,12 @@ class Param {
   }
 
   void zero_grad() { grad_.fill(0.0f); }
-  void invalidate_working() { h_valid_ = false; }
+  // A stale working copy also gives up its storage, which the next
+  // working() then takes from the trainer's pool (tensor/pool.hpp).
+  void invalidate_working() {
+    h_valid_ = false;
+    h_copy_ = MTensor{};
+  }
 
   std::uint64_t master_bytes() const {
     return master_.bytes() + grad_.bytes() + m_.bytes() + v_.bytes();

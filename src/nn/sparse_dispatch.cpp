@@ -136,12 +136,15 @@ auto flavour(F32 f32, Bf16 bf16, F16 f16) {
 
 // Allocates a rows x cols output in the storage dtype of `e`'s kernel and
 // charges launch(element tag, out): the shared tail of the edge ops and the
-// per-dtype SpMM/SDDMM families.
+// per-dtype SpMM/SDDMM families. The output starts unfilled: every family
+// here writes each element (the row-parallel SpMMs fill Y with the combine
+// identity first, the segment reductions write an empty row's 0, the edge
+// ops and SDDMMs write every edge).
 template <class Launch>
 MTensor launch_into(const SparseCtx& ctx, const ChainEntry& e,
                     std::int64_t rows, std::int64_t cols, Launch&& launch) {
   const Dtype dt = kernel_row(e.kernel).storage;
-  MTensor out = MTensor::zeros(dt, rows, cols);
+  MTensor out = MTensor::uninit(dt, rows, cols);
   charge(ctx, with_element(dt, [&](auto tag) { return launch(tag, out); }));
   return out;
 }
@@ -197,7 +200,8 @@ MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
         kernels::HalfgnnSpmmOpts opts;
         opts.reduce = reduce;
         opts.scale = kernels::ScaleMode::kDiscretized;
-        MTensor out = MTensor::f16(g.n(), feat);
+        // spmm_halfgnn overwrites all of Y.
+        MTensor out = MTensor::uninit(Dtype::kF16, g.n(), feat);
         charge(ctx, kernels::spmm_halfgnn(
                         *ctx.stream, ctx.profiled, g.view(),
                         w != nullptr ? w->h() : std::span<const half_t>{},

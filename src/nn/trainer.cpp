@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "simt/executor.hpp"
 #include "tensor/dense_ops.hpp"
+#include "tensor/pool.hpp"
 
 namespace hg::nn {
 
@@ -58,6 +59,9 @@ void fill_memory_model(MemoryMeter& m, SystemMode mode, const Dataset& d,
 // Identifies a (model, mode, dataset, hyperparameter) combination; a
 // checkpoint from a different run configuration must not be resumed into
 // this one. lr is fingerprinted by its float bits, not its decimal print.
+// A guarded run appends a guard token, so its checkpoints (which carry the
+// guard's rollback ring and fallback levels) resume only with the guard on,
+// and an unguarded run's fingerprint keeps its historical bytes.
 std::string run_fingerprint(ModelKind kind, SystemMode mode, const Dataset& d,
                             const TrainConfig& cfg, bool override_active,
                             Dtype req) {
@@ -69,7 +73,8 @@ std::string run_fingerprint(ModelKind kind, SystemMode mode, const Dataset& d,
          "|e" + std::to_string(cfg.epochs) + "|lr" + lr_hex + "|h" +
          std::to_string(cfg.hidden) + "|s" + std::to_string(cfg.seed) + "|" +
          (override_active ? std::string(dtype_name(req))
-                          : std::string("mode"));
+                          : std::string("mode")) +
+         (cfg.guard ? "|guard" : "");
 }
 
 }  // namespace
@@ -106,11 +111,21 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   const DensePoolScope pool_scope(&stream.device());
 
   // Input features, cast once to the working dtype (a one-time cost, not
-  // part of the per-epoch ledger).
-  MTensor x_master = MTensor::f32(d.num_vertices(), d.feat_dim);
-  std::copy(d.features.begin(), d.features.end(), x_master.f().begin());
-  MTensor x = train_dt == Dtype::kF32 ? std::move(x_master)
-                                      : to_dtype(x_master, train_dt, nullptr);
+  // part of the per-epoch ledger). The f32 copy is released right after
+  // the cast.
+  const MTensor x = [&] {
+    MTensor f = MTensor::uninit(Dtype::kF32, d.num_vertices(), d.feat_dim);
+    std::copy(d.features.begin(), d.features.end(), f.f().begin());
+    if (train_dt == Dtype::kF32) return f;
+    return to_dtype(f, train_dt, nullptr);
+  }();
+
+  // Every tensor the epochs allocate comes from this pool and goes back to
+  // it (tensor/pool.hpp), so epochs after the first allocate nothing. It
+  // opens after the cast: the released f32 features go back to the heap
+  // instead of sitting in the pool for the whole run.
+  TensorPool tensor_pool;
+  const TensorPoolScope tensor_pool_scope(tensor_pool);
 
   // Loss scaling is an f16-range workaround; bf16 keeps the f32 exponent and
   // trains unscaled (amp::needs_loss_scaling), exactly like f32.

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -50,6 +51,7 @@
 #include "simt/cta.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
+#include "util/aligned.hpp"
 
 namespace hg::simt {
 
@@ -162,6 +164,20 @@ class Device {
   // repeated conflict launches do not re-fault pages).
   std::span<std::byte> scratch(int slot, std::size_t bytes);
 
+  // Host buffers a kernel keeps across its own launches (spmm_halfgnn's
+  // staging rows and values, which its follow-up launch reads): n elements
+  // of T in slot `slot` (< kKernelScratchSlots), 64-byte aligned, grown on
+  // demand and kept for the device's lifetime, so repeated calls allocate
+  // nothing. The elements are unspecified on return. Only the thread that
+  // launches on the device uses them, between and across its launches.
+  static constexpr int kKernelScratchSlots = 2;
+  template <class T>
+  std::span<T> kernel_scratch(int slot, std::size_t n) {
+    auto& buf = kernel_scratch_.at(static_cast<std::size_t>(slot));
+    if (buf.size() < n * sizeof(T)) buf.resize(n * sizeof(T));
+    return {reinterpret_cast<T*>(buf.data()), n};
+  }
+
   // Replaces the device's fault configuration (the default is
   // HALFGNN_FAULTS, read at construction). Takes the launch mutex, so it
   // must not be called from inside a kernel body.
@@ -266,6 +282,7 @@ class Device {
 
   std::vector<std::thread> workers_;
   std::vector<std::vector<std::byte>> scratch_;
+  std::array<AlignedVec<std::byte>, kKernelScratchSlots> kernel_scratch_;
   // Reused launch workspace; guarded by launch_mu_.
   detail::LaunchScratch launch_scratch_;
   // Fault injection (simt/fault.hpp); both guarded by launch_mu_.

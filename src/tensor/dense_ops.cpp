@@ -339,7 +339,8 @@ struct XentArgs {
 // a float max (NaN skipped), a double sum of exp(double(v) - max) in
 // column order, the gradient float(g * grad_scale) rounded to storage,
 // and, where that rounded value is nonzero, its float product with `inv`,
-// rounded again. The sum adds the new term first (exp + sum), so with two
+// rounded again. Every gradient element is written: the rows outside the
+// loss and the padded columns [valid, cols) get +0. The sum adds the new term first (exp + sum), so with two
 // NaN terms the later one's payload wins, as in the reference.
 // sink(r, logp) receives every in-loss row's log p(label) in increasing
 // order.
@@ -361,7 +362,11 @@ void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
     ex = e_heap.data();
   }
   for (std::int64_t r = r0; r < r1; ++r) {
-    if (!x.in_loss(r)) continue;
+    T* drow = x.dlogits != nullptr ? x.dlogits + r * x.cols : nullptr;
+    if (!x.in_loss(r)) {
+      if (drow != nullptr) std::fill_n(drow, x.cols, T(0.0f));
+      continue;
+    }
     const T* row = x.logits + r * x.cols;
     load_f32(row, v, x.valid);
     float mx = -std::numeric_limits<float>::infinity();
@@ -374,14 +379,14 @@ void xent_rows(const XentArgs<T>& x, std::int64_t r0, std::int64_t r1,
     const int y = x.labels[static_cast<std::size_t>(r)];
     const double logp =
         static_cast<double>(to_f32(row[y])) - mx - std::log(denom);
-    if (x.dlogits != nullptr) {
-      T* drow = x.dlogits + r * x.cols;
+    if (drow != nullptr) {
       for (int j = 0; j < x.valid; ++j) {
         const double g = ex[j] / denom - (j == y ? 1.0 : 0.0);
         const T stored = from_f32<T>(static_cast<float>(g * x.grad_scale));
         const float back = to_f32(stored);
         drow[j] = back != 0.0f ? from_f32<T>(back * x.inv) : stored;
       }
+      std::fill(drow + x.valid, drow + x.cols, T(0.0f));  // padded columns
     }
     sink(r, logp);
   }
@@ -409,7 +414,7 @@ DensePoolScope::DensePoolScope(simt::Device* dev) noexcept : prev_(t_pool) {
 DensePoolScope::~DensePoolScope() { t_pool = prev_; }
 
 MTensor to_dtype(const MTensor& in, Dtype dt, CostLedger* ledger) {
-  MTensor out = MTensor::zeros(dt, in.rows(), in.cols());
+  MTensor out = MTensor::uninit(dt, in.rows(), in.cols());
   const auto n = static_cast<std::int64_t>(in.numel());
   for_ranges(n, kElementAlign, n * kStreamWork,
              [&](std::int64_t begin, std::int64_t end) {
@@ -493,7 +498,9 @@ void add_bias_rows(MTensor& x, const MTensor& bias, CostLedger* ledger) {
 
 void relu_forward(MTensor& x, std::vector<std::uint8_t>& mask,
                   CostLedger* ledger) {
-  mask.assign(x.numel(), 0);
+  // Every loop below writes every mask byte, so a mask reused across epochs
+  // keeps its storage and is not filled first.
+  mask.resize(x.numel());
   // In every dtype a NaN passes through (mask 0), as on device: max(NaN, 0)
   // quirks are irrelevant here — NaN anywhere already means a poisoned run,
   // and the loss and the non-finite-gradient check must still see it.
@@ -505,11 +512,9 @@ void relu_forward(MTensor& x, std::vector<std::uint8_t>& mask,
                if (x.dtype() == Dtype::kF32) {
                  auto s = x.f();
                  for (std::size_t i = b; i < e; ++i) {
-                   if (s[i] > 0) {
-                     mask[i] = 1;
-                   } else if (!std::isnan(s[i])) {
-                     s[i] = 0.0f;
-                   }
+                   const bool pos = s[i] > 0;
+                   mask[i] = pos ? 1 : 0;
+                   if (!pos && !std::isnan(s[i])) s[i] = 0.0f;
                  }
                } else if (x.dtype() == Dtype::kF16) {
                  simd::ops().h_relu_forward(x.h().data() + b, mask.data() + b,
@@ -517,11 +522,9 @@ void relu_forward(MTensor& x, std::vector<std::uint8_t>& mask,
                } else {
                  auto s = x.b();
                  for (std::size_t i = b; i < e; ++i) {
-                   if (s[i] > bf16_t(0.0f)) {
-                     mask[i] = 1;
-                   } else if (!s[i].is_nan()) {
-                     s[i] = bf16_t(0.0f);
-                   }
+                   const bool pos = s[i] > bf16_t(0.0f);
+                   mask[i] = pos ? 1 : 0;
+                   if (!pos && !s[i].is_nan()) s[i] = bf16_t(0.0f);
                  }
                }
              });
@@ -648,7 +651,7 @@ LossResult softmax_xent(const MTensor& logits, std::span<const int> labels,
     if (!use_masked || mask[static_cast<std::size_t>(r)] != 0) res.count += 1;
   }
   if (dlogits != nullptr) {
-    *dlogits = MTensor::zeros(logits.dtype(), n, c);
+    *dlogits = MTensor::uninit(logits.dtype(), n, c);  // xent_rows fills it
   }
   // Mean reduction: 1/count is folded into the gradient.
   const float inv = res.count > 0 ? static_cast<float>(1.0 / res.count) : 0.0f;
@@ -696,17 +699,25 @@ double masked_accuracy(const MTensor& logits, std::span<const int> labels,
                        std::span<const std::uint8_t> mask,
                        std::uint8_t expect, int valid_classes) {
   double correct = 0, count = 0;
-  for (std::int64_t r = 0; r < logits.rows(); ++r) {
-    if (mask[static_cast<std::size_t>(r)] != expect) continue;
-    count += 1;
-    int argmax = 0;
-    // NaN logits never beat the running max, so argmax degenerates to
-    // column 0 — accuracy collapses toward chance, as in Fig. 1c.
-    for (int j = 0; j < valid_classes; ++j) {
-      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
+  std::vector<float> v(static_cast<std::size_t>(std::max(valid_classes, 0)));
+  with_data(logits, [&](const auto* lg) {
+    for (std::int64_t r = 0; r < logits.rows(); ++r) {
+      if (mask[static_cast<std::size_t>(r)] != expect) continue;
+      count += 1;
+      load_f32(lg + r * logits.cols(), v.data(), valid_classes);
+      int argmax = 0;
+      // NaN logits never beat the running max, so argmax degenerates to
+      // column 0 — accuracy collapses toward chance, as in Fig. 1c. Ties
+      // keep the lower column.
+      for (int j = 0; j < valid_classes; ++j) {
+        if (v[static_cast<std::size_t>(j)] >
+            v[static_cast<std::size_t>(argmax)]) {
+          argmax = j;
+        }
+      }
+      correct += argmax == labels[static_cast<std::size_t>(r)];
     }
-    correct += argmax == labels[static_cast<std::size_t>(r)];
-  }
+  });
   return count > 0 ? correct / count : 0.0;
 }
 

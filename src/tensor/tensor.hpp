@@ -6,7 +6,8 @@
 // from the precision lattice never materialize as MTensors: they are
 // inference-time kernel-level quantizations of f32 state.) All buffers are
 // 64-byte aligned so they can be handed to the SIMT kernels (and re-typed
-// to half2/half4/half8) directly.
+// to half2/half4/half8) directly. Storage comes from the thread's
+// TensorPool while nn::train runs (tensor/pool.hpp), from the heap otherwise.
 #pragma once
 
 #include <cassert>
@@ -14,14 +15,56 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "half/bf16.hpp"
 #include "half/dtype.hpp"
 #include "half/half.hpp"
+#include "tensor/pool.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
 namespace hg {
+
+// MTensor's storage allocator: 64-byte aligned blocks through the thread's
+// TensorPool. Default insertion constructs nothing, so a resize leaves the
+// new elements' bytes as the block held them (MTensor::uninit).
+template <class T>
+struct TensorAlloc {
+  using value_type = T;
+
+  TensorAlloc() noexcept = default;
+  template <class U>
+  TensorAlloc(const TensorAlloc<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        detail::tensor_storage_take(TensorPool::rounded(n * sizeof(T))));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::tensor_storage_give(p, TensorPool::rounded(n * sizeof(T)));
+  }
+
+  template <class U>
+  void construct(U* /*p*/) noexcept {
+    static_assert(std::is_trivially_copyable_v<U> &&
+                  std::is_trivially_destructible_v<U>);
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  template <class U>
+  bool operator==(const TensorAlloc<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <class T>
+using TensorVec = std::vector<T, TensorAlloc<T>>;
 
 class MTensor {
  public:
@@ -56,10 +99,24 @@ class MTensor {
       case Dtype::kF32: return f32(rows, cols);
       case Dtype::kF16: return f16(rows, cols);
       case Dtype::kBf16: return bf16(rows, cols);
-      default:
-        throw std::invalid_argument("MTensor: no storage for dtype " +
-                                    std::string(dtype_name(d)));
+      default: throw no_storage(d);
     }
+  }
+  // A rows x cols tensor whose elements are unspecified: for an op that
+  // writes every element before anything reads one.
+  static MTensor uninit(Dtype d, std::int64_t rows, std::int64_t cols) {
+    MTensor t;
+    t.dtype_ = d;
+    t.rows_ = rows;
+    t.cols_ = cols;
+    const auto n = static_cast<std::size_t>(rows * cols);
+    switch (d) {
+      case Dtype::kF32: t.f_.resize(n); break;
+      case Dtype::kF16: t.h_.resize(n); break;
+      case Dtype::kBf16: t.b_.resize(n); break;
+      default: throw no_storage(d);
+    }
+    return t;
   }
 
   Dtype dtype() const noexcept { return dtype_; }
@@ -143,11 +200,16 @@ class MTensor {
   }
 
  private:
+  static std::invalid_argument no_storage(Dtype d) {
+    return std::invalid_argument("MTensor: no storage for dtype " +
+                                 std::string(dtype_name(d)));
+  }
+
   Dtype dtype_ = Dtype::kF32;
   std::int64_t rows_ = 0, cols_ = 0;
-  AlignedVec<float> f_;
-  AlignedVec<half_t> h_;
-  AlignedVec<bf16_t> b_;
+  TensorVec<float> f_;
+  TensorVec<half_t> h_;
+  TensorVec<bf16_t> b_;
 };
 
 // Xavier/Glorot-uniform initialization into a float tensor.

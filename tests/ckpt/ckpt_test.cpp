@@ -889,22 +889,41 @@ TEST(WatchdogTraining, StuckKernelIsReapedAndTrainingCompletes) {
   EXPECT_EQ(res.nan_loss_epochs, 0);
 }
 
+// A run killed at epoch 2 and resumed under another configuration is
+// refused. Switching the guard off would drop the restored rollback ring
+// and fallback levels; switching it on would start the guard from a state
+// the checkpoint never had.
 TEST(ResumeDeterminism, FingerprintMismatchRefusesToResume) {
   const Dataset d = tiny_dataset(300, 3, 900, 16, 95);
-  nn::TrainConfig cfg = resume_cfg();
-  cfg.checkpoint_dir = fresh_dir("fingerprint");
-  const RunOut first = run_once(d, cfg, 2, "torncrash:epoch=2");
-  ASSERT_TRUE(first.crashed);
+  struct Case {
+    const char* name;
+    bool guard;  // of the killed run
+    std::function<void(nn::TrainConfig&)> change;
+  };
+  const Case cases[] = {
+      {"lr", false, [](nn::TrainConfig& c) { c.lr = c.lr * 2; }},
+      {"guard_dropped", true, [](nn::TrainConfig& c) { c.guard = false; }},
+      {"guard_added", false, [](nn::TrainConfig& c) { c.guard = true; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    nn::TrainConfig cfg = resume_cfg();
+    cfg.guard = c.guard;
+    cfg.checkpoint_dir = fresh_dir(std::string("fingerprint_") + c.name);
+    const RunOut first = run_once(d, cfg, 2, "torncrash:epoch=2");
+    ASSERT_TRUE(first.crashed);
 
-  cfg.resume = true;
-  cfg.lr = cfg.lr * 2;  // a different run configuration
-  obs::registry().reset();
-  obs::tracer().reset();
-  simt::Device dev(simt::a100_spec(), 2);
-  simt::Stream stream(dev);
-  cfg.stream = &stream;
-  EXPECT_THROW(nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg),
-               std::invalid_argument);
+    cfg.resume = true;
+    c.change(cfg);
+    obs::registry().reset();
+    obs::tracer().reset();
+    simt::Device dev(simt::a100_spec(), 2);
+    simt::Stream stream(dev);
+    cfg.stream = &stream;
+    EXPECT_THROW(
+        nn::train(nn::ModelKind::kGcn, nn::SystemMode::kHalfGnn, d, cfg),
+        std::invalid_argument);
+  }
 }
 
 // --- resume against tensors of another shape ---------------------------------

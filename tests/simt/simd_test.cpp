@@ -849,10 +849,12 @@ AlignedVec<half_t> make_features(std::size_t n, int feat, std::mt19937& rng,
 
 // The flat train path of spmm_halfgnn against its profiled per-access
 // path, on both SIMD paths: ragged (42, 130), padded (48) and multi-chunk
-// (72, 128, 130) widths, every reduce and scale mode, with and without edge
-// weights, three warp segment sizes and the atomic ablation, on exact-size
-// allocations with and without special values. The graph plants the cases
-// the flat CTA's row walk and merge must get right:
+// (72, 128, 130) widths, and sub-warp widths (8, 32), which run per-access
+// on both, every reduce and scale mode, with and without edge weights,
+// three warp segment sizes and the atomic ablation, on exact-size
+// allocations with and without special values. Y starts as NaN, so every
+// element must be written. The graph plants the cases the flat CTA's row
+// walk and merge must get right:
 //  * long rows (65-100 edges) between short ones, some interior to a
 //    128-edge warp segment, which the flat path stores straight into Y;
 //  * a degree-700 hub, the last row of consecutive CTAs (follow-up merge)
@@ -980,7 +982,7 @@ TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
       {kernels::Reduce::kMean, kernels::ScaleMode::kPost, "mean-post"}};
   for (const bool specials : {false, true}) {
     const AlignedVec<half_t> wh = make_features(m, 1, rng, specials);
-    for (const int feat : {42, 48, 64, 72, 128, 130}) {
+    for (const int feat : {8, 32, 42, 48, 64, 72, 128, 130}) {
       AlignedVec<half_t> x = make_features(n, feat, rng, specials);
       const auto f = static_cast<std::size_t>(feat);
       std::fill(x.end() - static_cast<std::ptrdiff_t>(4 * f), x.end(),
@@ -1018,7 +1020,12 @@ TEST_F(SimdAvx2, SpmmHalfgnnIdenticalAcrossPaths) {
               run_both_paths_and_compare(
                   what.c_str(),
                   [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
-                    AlignedVec<half_t> y(n * static_cast<std::size_t>(feat));
+                    // Y starts as a different NaN on each path, so an
+                    // element either path leaves unwritten fails the
+                    // compare: spmm_halfgnn overwrites all of Y.
+                    AlignedVec<half_t> y(
+                        n * static_cast<std::size_t>(feat),
+                        half_t::from_bits(profiled ? 0x7E01u : 0xFE03u));
                     const auto ks = kernels::spmm_halfgnn(
                         stream, profiled, g,
                         has_w ? std::span<const half_t>(wh)
